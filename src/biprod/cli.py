@@ -1,9 +1,19 @@
 """Command line driver.
 
-verify runs the whole staged suite on one instance and reports one line
-per check; show prints a single constructed morphism.  Exit codes: 0
-when every executed check passed, 1 when any failed (or a construction
-the user asked to see does not exist), 2 for unusable arguments.
+verify walks the stage table STAGES in order.  Each row names a stage,
+the number of objects its check takes, the bound those objects are drawn
+up to (max_size for "pair" stages, the smaller quad bound for "quad"
+ones), whether it needs terminal and initial objects, and the check.
+One loop runs every check on every tuple of objects and appends one
+record each; a raised CategoryError becomes a failed record through the
+same fold the construction's verifiers use, so the record names the
+first failed equation and its differing entry.  On an instance without
+terminal and initial objects, each stage that needs them reports one
+NoNullaryStructure record instead of running.
+
+show prints a single constructed morphism.  Exit codes: 0 when every
+executed check passed, 1 when any failed (or a construction the user
+asked to see does not exist), 2 for unusable arguments.
 
 The JSON report is byte-identical across runs with the same arguments:
 the measured duration goes to stderr, and the duration_ms field in the
@@ -19,14 +29,17 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .construction import (
+    _from_error,
     _grid,
+    _interleave,
+    _star_grid,
     c_map,
     canonical_mixed_map,
     hom_add,
     idempotents,
-    star_map,
     t_inverse,
     t_map,
     verify_biproduct,
@@ -37,7 +50,7 @@ from .construction import (
     zero_object,
 )
 from .errors import CategoryError, InvalidBounds, ParseError, UnknownInstance
-from .instances import MatInstance, ProductInstance, resolve
+from .instances import Instance, MatInstance, ProductInstance, resolve
 from .kernel import CheckResult, check_inverse_pair, equation
 from .monoidal import dist_coprod, dist_prod, has_nullary, nullary_distributors
 from .structure import matrix_of, verify_coproduct_witness, verify_product_witness
@@ -46,17 +59,6 @@ from .structure import matrix_of, verify_coproduct_witness, verify_product_witne
 LAW_SAMPLE_CAP = 5
 # largest homset the verifiers will enumerate exhaustively
 ENUM_CAP = 512
-
-# stages that cannot run without a terminal and an initial object
-NULLARY_DEPENDENT = (
-    "intertwining",
-    "canonical",
-    "biproduct",
-    "hom-add-laws",
-    "hom-add-native",
-    "bilinearity",
-)
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -133,10 +135,7 @@ def _guard(checks: list[CheckRecord], suite: str, names: tuple[str, ...], thunk)
     try:
         res = thunk()
     except CategoryError as exc:
-        text = str(exc)
-        msg = type(exc).__name__ + (f": {text}" if text else "")
-        checks.append(CheckRecord(suite, names, False, msg))
-        return
+        res = CheckResult(suite, (_from_error(exc),))
     if isinstance(res, CheckResult) and not res.passed:
         checks.append(CheckRecord(suite, names, False, _failure_text(res)))
     else:
@@ -173,33 +172,43 @@ def _canonical_check(a, b) -> CheckResult:
     )
 
 
-def _homset_sample(inst, rng: random.Random, a, b, count: int) -> list:
-    homs = inst.enumerate_homset(a, b, cap=ENUM_CAP)
+class _Run(NamedTuple):
+    """What the checks of one suite run share: one RNG drawn in record order."""
+
+    inst: Instance
+    rng: random.Random
+    objs: list
+    samples: int
+
+
+def _homset_sample(run: _Run, a, b) -> list:
+    homs = run.inst.enumerate_homset(a, b, cap=ENUM_CAP)
     if homs is not None:
-        if len(homs) <= count:
+        if len(homs) <= LAW_SAMPLE_CAP:
             return homs
-        return rng.sample(homs, count)
+        return run.rng.sample(homs, LAW_SAMPLE_CAP)
     out = []
-    for _ in range(count):
-        f = inst.random_morphism(rng, a, b)
+    for _ in range(LAW_SAMPLE_CAP):
+        f = run.inst.random_morphism(run.rng, a, b)
         if f is None:
             break
         out.append(f)
     return out
 
 
-def _native_agreement(inst, rng: random.Random, a, b, count: int) -> CheckResult:
+def _native_agreement(run: _Run, a, b) -> CheckResult:
     """Compare hom_add with the instance's own addition, when it has one.
 
     Vacuously passes when native_add is unsupported or the homset is
     empty; exhausts small homsets, otherwise draws seeded pairs.
     """
+    inst, rng = run.inst, run.rng
     homs = inst.enumerate_homset(a, b, cap=ENUM_CAP)
     if homs is not None and len(homs) ** 2 <= ENUM_CAP:
         pairs = list(itertools.product(homs, repeat=2))
     else:
         pairs = []
-        for _ in range(count):
+        for _ in range(run.samples):
             f = inst.random_morphism(rng, a, b)
             g = inst.random_morphism(rng, a, b)
             if f is None or g is None:
@@ -214,127 +223,84 @@ def _native_agreement(inst, rng: random.Random, a, b, count: int) -> CheckResult
     return CheckResult("native-add", tuple(details))
 
 
+class Stage(NamedTuple):
+    """One row of the suite: check(run, *objects) for every arity-tuple of objects.
+
+    bound "pair" draws the objects up to max_size, "quad" up to the quad
+    bound.  A needs_nullary stage does not run on an instance without
+    terminal and initial objects.
+    """
+
+    name: str
+    arity: int
+    bound: str
+    needs_nullary: bool
+    check: Callable[..., CheckResult]
+
+
+# The suite, in report order.  Checks look their callees up by name when
+# they run, so anything that rebinds a module attribute sees every call.
+STAGES = (
+    Stage("nullary", 0, "pair", True, lambda run: _nullary_check(run.inst)),
+    Stage("nullary-distributors", 1, "pair", True, lambda run, a: _nullary_dist_check(a)),
+    Stage(
+        "product-witness", 2, "pair", False,
+        lambda run, a, b: verify_product_witness(
+            run.inst.product(a, b), run.objs, rng=run.rng, enum_cap=ENUM_CAP
+        ),
+    ),
+    Stage(
+        "coproduct-witness", 2, "pair", False,
+        lambda run, a, b: verify_coproduct_witness(
+            run.inst.coproduct(a, b), run.objs, rng=run.rng, enum_cap=ENUM_CAP
+        ),
+    ),
+    Stage("dist-prod", 3, "quad", False, lambda run, a, b, c: _cert(dist_prod(a, b, c))),
+    Stage("dist-coprod", 3, "quad", False, lambda run, a, b, c: _cert(dist_coprod(a, b, c))),
+    Stage("interchange", 4, "quad", False, lambda run, *quad: verify_interchange(*quad)),
+    Stage("t-inverse", 2, "pair", False, lambda run, a, b: _t_inverse_check(a, b)),
+    Stage("intertwining", 2, "pair", True, lambda run, a, b: verify_intertwining(a, b)),
+    Stage("canonical", 2, "pair", True, lambda run, a, b: _canonical_check(a, b)),
+    Stage("biproduct", 2, "pair", True, lambda run, a, b: verify_biproduct(a, b)),
+    Stage(
+        "hom-add-laws", 2, "pair", True,
+        lambda run, a, b: verify_semiadditive(_homset_sample(run, a, b)),
+    ),
+    Stage("hom-add-native", 2, "pair", True, _native_agreement),
+    Stage(
+        "bilinearity", 3, "quad", True,
+        lambda run, a, b, c: verify_semiadditive(
+            _homset_sample(run, a, b) + _homset_sample(run, b, c)
+        ),
+    ),
+)
+
+# Stages that use the zero object.  Without terminal and initial objects
+# each of these, and "nullary" itself, reports one NoNullaryStructure
+# record instead of running; nullary-distributors reports none.
+NULLARY_DEPENDENT = tuple(
+    s.name for s in STAGES if s.needs_nullary and not s.name.startswith("nullary")
+)
+
+
 def run_suite(config: SuiteConfig) -> Report:
     inst = resolve(config.instance, config.max_size)
-    rng = random.Random(config.seed)
     start = time.perf_counter()
     checks: list[CheckRecord] = []
     objs = inst.objects(config.max_size)
-    quads = inst.objects(config.quad_bound)
+    pools = {"pair": objs, "quad": inst.objects(config.quad_bound)}
+    run = _Run(inst, random.Random(config.seed), objs, config.samples)
     fmt = inst.format_obj
     nullary_ok = has_nullary(inst)
-
-    if nullary_ok:
-        _guard(checks, "nullary", (), lambda: _nullary_check(inst))
-        for a in objs:
-            _guard(
-                checks,
-                "nullary-distributors",
-                (fmt(a),),
-                lambda a=a: _nullary_dist_check(a),
-            )
-    else:
-        checks.append(CheckRecord("nullary", (), False, "NoNullaryStructure"))
-
-    for a, b in itertools.product(objs, repeat=2):
-        _guard(
-            checks,
-            "product-witness",
-            (fmt(a), fmt(b)),
-            lambda a=a, b=b: verify_product_witness(
-                inst.product(a, b), objs, rng=rng, enum_cap=ENUM_CAP
-            ),
-        )
-    for a, b in itertools.product(objs, repeat=2):
-        _guard(
-            checks,
-            "coproduct-witness",
-            (fmt(a), fmt(b)),
-            lambda a=a, b=b: verify_coproduct_witness(
-                inst.coproduct(a, b), objs, rng=rng, enum_cap=ENUM_CAP
-            ),
-        )
-    for a, b, c in itertools.product(quads, repeat=3):
-        _guard(
-            checks,
-            "dist-prod",
-            (fmt(a), fmt(b), fmt(c)),
-            lambda a=a, b=b, c=c: _cert(dist_prod(a, b, c)),
-        )
-    for a, b, c in itertools.product(quads, repeat=3):
-        _guard(
-            checks,
-            "dist-coprod",
-            (fmt(a), fmt(b), fmt(c)),
-            lambda a=a, b=b, c=c: _cert(dist_coprod(a, b, c)),
-        )
-    for a1, a2, b1, b2 in itertools.product(quads, repeat=4):
-        _guard(
-            checks,
-            "interchange",
-            (fmt(a1), fmt(a2), fmt(b1), fmt(b2)),
-            lambda a1=a1, a2=a2, b1=b1, b2=b2: verify_interchange(a1, a2, b1, b2),
-        )
-    for a, b in itertools.product(objs, repeat=2):
-        _guard(
-            checks,
-            "t-inverse",
-            (fmt(a), fmt(b)),
-            lambda a=a, b=b: _t_inverse_check(a, b),
-        )
-
-    if nullary_ok:
-        for a, b in itertools.product(objs, repeat=2):
-            _guard(
-                checks,
-                "intertwining",
-                (fmt(a), fmt(b)),
-                lambda a=a, b=b: verify_intertwining(a, b),
-            )
-        for a, b in itertools.product(objs, repeat=2):
-            _guard(
-                checks,
-                "canonical",
-                (fmt(a), fmt(b)),
-                lambda a=a, b=b: _canonical_check(a, b),
-            )
-        for a, b in itertools.product(objs, repeat=2):
-            _guard(
-                checks,
-                "biproduct",
-                (fmt(a), fmt(b)),
-                lambda a=a, b=b: verify_biproduct(a, b),
-            )
-        for a, b in itertools.product(objs, repeat=2):
-            _guard(
-                checks,
-                "hom-add-laws",
-                (fmt(a), fmt(b)),
-                lambda a=a, b=b: verify_semiadditive(
-                    _homset_sample(inst, rng, a, b, LAW_SAMPLE_CAP)
-                ),
-            )
-        for a, b in itertools.product(objs, repeat=2):
-            _guard(
-                checks,
-                "hom-add-native",
-                (fmt(a), fmt(b)),
-                lambda a=a, b=b: _native_agreement(inst, rng, a, b, config.samples),
-            )
-        for a, b, c in itertools.product(quads, repeat=3):
-            _guard(
-                checks,
-                "bilinearity",
-                (fmt(a), fmt(b), fmt(c)),
-                lambda a=a, b=b, c=c: verify_semiadditive(
-                    _homset_sample(inst, rng, a, b, LAW_SAMPLE_CAP)
-                    + _homset_sample(inst, rng, b, c, LAW_SAMPLE_CAP)
-                ),
-            )
-    else:
-        for stage in NULLARY_DEPENDENT:
-            checks.append(CheckRecord(stage, (), False, "NoNullaryStructure"))
-
+    for stage in STAGES:
+        if stage.needs_nullary and not nullary_ok:
+            # the nullary record stands for its distributors
+            if stage.name != "nullary-distributors":
+                checks.append(CheckRecord(stage.name, (), False, "NoNullaryStructure"))
+            continue
+        for tup in itertools.product(pools[stage.bound], repeat=stage.arity):
+            names = tuple(fmt(x) for x in tup)
+            _guard(checks, stage.name, names, lambda: stage.check(run, *tup))
     duration = (time.perf_counter() - start) * 1000.0
     return Report(config, tuple(checks), duration)
 
@@ -430,17 +396,9 @@ def _run_show(args) -> int:
     elif head in ("e", "e'"):
         e, e_prime = idempotents(*objs)
         print(inst.format_mor(e if head == "e" else e_prime))
-    elif head == "star":
-        a1, a2, b1, b2 = objs
-        g = _grid(a1, a2, b1, b2)
-        _print_with_entries(inst, star_map(a1, a2, b1, b2), g.c_dom, g.p_cod)
-    elif head == "t":
-        a, b = objs
-        pa, pb = inst.product(a, a), inst.product(b, b)
-        cab = inst.coproduct(a, b)
-        c_dom = inst.coproduct(pa.apex, pb.apex)
-        p_cod = inst.product(cab.apex, cab.apex)
-        _print_with_entries(inst, t_map(a, b), c_dom, p_cod)
+    elif head in ("star", "t"):
+        g = _star_grid(*objs) if head == "star" else _grid(objs[0], objs[0], objs[1], objs[1])
+        _print_with_entries(inst, _interleave(g), g.c_dom, g.p_cod)
     else:
         a, b = objs
         _print_with_entries(

@@ -80,6 +80,7 @@ class BiproductWitness:
     pr1: Mor
     pr2: Mor
     mixed_iso: InversePair
+    equations: CheckResult
 
 
 def _from_error(exc: CategoryError) -> EquationCheck:
@@ -125,7 +126,11 @@ def zero_map(a: Obj, b: Obj) -> Mor:
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """The witnesses around the interleaving square for objects a1,a2,b1,b2."""
+    """The witnesses around an interleaving square with corners x11..x22.
+
+    The domain is (x11 x x12) + (x21 x x22), the codomain is
+    (x11 + x21) x (x12 + x22).
+    """
 
     prods: tuple[ProductWitness, ProductWitness]
     cops: tuple[CoproductWitness, CoproductWitness]
@@ -144,19 +149,29 @@ class _Grid:
         return compose(self.inj(j, k), self.pi(j, k))
 
 
-def _grid(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> _Grid:
-    cat = a1.cat
-    t11, t12 = tensor_obj(a1, b1), tensor_obj(a1, b2)
-    t21, t22 = tensor_obj(a2, b1), tensor_obj(a2, b2)
-    p1 = cat.product(t11, t12)
-    p2 = cat.product(t21, t22)
-    c1 = cat.coproduct(t11, t21)
-    c2 = cat.coproduct(t12, t22)
+def _grid(x11: Obj, x12: Obj, x21: Obj, x22: Obj) -> _Grid:
+    cat = x11.cat
+    p1 = cat.product(x11, x12)
+    p2 = cat.product(x21, x22)
+    c1 = cat.coproduct(x11, x21)
+    c2 = cat.coproduct(x12, x22)
     return _Grid(
         prods=(p1, p2),
         cops=(c1, c2),
         c_dom=cat.coproduct(p1.apex, p2.apex),
         p_cod=cat.product(c1.apex, c2.apex),
+    )
+
+
+def _interleave(g: _Grid) -> Mor:
+    """The map of a grid assembled entrywise: component (j,k) is in_k . pi_j."""
+    m = Mat2(g.corner(1, 1), g.corner(1, 2), g.corner(2, 1), g.corner(2, 2))
+    return from_matrix(m, g.c_dom, g.p_cod)
+
+
+def _star_grid(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> _Grid:
+    return _grid(
+        tensor_obj(a1, b1), tensor_obj(a1, b2), tensor_obj(a2, b1), tensor_obj(a2, b2)
     )
 
 
@@ -166,9 +181,7 @@ def star_map(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> Mor:
     Runs ((a1@b1) x (a1@b2)) + ((a2@b1) x (a2@b2))
       -> ((a1@b1) + (a2@b1)) x ((a1@b2) + (a2@b2)).
     """
-    g = _grid(a1, a2, b1, b2)
-    m = Mat2(g.corner(1, 1), g.corner(1, 2), g.corner(2, 1), g.corner(2, 2))
-    return from_matrix(m, g.c_dom, g.p_cod)
+    return _interleave(_star_grid(a1, a2, b1, b2))
 
 
 def y_map(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> InversePair:
@@ -209,8 +222,8 @@ def verify_interchange(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> CheckResult:
     name = f"interchange({names})"
     try:
         y = y_map(a1, a2, b1, b2)
-        g = _grid(a1, a2, b1, b2)
-        checks = [equation("y=star", y.fwd, star_map(a1, a2, b1, b2))]
+        g = _star_grid(a1, a2, b1, b2)
+        checks = [equation("y=star", y.fwd, _interleave(g))]
         for j in (1, 2):
             pj = g.p_cod.pi1 if j == 1 else g.p_cod.pi2
             for k in (1, 2):
@@ -226,19 +239,7 @@ def verify_interchange(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> CheckResult:
 
 def t_map(a: Obj, b: Obj) -> Mor:
     """The interleaving at a pair: (a x a) + (b x b) -> (a+b) x (a+b)."""
-    cat = a.cat
-    pa = cat.product(a, a)
-    pb = cat.product(b, b)
-    cab = cat.coproduct(a, b)
-    c_dom = cat.coproduct(pa.apex, pb.apex)
-    p_cod = cat.product(cab.apex, cab.apex)
-    m = Mat2(
-        f11=compose(cab.in1, pa.pi1),
-        f12=compose(cab.in2, pb.pi1),
-        f21=compose(cab.in1, pa.pi2),
-        f22=compose(cab.in2, pb.pi2),
-    )
-    return from_matrix(m, c_dom, p_cod)
+    return _interleave(_grid(a, a, b, b))
 
 
 @lru_cache(maxsize=None)
@@ -273,22 +274,36 @@ def t_inverse(a: Obj, b: Obj) -> InversePair:
     )
 
 
+def _splitting(a: Obj, b: Obj) -> tuple[Mor, Mor, Mor, Mor]:
+    """The maps that split e and e' through a+b and a x b.
+
+    s: a+b -> (a x a)+(b x b) keeps the coordinate named by the summand,
+    r: (a x a)+(b x b) -> a+b projects it back out, i: a x b -> (a+b) x (a+b)
+    injects each coordinate into its summand, q projects it back out.
+    Then e = s.r, e' = i.q, c = q.t.s and c^-1 = r.t^-1.i.
+    """
+    cat = a.cat
+    pa = cat.product(a, a)
+    pb = cat.product(b, b)
+    cab = cat.coproduct(a, b)
+    s = plus_map(pair(pa, identity(a), zero_map(a, a)), pair(pb, zero_map(b, b), identity(b)))
+    r = plus_map(pa.pi1, pb.pi2)
+    i = times_map(cab.in1, cab.in2)
+    q = times_map(
+        copair(cab, identity(a), zero_map(b, a)), copair(cab, zero_map(a, b), identity(b))
+    )
+    return s, r, i, q
+
+
 def idempotents(a: Obj, b: Obj) -> tuple[Mor, Mor]:
     """The matching idempotents on (a x a)+(b x b) and (a+b) x (a+b).
 
     The first keeps the coordinate named by the summand, the second keeps
     the summand named by the coordinate.  Both are checked idempotent.
     """
-    cat = a.cat
-    pa = cat.product(a, a)
-    pb = cat.product(b, b)
-    cab = cat.coproduct(a, b)
-    keep_first = pair(pa, identity(a), zero_map(a, a))
-    keep_second = pair(pb, zero_map(b, b), identity(b))
-    e = compose(plus_map(keep_first, keep_second), plus_map(pa.pi1, pb.pi2))
-    only_left = copair(cab, identity(a), zero_map(b, a))
-    only_right = copair(cab, zero_map(a, b), identity(b))
-    e_prime = compose(times_map(cab.in1, cab.in2), times_map(only_left, only_right))
+    s, r, i, q = _splitting(a, b)
+    e = compose(s, r)
+    e_prime = compose(i, q)
     for label, m in (("e", e), ("e'", e_prime)):
         res = CheckResult(label, (equation("m*m=m", compose(m, m), m),))
         if not res.passed:
@@ -306,24 +321,20 @@ def verify_intertwining(a: Obj, b: Obj) -> CheckResult:
     cat = a.cat
     name = f"intertwining({cat.format_obj(a)},{cat.format_obj(b)})"
     try:
-        t = t_map(a, b)
+        g = _grid(a, a, b, b)
+        t = _interleave(g)
         e, e_prime = idempotents(a, b)
-        pa = cat.product(a, a)
-        pb = cat.product(b, b)
-        cab = cat.coproduct(a, b)
-        c_dom = cat.coproduct(pa.apex, pb.apex)
-        p_cod = cat.product(cab.apex, cab.apex)
         te = compose(t, e)
         et = compose(e_prime, t)
         want = {
-            (1, 1): compose(cab.in1, pa.pi1),
-            (1, 2): zero_map(pb.apex, cab.apex),
-            (2, 1): zero_map(pa.apex, cab.apex),
-            (2, 2): compose(cab.in2, pb.pi2),
+            (1, 1): g.corner(1, 1),
+            (1, 2): zero_map(g.c_dom.right, g.p_cod.left),
+            (2, 1): zero_map(g.c_dom.left, g.p_cod.right),
+            (2, 2): g.corner(2, 2),
         }
         checks = [equation("t*e=e'*t", te, et)]
-        for tag, m in (("t*e", matrix_of(te, c_dom, p_cod)), ("e'*t", matrix_of(et, c_dom, p_cod))):
-            for j, k, entry in m.entries():
+        for tag, f in (("t*e", te), ("e'*t", et)):
+            for j, k, entry in matrix_of(f, g.c_dom, g.p_cod).entries():
                 checks.append(equation(f"{tag}[{j},{k}]", entry, want[(j, k)]))
         return CheckResult(name, tuple(checks))
     except CategoryError as exc:
@@ -346,36 +357,22 @@ def c_map(a: Obj, b: Obj) -> InversePair:
     Backward: the same path through t_inverse.
     """
     cat = a.cat
-    pa = cat.product(a, a)
-    pb = cat.product(b, b)
-    cab = cat.coproduct(a, b)
     ti = t_inverse(a, b)
-    keep_first = pair(pa, identity(a), zero_map(a, a))
-    keep_second = pair(pb, zero_map(b, b), identity(b))
-    only_left = copair(cab, identity(a), zero_map(b, a))
-    only_right = copair(cab, zero_map(a, b), identity(b))
-    fwd = compose(
-        times_map(only_left, only_right),
-        compose(ti.fwd, plus_map(keep_first, keep_second)),
-    )
-    bwd = compose(
-        plus_map(pa.pi1, pb.pi2),
-        compose(ti.bwd, times_map(cab.in1, cab.in2)),
-    )
+    s, r, i, q = _splitting(a, b)
+    fwd = compose(q, compose(ti.fwd, s))
+    bwd = compose(r, compose(ti.bwd, i))
     ctx = f"c({cat.format_obj(a)},{cat.format_obj(b)})"
     return InversePair.certify(fwd, bwd, context=ctx)
 
 
 def biproduct(a: Obj, b: Obj) -> BiproductWitness:
-    """Equip the coproduct of a and b with certified biproduct projections."""
+    """Equip the coproduct of a and b with certified biproduct projections.
+
+    The witness keeps the five equations it was certified by: the mixed
+    iso against the canonical matrix, and pr_j . in_k against id or 0.
+    """
     cat = a.cat
     c = c_map(a, b)
-    canonical = canonical_mixed_map(a, b)
-    if not equal(c.fwd, canonical):
-        note = cat.first_difference(c.fwd, canonical) or "payloads differ"
-        raise CanonicalMismatch(
-            f"constructed iso a+b -> a x b is not the canonical matrix ({note})"
-        )
     cab = cat.coproduct(a, b)
     pab = cat.product(a, b)
     pr1 = compose(pab.pi1, c.fwd)
@@ -383,32 +380,30 @@ def biproduct(a: Obj, b: Obj) -> BiproductWitness:
     res = CheckResult(
         f"biproduct({cat.format_obj(a)},{cat.format_obj(b)})",
         (
+            equation("iso=canonical", c.fwd, canonical_mixed_map(a, b)),
             equation("pr1*in1=id", compose(pr1, cab.in1), identity(a)),
             equation("pr1*in2=0", compose(pr1, cab.in2), zero_map(b, a)),
             equation("pr2*in1=0", compose(pr2, cab.in1), zero_map(a, b)),
             equation("pr2*in2=id", compose(pr2, cab.in2), identity(b)),
         ),
     )
+    canonical = res.details[0]
+    if not canonical.ok:
+        raise CanonicalMismatch(
+            f"constructed iso a+b -> a x b is not the canonical matrix ({canonical.note})"
+        )
     if not res.passed:
         raise WitnessInvalid("biproduct equations failed", res)
-    return BiproductWitness(a, b, cab.apex, cab.in1, cab.in2, pr1, pr2, c)
+    return BiproductWitness(a, b, cab.apex, cab.in1, cab.in2, pr1, pr2, c, res)
 
 
 def verify_biproduct(a: Obj, b: Obj) -> CheckResult:
-    """Build the biproduct and re-state its equations as a report."""
+    """Build the biproduct and report the equations it was certified by."""
     cat = a.cat
-    name = f"biproduct({cat.format_obj(a)},{cat.format_obj(b)})"
     try:
-        w = biproduct(a, b)
-        checks = (
-            equation("iso=canonical", w.mixed_iso.fwd, canonical_mixed_map(a, b)),
-            equation("pr1*in1=id", compose(w.pr1, w.in1), identity(a)),
-            equation("pr1*in2=0", compose(w.pr1, w.in2), zero_map(b, a)),
-            equation("pr2*in1=0", compose(w.pr2, w.in1), zero_map(a, b)),
-            equation("pr2*in2=id", compose(w.pr2, w.in2), identity(b)),
-        )
-        return CheckResult(name, checks)
+        return biproduct(a, b).equations
     except CategoryError as exc:
+        name = f"biproduct({cat.format_obj(a)},{cat.format_obj(b)})"
         return CheckResult(name, (_from_error(exc),))
 
 

@@ -1,7 +1,7 @@
 """Concrete instances and the selector used by the command line."""
 from __future__ import annotations
 
-from ..errors import UnknownInstance
+from ..errors import InvalidBounds, UnknownInstance
 from .base import Instance
 from .chain import ChainInstance, z_chain
 from .matcat import MAT_SEMIRINGS, MatInstance, finrel, mat_semiring
@@ -16,7 +16,10 @@ def resolve(selector: str, max_size: int) -> Instance:
 
     product:<a>+<b> pairs two selectors; nest by putting the inner
     product on the right, as in product:finrel+product:mat-nat+z-chain.
+    A negative max_size is refused here, before any instance is built.
     """
+    if max_size < 0:
+        raise InvalidBounds(f"max size must be nonnegative, got {max_size}")
     if selector == "finrel":
         return finrel(max_size)
     if selector in MAT_SEMIRINGS:

@@ -207,40 +207,7 @@ def verify_product_witness(
     Enumerable homsets get exhaustive uniqueness and existence loops;
     otherwise a few seeded random probes stand in.
     """
-    cat = p.apex.cat
-    rng = rng or random.Random(0)
-    checks = [equation("<pi1,pi2>=id", p.mediate(p.pi1, p.pi2), identity(p.apex))]
-    for w in probes:
-        wname = cat.format_obj(w)
-        homs = cat.enumerate_homset(w, p.apex, cap=enum_cap)
-        if homs is not None:
-            for i, h in enumerate(homs):
-                m = p.mediate(compose(p.pi1, h), compose(p.pi2, h))
-                checks.append(equation(f"uniq[{wname}#{i}]", m, h))
-        else:
-            for i in range(samples):
-                h = cat.random_morphism(rng, w, p.apex)
-                if h is None:
-                    break
-                m = p.mediate(compose(p.pi1, h), compose(p.pi2, h))
-                checks.append(equation(f"uniq-probe[{wname}#{i}]", m, h))
-        fs = cat.enumerate_homset(w, p.left, cap=enum_cap)
-        gs = cat.enumerate_homset(w, p.right, cap=enum_cap)
-        if fs is not None and gs is not None and len(fs) * len(gs) <= enum_cap:
-            for i, (f, g) in enumerate(itertools.product(fs, gs)):
-                m = p.mediate(f, g)
-                checks.append(equation(f"exist-pi1[{wname}#{i}]", compose(p.pi1, m), f))
-                checks.append(equation(f"exist-pi2[{wname}#{i}]", compose(p.pi2, m), g))
-        else:
-            for i in range(samples):
-                f = cat.random_morphism(rng, w, p.left)
-                g = cat.random_morphism(rng, w, p.right)
-                if f is None or g is None:
-                    break
-                m = p.mediate(f, g)
-                checks.append(equation(f"exist-pi1-probe[{wname}#{i}]", compose(p.pi1, m), f))
-                checks.append(equation(f"exist-pi2-probe[{wname}#{i}]", compose(p.pi2, m), g))
-    return CheckResult(f"product({cat.format_obj(p.left)},{cat.format_obj(p.right)})", tuple(checks))
+    return _verify_universal(p, False, probes, rng, samples, enum_cap)
 
 
 def verify_coproduct_witness(
@@ -251,37 +218,66 @@ def verify_coproduct_witness(
     enum_cap: int = 512,
 ) -> CheckResult:
     """Dual of verify_product_witness: probe morphisms out of the apex."""
-    cat = c.apex.cat
+    return _verify_universal(c, True, probes, rng, samples, enum_cap)
+
+
+def _verify_universal(
+    wit: ProductWitness | CoproductWitness,
+    dual: bool,
+    probes: Iterable[Obj],
+    rng: random.Random | None,
+    samples: int,
+    enum_cap: int,
+) -> CheckResult:
+    """One body for both universal properties.
+
+    dual turns every homset around (morphisms out of the apex instead of
+    into it) and composes the legs on the other side.
+    """
+    cat = wit.apex.cat
     rng = rng or random.Random(0)
-    checks = [equation("[in1,in2]=id", c.mediate(c.in1, c.in2), identity(c.apex))]
+    if dual:
+        kind, names, legs = "coproduct", ("in1", "in2"), (wit.in1, wit.in2)
+        ident = "[in1,in2]=id"
+    else:
+        kind, names, legs = "product", ("pi1", "pi2"), (wit.pi1, wit.pi2)
+        ident = "<pi1,pi2>=id"
+
+    def hom(w: Obj, x: Obj) -> tuple[Obj, Obj]:
+        return (x, w) if dual else (w, x)
+
+    def leg(k: int, h: Mor) -> Mor:
+        return compose(h, legs[k]) if dual else compose(legs[k], h)
+
+    checks = [equation(ident, wit.mediate(*legs), identity(wit.apex))]
     for w in probes:
         wname = cat.format_obj(w)
-        homs = cat.enumerate_homset(c.apex, w, cap=enum_cap)
+        homs = cat.enumerate_homset(*hom(w, wit.apex), cap=enum_cap)
         if homs is not None:
             for i, h in enumerate(homs):
-                m = c.mediate(compose(h, c.in1), compose(h, c.in2))
+                m = wit.mediate(leg(0, h), leg(1, h))
                 checks.append(equation(f"uniq[{wname}#{i}]", m, h))
         else:
             for i in range(samples):
-                h = cat.random_morphism(rng, c.apex, w)
+                h = cat.random_morphism(rng, *hom(w, wit.apex))
                 if h is None:
                     break
-                m = c.mediate(compose(h, c.in1), compose(h, c.in2))
+                m = wit.mediate(leg(0, h), leg(1, h))
                 checks.append(equation(f"uniq-probe[{wname}#{i}]", m, h))
-        fs = cat.enumerate_homset(c.left, w, cap=enum_cap)
-        gs = cat.enumerate_homset(c.right, w, cap=enum_cap)
+        fs = cat.enumerate_homset(*hom(w, wit.left), cap=enum_cap)
+        gs = cat.enumerate_homset(*hom(w, wit.right), cap=enum_cap)
         if fs is not None and gs is not None and len(fs) * len(gs) <= enum_cap:
             for i, (f, g) in enumerate(itertools.product(fs, gs)):
-                m = c.mediate(f, g)
-                checks.append(equation(f"exist-in1[{wname}#{i}]", compose(m, c.in1), f))
-                checks.append(equation(f"exist-in2[{wname}#{i}]", compose(m, c.in2), g))
+                m = wit.mediate(f, g)
+                checks.append(equation(f"exist-{names[0]}[{wname}#{i}]", leg(0, m), f))
+                checks.append(equation(f"exist-{names[1]}[{wname}#{i}]", leg(1, m), g))
         else:
             for i in range(samples):
-                f = cat.random_morphism(rng, c.left, w)
-                g = cat.random_morphism(rng, c.right, w)
+                f = cat.random_morphism(rng, *hom(w, wit.left))
+                g = cat.random_morphism(rng, *hom(w, wit.right))
                 if f is None or g is None:
                     break
-                m = c.mediate(f, g)
-                checks.append(equation(f"exist-in1-probe[{wname}#{i}]", compose(m, c.in1), f))
-                checks.append(equation(f"exist-in2-probe[{wname}#{i}]", compose(m, c.in2), g))
-    return CheckResult(f"coproduct({cat.format_obj(c.left)},{cat.format_obj(c.right)})", tuple(checks))
+                m = wit.mediate(f, g)
+                checks.append(equation(f"exist-{names[0]}-probe[{wname}#{i}]", leg(0, m), f))
+                checks.append(equation(f"exist-{names[1]}-probe[{wname}#{i}]", leg(1, m), g))
+    return CheckResult(f"{kind}({cat.format_obj(wit.left)},{cat.format_obj(wit.right)})", tuple(checks))

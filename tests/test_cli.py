@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
 from biprod.cli import (
     NULLARY_DEPENDENT,
+    STAGES,
     SuiteConfig,
+    _guard,
     _parse_expression,
     _parse_obj,
+    _t_inverse_check,
     main,
     render_json,
     render_text,
@@ -16,6 +20,7 @@ from biprod.cli import (
 )
 from biprod.errors import InvalidBounds, ParseError
 from biprod.instances import finrel, product_instance, z_chain
+from biprod.structure import ProductWitness
 
 
 def test_config_validation():
@@ -69,6 +74,105 @@ def test_suite_reports_missing_nullary_structure():
     # everything the order can express still verifies
     good_stages = {c.suite for c in report.checks if c.passed}
     assert "interchange" in good_stages and "t-inverse" in good_stages
+
+
+def test_stage_table_is_pinned():
+    assert [s.name for s in STAGES] == [
+        "nullary",
+        "nullary-distributors",
+        "product-witness",
+        "coproduct-witness",
+        "dist-prod",
+        "dist-coprod",
+        "interchange",
+        "t-inverse",
+        "intertwining",
+        "canonical",
+        "biproduct",
+        "hom-add-laws",
+        "hom-add-native",
+        "bilinearity",
+    ]
+    assert NULLARY_DEPENDENT == (
+        "intertwining",
+        "canonical",
+        "biproduct",
+        "hom-add-laws",
+        "hom-add-native",
+        "bilinearity",
+    )
+
+
+def _stage_runs(report):
+    """(stage, records, failed records) for each run of same-stage records."""
+    runs = []
+    for suite, group in itertools.groupby(report.checks, key=lambda c: c.suite):
+        group = list(group)
+        runs.append((suite, len(group), sum(1 for c in group if not c.passed)))
+    return runs
+
+
+def test_stage_record_counts():
+    rel = run_suite(SuiteConfig(instance="finrel", max_size=2, samples=2))
+    assert _stage_runs(rel) == [
+        ("nullary", 1, 0),
+        ("nullary-distributors", 3, 0),
+        ("product-witness", 9, 0),
+        ("coproduct-witness", 9, 0),
+        ("dist-prod", 27, 0),
+        ("dist-coprod", 27, 0),
+        ("interchange", 81, 0),
+        ("t-inverse", 9, 0),
+        ("intertwining", 9, 0),
+        ("canonical", 9, 0),
+        ("biproduct", 9, 0),
+        ("hom-add-laws", 9, 0),
+        ("hom-add-native", 9, 0),
+        ("bilinearity", 27, 0),
+    ]
+    # without nullary structure: no nullary-distributors records, and one
+    # failed stand-in per nullary stage, the dependents after t-inverse
+    chain = run_suite(SuiteConfig(instance="z-chain", max_size=2, samples=2))
+    assert _stage_runs(chain) == [
+        ("nullary", 1, 1),
+        ("product-witness", 25, 0),
+        ("coproduct-witness", 25, 0),
+        ("dist-prod", 125, 0),
+        ("dist-coprod", 125, 0),
+        ("interchange", 625, 0),
+        ("t-inverse", 25, 0),
+        ("intertwining", 1, 1),
+        ("canonical", 1, 1),
+        ("biproduct", 1, 1),
+        ("hom-add-laws", 1, 1),
+        ("hom-add-native", 1, 1),
+        ("bilinearity", 1, 1),
+    ]
+
+
+def test_guard_reports_failed_equation_of_raised_error():
+    inst = finrel(2)
+    real = inst.product
+
+    def rotated(a, b):
+        p = real(a, b)
+        if (a.data, b.data) != (2, 2):
+            return p
+
+        def mediate(f, g):
+            m = p.mediate(f, g)
+            return inst.mor(m.dom, m.cod, m.payload[1:] + m.payload[:1])
+
+        return ProductWitness(p.left, p.right, p.apex, p.pi1, p.pi2, mediate)
+
+    inst.product = rotated
+    checks = []
+    a, b = inst.obj(2), inst.obj(1)
+    _guard(checks, "t-inverse", ("2", "1"), lambda: _t_inverse_check(a, b))
+    [record] = checks
+    assert not record.passed
+    assert record.failure.startswith("pair: pi1*m=f")
+    assert "entry (" in record.failure
 
 
 def test_json_report_is_reproducible():
@@ -148,6 +252,9 @@ def test_show_failure_modes(capsys):
     err = capsys.readouterr().err
     assert "takes 2 objects" in err
     assert "lacks terminal/initial structure" in err
+    for inst in ("finrel", "z-chain", "product:finrel+z-chain", "product:z-chain+finrel"):
+        assert main(["show", "zero(1,2)", "--instance", inst, "--max-size", "-1"]) == 2
+    assert "max size must be nonnegative" in capsys.readouterr().err
 
 
 def test_parse_expression():

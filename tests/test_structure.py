@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,3 +184,61 @@ def test_verify_product_witness_rejects_fake():
 def test_verify_coproduct_witness_rejects_fake():
     res = verify_coproduct_witness(_fake_coproduct(), [REL.obj(1)])
     assert not res.passed
+
+
+# the probe-path labels of product(1,1) and coproduct(1,1) on mat-nat,
+# probed from objects 0 and 1 with random.Random(0)
+PRODUCT_PROBE_LABELS = [
+    "<pi1,pi2>=id",
+    "uniq-probe[0#0]", "uniq-probe[0#1]",
+    "exist-pi1-probe[0#0]", "exist-pi2-probe[0#0]",
+    "exist-pi1-probe[0#1]", "exist-pi2-probe[0#1]",
+    "uniq-probe[1#0]", "uniq-probe[1#1]",
+    "exist-pi1-probe[1#0]", "exist-pi2-probe[1#0]",
+    "exist-pi1-probe[1#1]", "exist-pi2-probe[1#1]",
+]
+COPRODUCT_PROBE_LABELS = [
+    "[in1,in2]=id",
+    "uniq-probe[0#0]", "uniq-probe[0#1]",
+    "exist-in1-probe[0#0]", "exist-in2-probe[0#0]",
+    "exist-in1-probe[0#1]", "exist-in2-probe[0#1]",
+    "uniq-probe[1#0]", "uniq-probe[1#1]",
+    "exist-in1-probe[1#0]", "exist-in2-probe[1#0]",
+    "exist-in1-probe[1#1]", "exist-in2-probe[1#1]",
+]
+
+
+def _doubled(m):
+    return NAT.mor(m.dom, m.cod, tuple(tuple(2 * x for x in row) for row in m.payload))
+
+
+def test_verify_product_witness_probe_path():
+    one = NAT.obj(1)
+    assert NAT.enumerate_homset(one, one) is None
+    p = NAT.product(one, one)
+    rng = random.Random(0)
+    res = verify_product_witness(p, NAT.objects(1), rng=rng)
+    assert res.passed
+    assert [chk.label for chk in res.details] == PRODUCT_PROBE_LABELS
+    # the probes consume the shared RNG exactly as many times as before
+    assert rng.random() == 0.9677999949201714
+    fake = ProductWitness(
+        p.left, p.right, p.apex, p.pi1, p.pi2, lambda f, g: _doubled(p.mediate(f, g))
+    )
+    res = verify_product_witness(fake, NAT.objects(1), rng=random.Random(0))
+    assert any("-probe[" in chk.label for chk in res.failures())
+
+
+def test_verify_coproduct_witness_probe_path():
+    one = NAT.obj(1)
+    c = NAT.coproduct(one, one)
+    rng = random.Random(0)
+    res = verify_coproduct_witness(c, NAT.objects(1), rng=rng)
+    assert res.passed
+    assert [chk.label for chk in res.details] == COPRODUCT_PROBE_LABELS
+    assert rng.random() == 0.9677999949201714
+    fake = CoproductWitness(
+        c.left, c.right, c.apex, c.in1, c.in2, lambda f, g: _doubled(c.mediate(f, g))
+    )
+    res = verify_coproduct_witness(fake, NAT.objects(1), rng=random.Random(0))
+    assert any("-probe[" in chk.label for chk in res.failures())
