@@ -5,15 +5,17 @@ the number of objects its check takes, the bound those objects are drawn
 up to (max_size for "pair" stages, the smaller quad bound for "quad"
 ones), whether it needs terminal and initial objects, and the check.
 One loop runs every check on every tuple of objects and appends one
-record each; a raised CategoryError becomes a failed record through the
-same fold the construction's verifiers use, so the record names the
-first failed equation and its differing entry.  On an instance without
-terminal and initial objects, each stage that needs them reports one
+record each; a raised CategoryError becomes a failed record through
+CheckResult.from_error, so the record names the first failed equation
+and its differing entry.  Stages about a certified iso report the
+equations it was certified by.  On an instance without terminal and
+initial objects, each stage that needs them reports one
 NoNullaryStructure record instead of running.
 
-show prints a single constructed morphism.  Exit codes: 0 when every
-executed check passed, 1 when any failed (or a construction the user
-asked to see does not exist), 2 for unusable arguments.
+show prints a single constructed morphism, refusing objects outside the
+instance's universe.  Exit codes: 0 when every executed check passed, 1
+when any failed (or a construction the user asked to see does not
+exist), 2 for unusable arguments.
 
 The JSON report is byte-identical across runs with the same arguments:
 the measured duration goes to stderr, and the duration_ms field in the
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .construction import (
-    _from_error,
     _grid,
     _interleave,
     _star_grid,
@@ -51,7 +52,7 @@ from .construction import (
 )
 from .errors import CategoryError, InvalidBounds, ParseError, UnknownInstance
 from .instances import Instance, MatInstance, ProductInstance, resolve
-from .kernel import CheckResult, check_inverse_pair, equation
+from .kernel import CheckResult, InversePair, equation
 from .monoidal import dist_coprod, dist_prod, has_nullary, nullary_distributors
 from .structure import matrix_of, verify_coproduct_witness, verify_product_witness
 
@@ -59,6 +60,8 @@ from .structure import matrix_of, verify_coproduct_witness, verify_product_witne
 LAW_SAMPLE_CAP = 5
 # largest homset the verifiers will enumerate exhaustively
 ENUM_CAP = 512
+# largest object bound either command accepts
+MAX_SIZE = 16
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -70,10 +73,11 @@ class SuiteConfig:
     report: str = "text"
 
     def __post_init__(self) -> None:
-        if self.max_size < 1 or self.max_size > 16:
-            raise InvalidBounds("max size must be between 1 and 16")
-        if self.max_quad is not None and not (1 <= self.max_quad <= 4):
-            raise InvalidBounds("quad bound must be between 1 and 4")
+        if self.max_size < 1 or self.max_size > MAX_SIZE:
+            raise InvalidBounds(f"max size must be between 1 and {MAX_SIZE}")
+        top = min(4, self.max_size)
+        if self.max_quad is not None and not (1 <= self.max_quad <= top):
+            raise InvalidBounds(f"quad bound must be between 1 and min(4, max size) = {top}")
         if self.samples < 1:
             raise InvalidBounds("samples must be at least 1")
         if self.report not in ("text", "json"):
@@ -121,13 +125,8 @@ class Report:
 
 def _failure_text(res: CheckResult) -> str:
     fails = res.failures()
-    first = fails[0]
-    msg = first.label
-    if first.note:
-        msg += f" ({first.note})"
-    if len(fails) > 1:
-        msg += f" [+{len(fails) - 1} more]"
-    return msg
+    more = f" [+{len(fails) - 1} more]" if len(fails) > 1 else ""
+    return f"{fails[0]}{more}"
 
 
 def _guard(checks: list[CheckRecord], suite: str, names: tuple[str, ...], thunk) -> None:
@@ -135,33 +134,27 @@ def _guard(checks: list[CheckRecord], suite: str, names: tuple[str, ...], thunk)
     try:
         res = thunk()
     except CategoryError as exc:
-        res = CheckResult(suite, (_from_error(exc),))
+        res = CheckResult.from_error(suite, exc)
     if isinstance(res, CheckResult) and not res.passed:
         checks.append(CheckRecord(suite, names, False, _failure_text(res)))
     else:
         checks.append(CheckRecord(suite, names, True))
 
 
-def _cert(ip) -> CheckResult:
-    return check_inverse_pair(ip.fwd, ip.bwd)
+def _certificates(name: str, *isos: InversePair) -> CheckResult:
+    """The equations the given isos were certified by, as one result."""
+    return CheckResult(name, tuple(chk for ip in isos for chk in ip.equations.details))
 
 
 def _nullary_check(inst) -> CheckResult:
     zw = zero_object(inst)
-    res1 = check_inverse_pair(zw.to_terminal.fwd, zw.to_terminal.bwd, "z-terminal")
-    res2 = check_inverse_pair(zw.from_initial.fwd, zw.from_initial.bwd, "z-initial")
-    return CheckResult("nullary", res1.details + res2.details)
-
-
-def _nullary_dist_check(a) -> CheckResult:
-    p, c = nullary_distributors(a)
-    return CheckResult("nullary-distributors", _cert(p).details + _cert(c).details)
+    return _certificates("nullary", zw.to_terminal, zw.from_initial)
 
 
 def _t_inverse_check(a, b) -> CheckResult:
     ti = t_inverse(a, b)
     return CheckResult(
-        "t-inverse", _cert(ti).details + (equation("fwd=t", ti.fwd, t_map(a, b)),)
+        "t-inverse", ti.equations.details + (equation("fwd=t", ti.fwd, t_map(a, b)),)
     )
 
 
@@ -242,7 +235,10 @@ class Stage(NamedTuple):
 # they run, so anything that rebinds a module attribute sees every call.
 STAGES = (
     Stage("nullary", 0, "pair", True, lambda run: _nullary_check(run.inst)),
-    Stage("nullary-distributors", 1, "pair", True, lambda run, a: _nullary_dist_check(a)),
+    Stage(
+        "nullary-distributors", 1, "pair", True,
+        lambda run, a: _certificates("nullary-distributors", *nullary_distributors(a)),
+    ),
     Stage(
         "product-witness", 2, "pair", False,
         lambda run, a, b: verify_product_witness(
@@ -255,8 +251,8 @@ STAGES = (
             run.inst.coproduct(a, b), run.objs, rng=run.rng, enum_cap=ENUM_CAP
         ),
     ),
-    Stage("dist-prod", 3, "quad", False, lambda run, a, b, c: _cert(dist_prod(a, b, c))),
-    Stage("dist-coprod", 3, "quad", False, lambda run, a, b, c: _cert(dist_coprod(a, b, c))),
+    Stage("dist-prod", 3, "quad", False, lambda run, a, b, c: dist_prod(a, b, c).equations),
+    Stage("dist-coprod", 3, "quad", False, lambda run, a, b, c: dist_coprod(a, b, c).equations),
     Stage("interchange", 4, "quad", False, lambda run, *quad: verify_interchange(*quad)),
     Stage("t-inverse", 2, "pair", False, lambda run, a, b: _t_inverse_check(a, b)),
     Stage("intertwining", 2, "pair", True, lambda run, a, b: verify_intertwining(a, b)),
@@ -378,6 +374,9 @@ def _parse_obj(inst, text: str):
         raise ParseError(f"cannot read object {text!r} as an integer") from None
     if isinstance(inst, MatInstance) and n < 0:
         raise ParseError("matrix objects are nonnegative dimensions")
+    lo, hi = (0, inst.max_dim) if isinstance(inst, MatInstance) else (inst.lo, inst.hi)
+    if not lo <= n <= hi:
+        raise InvalidBounds(f"object {n} is outside {inst.name}'s objects {lo}..{hi}")
     return inst.obj(n)
 
 
@@ -388,6 +387,8 @@ def _print_with_entries(inst, m, c, p) -> None:
 
 
 def _run_show(args) -> int:
+    if args.max_size > MAX_SIZE:
+        raise InvalidBounds(f"max size must be at most {MAX_SIZE}, got {args.max_size}")
     inst = resolve(args.instance, args.max_size)
     head, parts = _parse_expression(args.expression)
     objs = [_parse_obj(inst, t) for t in parts]

@@ -34,7 +34,6 @@ from .errors import (
     CategoryError,
     DomainMismatch,
     InternalAgreementFailure,
-    WitnessInvalid,
 )
 from .kernel import (
     CheckResult,
@@ -45,7 +44,6 @@ from .kernel import (
     compose,
     equal,
     equation,
-    error_check,
     identity,
 )
 from .monoidal import dist_coprod, dist_prod, require_nullary, tensor_obj
@@ -81,16 +79,6 @@ class BiproductWitness:
     pr2: Mor
     mixed_iso: InversePair
     equations: CheckResult
-
-
-def _from_error(exc: CategoryError) -> EquationCheck:
-    """Fold a raised error into a single failed check for reporting."""
-    if isinstance(exc, WitnessInvalid) and exc.result is not None:
-        fails = exc.result.failures()
-        if fails:
-            f = fails[0]
-            return EquationCheck(f"{exc.result.name}: {f.label}", f.lhs, f.rhs, False, f.note)
-    return error_check(type(exc).__name__, str(exc))
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +222,7 @@ def verify_interchange(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> CheckResult:
                 )
         return CheckResult(name, tuple(checks))
     except CategoryError as exc:
-        return CheckResult(name, (_from_error(exc),))
+        return CheckResult.from_error(name, exc)
 
 
 def t_map(a: Obj, b: Obj) -> Mor:
@@ -258,20 +246,13 @@ def t_inverse(a: Obj, b: Obj) -> InversePair:
     outof = times_map(plus_map(ra.fwd, rb.fwd), plus_map(ra.fwd, rb.fwd))
     conj = compose(outof, compose(y.fwd, into))
     t = t_map(a, b)
-    agree = equation("conjugate=direct", conj, t)
-    if not agree.ok:
-        ctx = f"t_inverse({cat.format_obj(a)},{cat.format_obj(b)})"
-        raise WitnessInvalid(
-            f"{ctx}: conjugated interleaving differs from the direct one",
-            CheckResult(ctx, (agree,)),
-        )
+    ctx = f"t_inverse({cat.format_obj(a)},{cat.format_obj(b)})"
+    CheckResult(ctx, (equation("conjugate=direct", conj, t),)).require()
     bwd = compose(
         plus_map(times_map(ra.fwd, ra.fwd), times_map(rb.fwd, rb.fwd)),
         compose(y.bwd, times_map(plus_map(ra.bwd, rb.bwd), plus_map(ra.bwd, rb.bwd))),
     )
-    return InversePair.certify(
-        t, bwd, context=f"t_inverse({cat.format_obj(a)},{cat.format_obj(b)})"
-    )
+    return InversePair.certify(t, bwd, context=ctx)
 
 
 def _splitting(a: Obj, b: Obj) -> tuple[Mor, Mor, Mor, Mor]:
@@ -305,9 +286,7 @@ def idempotents(a: Obj, b: Obj) -> tuple[Mor, Mor]:
     e = compose(s, r)
     e_prime = compose(i, q)
     for label, m in (("e", e), ("e'", e_prime)):
-        res = CheckResult(label, (equation("m*m=m", compose(m, m), m),))
-        if not res.passed:
-            raise WitnessInvalid(f"{label} is not idempotent", res)
+        CheckResult(label, (equation("m*m=m", compose(m, m), m),)).require()
     return e, e_prime
 
 
@@ -338,7 +317,7 @@ def verify_intertwining(a: Obj, b: Obj) -> CheckResult:
                 checks.append(equation(f"{tag}[{j},{k}]", entry, want[(j, k)]))
         return CheckResult(name, tuple(checks))
     except CategoryError as exc:
-        return CheckResult(name, (_from_error(exc),))
+        return CheckResult.from_error(name, exc)
 
 
 def canonical_mixed_map(a: Obj, b: Obj) -> Mor:
@@ -392,9 +371,7 @@ def biproduct(a: Obj, b: Obj) -> BiproductWitness:
         raise CanonicalMismatch(
             f"constructed iso a+b -> a x b is not the canonical matrix ({canonical.note})"
         )
-    if not res.passed:
-        raise WitnessInvalid("biproduct equations failed", res)
-    return BiproductWitness(a, b, cab.apex, cab.in1, cab.in2, pr1, pr2, c, res)
+    return BiproductWitness(a, b, cab.apex, cab.in1, cab.in2, pr1, pr2, c, res.require())
 
 
 def verify_biproduct(a: Obj, b: Obj) -> CheckResult:
@@ -403,8 +380,7 @@ def verify_biproduct(a: Obj, b: Obj) -> CheckResult:
     try:
         return biproduct(a, b).equations
     except CategoryError as exc:
-        name = f"biproduct({cat.format_obj(a)},{cat.format_obj(b)})"
-        return CheckResult(name, (_from_error(exc),))
+        return CheckResult.from_error(f"biproduct({cat.format_obj(a)},{cat.format_obj(b)})", exc)
 
 
 @lru_cache(maxsize=None)

@@ -4,14 +4,17 @@ A Category subclass supplies payload-level behaviour (how identities look,
 how payloads compose, how to print things).  Objects and morphisms are
 plain frozen records; two morphisms are equal exactly when their domain,
 codomain, and payload are equal.  Verification code never asserts; it
-returns CheckResult values that list every equation tried.
+returns CheckResult values that list every equation tried.  A builder
+certifies with CheckResult.require(), which raises WitnessInvalid on the
+first failed equation; CheckResult.from_error() folds a raised error back
+into a failed result.  An InversePair keeps its certificate as equations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
-from .errors import DomainMismatch, WitnessInvalid
+from .errors import CategoryError, DomainMismatch, WitnessInvalid
 
 
 @dataclass(frozen=True, repr=False)
@@ -99,6 +102,9 @@ class EquationCheck:
     ok: bool
     note: str = ""
 
+    def __str__(self) -> str:
+        return f"{self.label} ({self.note})" if self.note else self.label
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -112,13 +118,30 @@ class CheckResult:
     def failures(self) -> tuple[EquationCheck, ...]:
         return tuple(chk for chk in self.details if not chk.ok)
 
+    def require(self) -> "CheckResult":
+        """This result if every equation holds; else raise on the first failure."""
+        fails = self.failures()
+        if fails:
+            raise WitnessInvalid(f"{self.name}: {fails[0]}", self)
+        return self
+
+    @classmethod
+    def from_error(cls, name: str, exc: CategoryError) -> "CheckResult":
+        """Fold a raised error into one failed check for reporting.
+
+        A WitnessInvalid's result gives its first failed equation, labelled
+        with that result's name; any other error gives its type and message.
+        """
+        result = exc.result if isinstance(exc, WitnessInvalid) else None
+        if result is not None and not result.passed:
+            f = result.failures()[0]
+            return cls(name, (replace(f, label=f"{result.name}: {f.label}"),))
+        return cls(name, (error_check(type(exc).__name__, str(exc)),))
+
     def describe(self) -> str:
         lines = [f"{self.name}: {'pass' if self.passed else 'FAIL'}"]
         for chk in self.details:
-            line = f"  [{'ok' if chk.ok else 'FAIL'}] {chk.label}"
-            if chk.note:
-                line += f" ({chk.note})"
-            lines.append(line)
+            lines.append(f"  [{'ok' if chk.ok else 'FAIL'}] {chk}")
         return "\n".join(lines)
 
 
@@ -162,14 +185,10 @@ class InversePair:
 
     fwd: Mor
     bwd: Mor
+    # the passing check of both composites; takes no part in equality
+    equations: CheckResult = field(compare=False, repr=False)
 
     @classmethod
     def certify(cls, fwd: Mor, bwd: Mor, context: str = "") -> "InversePair":
         result = check_inverse_pair(fwd, bwd, name=context or "inverse pair")
-        if not result.passed:
-            fail = result.failures()[0]
-            msg = f"{context or 'inverse pair'}: {fail.label}"
-            if fail.note:
-                msg += f" ({fail.note})"
-            raise WitnessInvalid(msg, result)
-        return cls(fwd, bwd)
+        return cls(fwd, bwd, result.require())

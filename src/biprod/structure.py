@@ -76,15 +76,13 @@ def pair(p: ProductWitness, f: Mor, g: Mor) -> Mor:
     m = p.mediate(f, g)
     if m.dom != f.dom or m.cod != p.apex:
         raise WitnessInvalid("product mediate returned a morphism of the wrong type")
-    result = CheckResult(
+    CheckResult(
         "pair",
         (
             equation("pi1*m=f", compose(p.pi1, m), f),
             equation("pi2*m=g", compose(p.pi2, m), g),
         ),
-    )
-    if not result.passed:
-        raise WitnessInvalid("product mediate broke its defining equations", result)
+    ).require()
     return m
 
 
@@ -103,15 +101,13 @@ def copair(c: CoproductWitness, f: Mor, g: Mor) -> Mor:
     m = c.mediate(f, g)
     if m.dom != c.apex or m.cod != f.cod:
         raise WitnessInvalid("coproduct mediate returned a morphism of the wrong type")
-    result = CheckResult(
+    CheckResult(
         "copair",
         (
             equation("m*in1=f", compose(m, c.in1), f),
             equation("m*in2=g", compose(m, c.in2), g),
         ),
-    )
-    if not result.passed:
-        raise WitnessInvalid("coproduct mediate broke its defining equations", result)
+    ).require()
     return m
 
 

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 
 import pytest
 
+from biprod import cli, kernel
 from biprod.cli import (
     NULLARY_DEPENDENT,
     STAGES,
+    CheckRecord,
     SuiteConfig,
+    _failure_text,
     _guard,
     _parse_expression,
     _parse_obj,
@@ -18,8 +22,9 @@ from biprod.cli import (
     render_text,
     run_suite,
 )
-from biprod.errors import InvalidBounds, ParseError
+from biprod.errors import InvalidBounds, NoNullaryStructure, ParseError, WitnessInvalid
 from biprod.instances import finrel, product_instance, z_chain
+from biprod.kernel import CheckResult
 from biprod.structure import ProductWitness
 
 
@@ -30,6 +35,9 @@ def test_config_validation():
         SuiteConfig(max_size=17)
     with pytest.raises(InvalidBounds):
         SuiteConfig(max_quad=5)
+    # the quad pool never silently clips to a smaller max size
+    with pytest.raises(InvalidBounds):
+        SuiteConfig(max_size=1, max_quad=4)
     with pytest.raises(InvalidBounds):
         SuiteConfig(samples=0)
     with pytest.raises(InvalidBounds):
@@ -112,8 +120,26 @@ def _stage_runs(report):
     return runs
 
 
-def test_stage_record_counts():
-    rel = run_suite(SuiteConfig(instance="finrel", max_size=2, samples=2))
+def _counted_run(monkeypatch, config):
+    """Run the suite, counting the equations each stage's records stand for."""
+    equations = {}
+
+    def counting_guard(checks, suite, names, thunk):
+        def counted():
+            res = thunk()
+            equations[suite] = equations.get(suite, 0) + len(res.details)
+            return res
+
+        _guard(checks, suite, names, counted)
+
+    monkeypatch.setattr(cli, "_guard", counting_guard)
+    return run_suite(config), equations
+
+
+def test_stage_record_counts(monkeypatch):
+    rel, rel_equations = _counted_run(
+        monkeypatch, SuiteConfig(instance="finrel", max_size=2, samples=2)
+    )
     assert _stage_runs(rel) == [
         ("nullary", 1, 0),
         ("nullary-distributors", 3, 0),
@@ -130,9 +156,27 @@ def test_stage_record_counts():
         ("hom-add-native", 9, 0),
         ("bilinearity", 27, 0),
     ]
+    assert rel_equations == {
+        "nullary": 4,
+        "nullary-distributors": 12,
+        "product-witness": 1506,
+        "coproduct-witness": 1506,
+        "dist-prod": 54,
+        "dist-coprod": 54,
+        "interchange": 405,
+        "t-inverse": 27,
+        "intertwining": 81,
+        "canonical": 9,
+        "biproduct": 45,
+        "hom-add-laws": 597,
+        "hom-add-native": 297,
+        "bilinearity": 7172,
+    }
     # without nullary structure: no nullary-distributors records, and one
     # failed stand-in per nullary stage, the dependents after t-inverse
-    chain = run_suite(SuiteConfig(instance="z-chain", max_size=2, samples=2))
+    chain, chain_equations = _counted_run(
+        monkeypatch, SuiteConfig(instance="z-chain", max_size=2, samples=2)
+    )
     assert _stage_runs(chain) == [
         ("nullary", 1, 1),
         ("product-witness", 25, 0),
@@ -148,6 +192,15 @@ def test_stage_record_counts():
         ("hom-add-native", 1, 1),
         ("bilinearity", 1, 1),
     ]
+    # the stand-in records run no check, so they stand for no equations
+    assert chain_equations == {
+        "product-witness": 190,
+        "coproduct-witness": 190,
+        "dist-prod": 250,
+        "dist-coprod": 250,
+        "interchange": 3125,
+        "t-inverse": 75,
+    }
 
 
 def test_guard_reports_failed_equation_of_raised_error():
@@ -173,6 +226,42 @@ def test_guard_reports_failed_equation_of_raised_error():
     assert not record.passed
     assert record.failure.startswith("pair: pi1*m=f")
     assert "entry (" in record.failure
+    # the record reads exactly as the error raised by the failed re-check
+    with pytest.raises(WitnessInvalid) as err:
+        _t_inverse_check(a, b)
+    assert record.failure == str(err.value)
+
+
+def test_failure_text_of_an_error_without_equations():
+    folded = CheckResult.from_error("nullary", NoNullaryStructure("no zero here"))
+    assert folded.name == "nullary"
+    assert _failure_text(folded) == "NoNullaryStructure (no zero here)"
+    assert _failure_text(CheckResult.from_error("nullary", InvalidBounds())) == "InvalidBounds"
+    bare = WitnessInvalid("mediate returned a morphism of the wrong type")
+    assert _failure_text(CheckResult.from_error("pair", bare)) == (
+        "WitnessInvalid (mediate returned a morphism of the wrong type)"
+    )
+
+
+def test_dist_prod_record_reports_its_certificate(monkeypatch):
+    """A dist-prod record is the certificate of the iso, not a second check."""
+    real = kernel.check_inverse_pair
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("biprod") and getattr(mod, "check_inverse_pair", None) is real:
+            monkeypatch.setattr(mod, "check_inverse_pair", counted)
+    [stage] = [s for s in STAGES if s.name == "dist-prod"]
+    inst = finrel(2)
+    objs = (inst.obj(1), inst.obj(2), inst.obj(1))
+    checks = []
+    _guard(checks, stage.name, ("1", "2", "1"), lambda: stage.check(None, *objs))
+    assert checks == [CheckRecord("dist-prod", ("1", "2", "1"), True)]
+    assert len(calls) == 1
 
 
 def test_json_report_is_reproducible():
@@ -255,6 +344,18 @@ def test_show_failure_modes(capsys):
     for inst in ("finrel", "z-chain", "product:finrel+z-chain", "product:z-chain+finrel"):
         assert main(["show", "zero(1,2)", "--instance", inst, "--max-size", "-1"]) == 2
     assert "max size must be nonnegative" in capsys.readouterr().err
+    # objects outside the instance's universe, and bounds past verify's
+    # cap, are refused before anything is built
+    assert main(["show", "t(9,9)"]) == 2
+    assert main(["show", "t(5,5)", "--instance", "z-chain"]) == 2
+    product = ["--instance", "product:finrel+finrel", "--max-size", "1"]
+    assert main(["show", "zero(2|0,1|0)", *product]) == 2
+    assert main(["show", "t(1,1)", "--max-size", "17"]) == 2
+    err = capsys.readouterr().err
+    assert "object 9 is outside finrel's objects 0..3" in err
+    assert "object 5 is outside z-chain's objects -3..3" in err
+    assert "object 2 is outside finrel's objects 0..1" in err
+    assert "max size must be at most 16, got 17" in err
 
 
 def test_parse_expression():

@@ -118,13 +118,29 @@ def test_check_result_reporting():
     assert "demo: FAIL" in text
     assert "[ok] good" in text
     assert "[FAIL] broken (because)" in text
+    with pytest.raises(WitnessInvalid) as err:
+        res.require()
+    assert str(err.value) == "demo: broken (because)"
+    assert err.value.result is res
+    passing = CheckResult("fine", (ok,))
+    assert passing.require() is passing
 
 
 def test_inverse_pair_certify_success():
     a = REL.obj(2)
     swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
-    pair = InversePair.certify(swap, swap)
+    pair = InversePair.certify(swap, swap, context="swap")
     assert equal(pair.fwd, swap)
+    # the pair keeps the two composites it was certified by
+    cert = pair.equations
+    assert cert.name == "swap" and cert.passed
+    assert [chk.label for chk in cert.details] == ["bwd*fwd=id", "fwd*bwd=id"]
+    assert equal(cert.details[0].lhs, compose(swap, swap))
+    assert equal(cert.details[0].rhs, identity(a))
+    # and the certificate takes no part in equality
+    other = InversePair.certify(swap, swap)
+    assert other.equations.name != cert.name
+    assert other == pair
 
 
 def test_inverse_pair_certify_failure_carries_result():
@@ -135,6 +151,8 @@ def test_inverse_pair_certify_failure_carries_result():
     assert err.value.result is not None
     assert not err.value.result.passed
     assert err.value.result.name == "demo"
+    assert str(err.value) == f"demo: {err.value.result.failures()[0]}"
+    assert str(err.value).startswith("demo: bwd*fwd=id (entry (")
 
 
 def test_check_inverse_pair_flags_bad_typing():
