@@ -54,12 +54,10 @@ from .errors import CategoryError, InvalidBounds, ParseError, UnknownInstance
 from .instances import Instance, MatInstance, ProductInstance, resolve
 from .kernel import CheckResult, InversePair, equation
 from .monoidal import dist_coprod, dist_prod, has_nullary, nullary_distributors
-from .structure import matrix_of, verify_coproduct_witness, verify_product_witness
+from .structure import ENUM_CAP, matrix_of, verify_coproduct_witness, verify_product_witness
 
 # per-homset sample size for the commutative-monoid law scans
 LAW_SAMPLE_CAP = 5
-# largest homset the verifiers will enumerate exhaustively
-ENUM_CAP = 512
 # largest object bound either command accepts
 MAX_SIZE = 16
 
@@ -242,13 +240,13 @@ STAGES = (
     Stage(
         "product-witness", 2, "pair", False,
         lambda run, a, b: verify_product_witness(
-            run.inst.product(a, b), run.objs, rng=run.rng, enum_cap=ENUM_CAP
+            run.inst.product(a, b), run.objs, rng=run.rng
         ),
     ),
     Stage(
         "coproduct-witness", 2, "pair", False,
         lambda run, a, b: verify_coproduct_witness(
-            run.inst.coproduct(a, b), run.objs, rng=run.rng, enum_cap=ENUM_CAP
+            run.inst.coproduct(a, b), run.objs, rng=run.rng
         ),
     ),
     Stage("dist-prod", 3, "quad", False, lambda run, a, b, c: dist_prod(a, b, c).equations),

@@ -4,6 +4,12 @@ An instance is a Category plus the structure the construction consumes:
 chosen products and coproducts, optional terminal/initial witnesses, a
 tensor, and distributivity witnesses.  Enumeration and random generation
 hooks are optional; verifiers fall back gracefully when they are absent.
+
+That structure is fixed at construction: a constructor sets terminal,
+initial, tensor and distributors once each, and reassigning or deleting
+one afterwards raises AttributeError.  The construction's caches, keyed
+on an instance's objects, therefore never hand out a certificate made
+with a witness among these that the instance no longer has.
 """
 from __future__ import annotations
 
@@ -11,7 +17,16 @@ import random
 
 from ..kernel import Category, Mor, Obj
 from ..monoidal import DistributorWitnesses, TensorWitness
-from ..structure import CoproductWitness, InitialWitness, ProductWitness, TerminalWitness
+from ..structure import (
+    ENUM_CAP,
+    CoproductWitness,
+    InitialWitness,
+    ProductWitness,
+    TerminalWitness,
+)
+
+# the structure a constructor sets once; see the module docstring
+FIXED_STRUCTURE = frozenset({"terminal", "initial", "tensor", "distributors"})
 
 
 class Instance(Category):
@@ -19,6 +34,20 @@ class Instance(Category):
     initial: InitialWitness | None = None
     tensor: TensorWitness
     distributors: DistributorWitnesses
+
+    def __setattr__(self, attr: str, value) -> None:
+        self._refuse_change(attr)
+        super().__setattr__(attr, value)
+
+    def __delattr__(self, attr: str) -> None:
+        self._refuse_change(attr)
+        super().__delattr__(attr)
+
+    def _refuse_change(self, attr: str) -> None:
+        if attr in FIXED_STRUCTURE and attr in self.__dict__:
+            raise AttributeError(
+                f"instance {self.name}: {attr} is fixed once the instance is built"
+            )
 
     def objects(self, bound: int | None = None) -> list[Obj]:
         """The object universe, optionally clipped to a smaller bound."""
@@ -30,7 +59,7 @@ class Instance(Category):
     def coproduct(self, a: Obj, b: Obj) -> CoproductWitness:
         raise NotImplementedError
 
-    def enumerate_homset(self, a: Obj, b: Obj, cap: int = 512) -> list[Mor] | None:
+    def enumerate_homset(self, a: Obj, b: Obj, cap: int = ENUM_CAP) -> list[Mor] | None:
         """All morphisms a -> b, or None when there are more than cap."""
         return None
 

@@ -17,7 +17,7 @@ import random
 from ..errors import DomainMismatch
 from ..kernel import InversePair, Mor, Obj
 from ..monoidal import DistributorWitnesses, TensorWitness
-from ..structure import CoproductWitness, ProductWitness
+from ..structure import ENUM_CAP, CoproductWitness, ProductWitness
 from .base import Instance
 
 
@@ -108,7 +108,7 @@ class ChainInstance(Instance):
 
     # enumeration
 
-    def enumerate_homset(self, a: Obj, b: Obj, cap: int = 512) -> list[Mor]:
+    def enumerate_homset(self, a: Obj, b: Obj, cap: int = ENUM_CAP) -> list[Mor]:
         return [self.mor(a, b, None)] if a.data <= b.data else []
 
     def random_morphism(self, rng: random.Random, a: Obj, b: Obj) -> Mor | None:

@@ -16,7 +16,13 @@ import random
 from ..errors import InvalidBounds
 from ..kernel import InversePair, Mor, Obj
 from ..monoidal import DistributorWitnesses, TensorWitness
-from ..structure import CoproductWitness, InitialWitness, ProductWitness, TerminalWitness
+from ..structure import (
+    ENUM_CAP,
+    CoproductWitness,
+    InitialWitness,
+    ProductWitness,
+    TerminalWitness,
+)
 from .base import Instance
 from .semiring import (
     BOOLEANS,
@@ -182,7 +188,7 @@ class MatInstance(Instance):
 
     # enumeration and sampling
 
-    def enumerate_homset(self, a: Obj, b: Obj, cap: int = 512) -> list[Mor] | None:
+    def enumerate_homset(self, a: Obj, b: Obj, cap: int = ENUM_CAP) -> list[Mor] | None:
         if self.sr.carrier is None:
             return None
         cells = a.data * b.data

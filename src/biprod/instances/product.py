@@ -1,18 +1,29 @@
 """Componentwise product of two instances.
 
-Objects and morphisms are pairs; every piece of structure is computed in
-each component and repacked.  Nullary structure exists exactly when both
-components have it, which makes mixed products (one component with a
-zero object, one without) useful counterexamples.
+Objects and morphisms are pairs, and every piece of structure is run in
+each component and repacked.  _lift does that for a structure map on
+objects (bang, cobang, every distributor) and gives None when either
+component lacks the map; _witness does it for a product or coproduct
+witness (apex, both legs and mediate).  So nullary structure exists
+exactly when both components have it, which makes mixed products (one
+component with a zero object, one without) useful counterexamples.
 """
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import fields
+from typing import Callable
 
 from ..kernel import InversePair, Mor, Obj, compose, identity
 from ..monoidal import DistributorWitnesses, TensorWitness
-from ..structure import CoproductWitness, InitialWitness, ProductWitness, TerminalWitness
+from ..structure import (
+    ENUM_CAP,
+    CoproductWitness,
+    InitialWitness,
+    ProductWitness,
+    TerminalWitness,
+)
 from .base import Instance
 
 
@@ -21,38 +32,39 @@ class ProductInstance(Instance):
         super().__init__(name or f"product:{left.name}+{right.name}")
         self.left = left
         self.right = right
-        if left.terminal is not None and right.terminal is not None:
-            self.terminal = TerminalWitness(
-                self.pack(left.terminal.obj, right.terminal.obj), self._bang
-            )
-        if left.initial is not None and right.initial is not None:
-            self.initial = InitialWitness(
-                self.pack(left.initial.obj, right.initial.obj), self._cobang
-            )
+        lt, rt, li, ri = left.terminal, right.terminal, left.initial, right.initial
+        self.terminal = (
+            TerminalWitness(self.pack(lt.obj, rt.obj), self._lift(lt.bang, rt.bang))
+            if lt is not None and rt is not None
+            else None
+        )
+        self.initial = (
+            InitialWitness(self.pack(li.obj, ri.obj), self._lift(li.cobang, ri.cobang))
+            if li is not None and ri is not None
+            else None
+        )
         self.tensor = TensorWitness(
             on_objects=self._tensor_obj,
             on_morphisms=self._tensor_mor,
             unit=self.pack(left.tensor.unit, right.tensor.unit),
             rho=self._rho,
         )
-        nullary_prod = None
-        if (
-            left.distributors.nullary_prod_inv is not None
-            and right.distributors.nullary_prod_inv is not None
-        ):
-            nullary_prod = self._nullary_prod_inv
-        nullary_coprod = None
-        if (
-            left.distributors.nullary_coprod_inv is not None
-            and right.distributors.nullary_coprod_inv is not None
-        ):
-            nullary_coprod = self._nullary_coprod_inv
+        ld, rd = left.distributors, right.distributors
         self.distributors = DistributorWitnesses(
-            prod_inv=self._prod_inv,
-            coprod_inv=self._coprod_inv,
-            nullary_prod_inv=nullary_prod,
-            nullary_coprod_inv=nullary_coprod,
+            *(self._lift(getattr(ld, f.name), getattr(rd, f.name)) for f in fields(ld))
         )
+
+    def _lift(self, lmap: Callable[..., Mor] | None, rmap: Callable[..., Mor] | None):
+        """Split the objects, run the map in each component, pack; None if one lacks it."""
+        if lmap is None or rmap is None:
+            return None
+
+        def lifted(*xs: Obj) -> Mor:
+            ls = [x.data[0] for x in xs]
+            rs = [x.data[1] for x in xs]
+            return self.pack_mor(lmap(*ls), rmap(*rs))
+
+        return lifted
 
     def pack(self, la: Obj, ra: Obj) -> Obj:
         return self.obj((la, ra))
@@ -101,52 +113,26 @@ class ProductInstance(Instance):
         ]
 
     def product(self, a: Obj, b: Obj) -> ProductWitness:
-        lp = self.left.product(a.data[0], b.data[0])
-        rp = self.right.product(a.data[1], b.data[1])
-
-        def mediate(f: Mor, g: Mor) -> Mor:
-            return self.pack_mor(
-                lp.mediate(f.payload[0], g.payload[0]),
-                rp.mediate(f.payload[1], g.payload[1]),
-            )
-
-        return ProductWitness(
-            a,
-            b,
-            self.pack(lp.apex, rp.apex),
-            self.pack_mor(lp.pi1, rp.pi1),
-            self.pack_mor(lp.pi2, rp.pi2),
-            mediate,
-        )
+        lp, rp = self.left.product, self.right.product
+        return self._witness(ProductWitness, ("pi1", "pi2"), lp, rp, a, b)
 
     def coproduct(self, a: Obj, b: Obj) -> CoproductWitness:
-        lc = self.left.coproduct(a.data[0], b.data[0])
-        rc = self.right.coproduct(a.data[1], b.data[1])
+        lc, rc = self.left.coproduct, self.right.coproduct
+        return self._witness(CoproductWitness, ("in1", "in2"), lc, rc, a, b)
+
+    def _witness(self, cls, legs: tuple[str, str], lbuild, rbuild, a: Obj, b: Obj):
+        """Pack the components' cls witnesses: apex and legs pair up, mediate splits."""
+        lw = lbuild(a.data[0], b.data[0])
+        rw = rbuild(a.data[1], b.data[1])
 
         def mediate(f: Mor, g: Mor) -> Mor:
             return self.pack_mor(
-                lc.mediate(f.payload[0], g.payload[0]),
-                rc.mediate(f.payload[1], g.payload[1]),
+                lw.mediate(f.payload[0], g.payload[0]),
+                rw.mediate(f.payload[1], g.payload[1]),
             )
 
-        return CoproductWitness(
-            a,
-            b,
-            self.pack(lc.apex, rc.apex),
-            self.pack_mor(lc.in1, rc.in1),
-            self.pack_mor(lc.in2, rc.in2),
-            mediate,
-        )
-
-    def _bang(self, x: Obj) -> Mor:
-        return self.pack_mor(
-            self.left.terminal.bang(x.data[0]), self.right.terminal.bang(x.data[1])
-        )
-
-    def _cobang(self, x: Obj) -> Mor:
-        return self.pack_mor(
-            self.left.initial.cobang(x.data[0]), self.right.initial.cobang(x.data[1])
-        )
+        packed = [self.pack_mor(getattr(lw, n), getattr(rw, n)) for n in legs]
+        return cls(a, b, self.pack(lw.apex, rw.apex), *packed, mediate)
 
     # tensor
 
@@ -171,33 +157,9 @@ class ProductInstance(Instance):
             context=f"rho({self.format_obj(a)})",
         )
 
-    def _prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
-        return self.pack_mor(
-            self.left.distributors.prod_inv(a.data[0], b.data[0], c.data[0]),
-            self.right.distributors.prod_inv(a.data[1], b.data[1], c.data[1]),
-        )
-
-    def _coprod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
-        return self.pack_mor(
-            self.left.distributors.coprod_inv(a.data[0], b.data[0], c.data[0]),
-            self.right.distributors.coprod_inv(a.data[1], b.data[1], c.data[1]),
-        )
-
-    def _nullary_prod_inv(self, a: Obj) -> Mor:
-        return self.pack_mor(
-            self.left.distributors.nullary_prod_inv(a.data[0]),
-            self.right.distributors.nullary_prod_inv(a.data[1]),
-        )
-
-    def _nullary_coprod_inv(self, a: Obj) -> Mor:
-        return self.pack_mor(
-            self.left.distributors.nullary_coprod_inv(a.data[0]),
-            self.right.distributors.nullary_coprod_inv(a.data[1]),
-        )
-
     # enumeration
 
-    def enumerate_homset(self, a: Obj, b: Obj, cap: int = 512) -> list[Mor] | None:
+    def enumerate_homset(self, a: Obj, b: Obj, cap: int = ENUM_CAP) -> list[Mor] | None:
         ls = self.left.enumerate_homset(a.data[0], b.data[0], cap=cap)
         rs = self.right.enumerate_homset(a.data[1], b.data[1], cap=cap)
         if ls is None or rs is None or len(ls) * len(rs) > cap:

@@ -28,6 +28,11 @@ from .kernel import (
     identity,
 )
 
+# largest homset enumerated exhaustively, by the verifiers and by default
+ENUM_CAP = 512
+# seeded random probes per check where a homset is too large to enumerate
+PROBE_SAMPLES = 2
+
 
 @dataclass(frozen=True, eq=False)
 class ProductWitness:
@@ -195,26 +200,22 @@ def verify_product_witness(
     p: ProductWitness,
     probes: Iterable[Obj],
     rng: random.Random | None = None,
-    samples: int = 2,
-    enum_cap: int = 512,
 ) -> CheckResult:
     """Check p against the universal property, probing from the given objects.
 
-    Enumerable homsets get exhaustive uniqueness and existence loops;
-    otherwise a few seeded random probes stand in.
+    Homsets of at most ENUM_CAP morphisms get exhaustive uniqueness and
+    existence loops; otherwise PROBE_SAMPLES seeded random probes stand in.
     """
-    return _verify_universal(p, False, probes, rng, samples, enum_cap)
+    return _verify_universal(p, False, probes, rng)
 
 
 def verify_coproduct_witness(
     c: CoproductWitness,
     probes: Iterable[Obj],
     rng: random.Random | None = None,
-    samples: int = 2,
-    enum_cap: int = 512,
 ) -> CheckResult:
     """Dual of verify_product_witness: probe morphisms out of the apex."""
-    return _verify_universal(c, True, probes, rng, samples, enum_cap)
+    return _verify_universal(c, True, probes, rng)
 
 
 def _verify_universal(
@@ -222,8 +223,6 @@ def _verify_universal(
     dual: bool,
     probes: Iterable[Obj],
     rng: random.Random | None,
-    samples: int,
-    enum_cap: int,
 ) -> CheckResult:
     """One body for both universal properties.
 
@@ -248,27 +247,27 @@ def _verify_universal(
     checks = [equation(ident, wit.mediate(*legs), identity(wit.apex))]
     for w in probes:
         wname = cat.format_obj(w)
-        homs = cat.enumerate_homset(*hom(w, wit.apex), cap=enum_cap)
+        homs = cat.enumerate_homset(*hom(w, wit.apex), cap=ENUM_CAP)
         if homs is not None:
             for i, h in enumerate(homs):
                 m = wit.mediate(leg(0, h), leg(1, h))
                 checks.append(equation(f"uniq[{wname}#{i}]", m, h))
         else:
-            for i in range(samples):
+            for i in range(PROBE_SAMPLES):
                 h = cat.random_morphism(rng, *hom(w, wit.apex))
                 if h is None:
                     break
                 m = wit.mediate(leg(0, h), leg(1, h))
                 checks.append(equation(f"uniq-probe[{wname}#{i}]", m, h))
-        fs = cat.enumerate_homset(*hom(w, wit.left), cap=enum_cap)
-        gs = cat.enumerate_homset(*hom(w, wit.right), cap=enum_cap)
-        if fs is not None and gs is not None and len(fs) * len(gs) <= enum_cap:
+        fs = cat.enumerate_homset(*hom(w, wit.left), cap=ENUM_CAP)
+        gs = cat.enumerate_homset(*hom(w, wit.right), cap=ENUM_CAP)
+        if fs is not None and gs is not None and len(fs) * len(gs) <= ENUM_CAP:
             for i, (f, g) in enumerate(itertools.product(fs, gs)):
                 m = wit.mediate(f, g)
                 checks.append(equation(f"exist-{names[0]}[{wname}#{i}]", leg(0, m), f))
                 checks.append(equation(f"exist-{names[1]}[{wname}#{i}]", leg(1, m), g))
         else:
-            for i in range(samples):
+            for i in range(PROBE_SAMPLES):
                 f = cat.random_morphism(rng, *hom(w, wit.left))
                 g = cat.random_morphism(rng, *hom(w, wit.right))
                 if f is None or g is None:

@@ -4,7 +4,22 @@ import random
 
 import pytest
 
-from biprod.instances import finrel, mat_semiring, z_chain
+from biprod.instances import BOOLEANS, MatInstance, finrel, mat_semiring, z_chain
+
+
+class RotatedProdInv(MatInstance):
+    """finrel whose prod_inv has its rows rotated by one: a broken distributor."""
+
+    def _prod_inv(self, a, b, c):
+        m = super()._prod_inv(a, b, c)
+        if len(m.payload) < 2:
+            return m
+        return self.mor(m.dom, m.cod, m.payload[1:] + m.payload[:1])
+
+
+@pytest.fixture
+def rotated_rel2():
+    return RotatedProdInv(BOOLEANS, 2, name="finrel")
 
 
 @pytest.fixture(scope="session")

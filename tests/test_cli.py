@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +307,41 @@ def test_main_json_duration_on_stderr(capsys):
     assert code == 0
     assert json.loads(out)["duration_ms"] is None
     assert "completed in" in err
+
+
+TRACED_RUN = textwrap.dedent(
+    """
+    import contextlib, io, json
+    from tracer import Tracer
+    tracer = Tracer()
+    tracer.install()
+    from biprod import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [
+            cli.main(["verify", "--instance", "finrel", "--max-size", "1"]),
+            cli.main(["show", "c(1|1,1|0)", "--instance", "product:finrel+finrel"]),
+        ]
+    print(json.dumps({"codes": codes, "snapshot": tracer.snapshot()}))
+    """
+)
+
+
+def test_benchmark_tracer_attaches():
+    # perfbench/tracer.py wraps biprod functions, caches and instance methods
+    # by name; a rename that drops one breaks the traced benchmark runs
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root / 'perfbench'}")
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 0]
+    caches = out["snapshot"]["caches"]
+    assert set(caches) == {"zero_object", "zero_map", "t_inverse", "c_map", "_diagonal"}
+    assert all(hits + misses > 0 for hits, misses in caches.values())
+    assert out["snapshot"]["spans"]["instances.product.pack_mor"][0] > 0
 
 
 def test_show_prints_frozen_interleaving(capsys):

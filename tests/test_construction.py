@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -24,10 +25,9 @@ from biprod.construction import (
     zero_map,
     zero_object,
 )
-from biprod.errors import DomainMismatch, NoNullaryStructure
+from biprod.errors import DomainMismatch, NoNullaryStructure, WitnessInvalid
 from biprod.instances import finrel, mat_semiring, z_chain
 from biprod.kernel import check_inverse_pair, compose, equal, identity
-from biprod.monoidal import DistributorWitnesses
 
 REL = finrel(3)
 NAT = mat_semiring("mat-nat", 3)
@@ -97,22 +97,8 @@ def test_interchange_over_small_universe():
         assert verify_interchange(*quad).passed
 
 
-def test_interchange_reports_broken_distributor():
-    broken = finrel(2)
-    real = broken.distributors
-
-    def shifted(a, b, c):
-        m = real.prod_inv(a, b, c)
-        if len(m.payload) < 2:
-            return m
-        return broken.mor(m.dom, m.cod, m.payload[1:] + m.payload[:1])
-
-    broken.distributors = DistributorWitnesses(
-        prod_inv=shifted,
-        coprod_inv=real.coprod_inv,
-        nullary_prod_inv=real.nullary_prod_inv,
-        nullary_coprod_inv=real.nullary_coprod_inv,
-    )
+def test_interchange_reports_broken_distributor(rotated_rel2):
+    broken = rotated_rel2
     res = verify_interchange(
         broken.obj(1), broken.obj(1), broken.obj(2), broken.obj(2)
     )
@@ -141,6 +127,37 @@ def test_t_inverse_is_transposed_permutation():
 def test_t_inverse_cached():
     a, b = NAT.obj(2), NAT.obj(3)
     assert t_inverse(a, b) is t_inverse(a, b)
+
+
+def test_structure_cannot_change_under_a_cached_certificate():
+    # t_inverse is cached per object pair; were prod_inv swappable after it
+    # certified, the cached pair would keep vouching for the old distributor
+    inst = finrel(2)
+    ti = t_inverse(inst.obj(1), inst.obj(2))
+    real = inst.distributors
+
+    def rotated_prod_inv(a, b, c):
+        m = real.prod_inv(a, b, c)
+        return inst.mor(m.dom, m.cod, m.payload[1:] + m.payload[:1])
+
+    rotated = dataclasses.replace(real, prod_inv=rotated_prod_inv)
+    for attr, value in (
+        ("distributors", rotated),
+        ("tensor", inst.tensor),
+        ("terminal", None),
+        ("initial", None),
+    ):
+        with pytest.raises(AttributeError, match=f"instance finrel: {attr} is fixed"):
+            setattr(inst, attr, value)
+    with pytest.raises(AttributeError, match="distributors is fixed"):
+        del inst.distributors
+    assert inst.distributors is real
+    assert t_inverse(inst.obj(1), inst.obj(2)) is ti
+
+
+def test_t_inverse_rejects_rotated_prod_inv(rotated_rel2):
+    with pytest.raises(WitnessInvalid, match=r"^dist_prod\(1,1,1\): bwd\*fwd=id"):
+        t_inverse(rotated_rel2.obj(1), rotated_rel2.obj(2))
 
 
 def test_idempotents_frozen_on_singletons():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from biprod.errors import DomainMismatch, UnknownInstance
+from biprod.errors import DomainMismatch, UnknownInstance, WitnessInvalid
 from biprod.instances import (
     BOOLEANS,
     NATURALS,
@@ -27,6 +29,7 @@ from biprod.instances.semiring import (
     vstack,
 )
 from biprod.kernel import compose, equal, identity
+from biprod.monoidal import DistributorWitnesses, dist_prod, has_nullary
 
 
 def test_matmul_handles_empty_inner():
@@ -177,6 +180,47 @@ def test_product_instance_nullary_requires_both():
     assert with_zero.distributors.nullary_prod_inv is not None
     assert without.terminal is None
     assert without.distributors.nullary_prod_inv is None
+    # each piece of structure exists exactly when both components have it
+    expect_nullary = {
+        "product:finrel+mat-nat": True,
+        "product:finrel+z-chain": False,
+        "product:z-chain+finrel": False,
+        "product:finrel+product:mat-nat+finrel": True,
+    }
+    for selector, nullary in expect_nullary.items():
+        pi = resolve(selector, 1)
+        assert has_nullary(pi) is nullary
+        for attr in ("terminal", "initial"):
+            both = getattr(pi.left, attr) is not None and getattr(pi.right, attr) is not None
+            assert (getattr(pi, attr) is not None) is both
+        for field in dataclasses.fields(DistributorWitnesses):
+            ld = getattr(pi.left.distributors, field.name)
+            rd = getattr(pi.right.distributors, field.name)
+            lifted = getattr(pi.distributors, field.name)
+            assert (lifted is None) is (ld is None or rd is None)
+
+
+def test_product_instance_lifts_component_maps():
+    pi = resolve("product:finrel+product:mat-nat+finrel", 1)
+    ld, rd = pi.left.distributors, pi.right.distributors
+    for a, b, c in itertools.product(pi.objects(), repeat=3):
+        la, lb, lc = a.data[0], b.data[0], c.data[0]
+        ra, rb, rc = a.data[1], b.data[1], c.data[1]
+        assert pi.distributors.prod_inv(a, b, c) == pi.pack_mor(
+            ld.prod_inv(la, lb, lc), rd.prod_inv(ra, rb, rc)
+        )
+    for a in pi.objects():
+        assert pi.terminal.bang(a) == pi.pack_mor(
+            pi.left.terminal.bang(a.data[0]), pi.right.terminal.bang(a.data[1])
+        )
+
+
+def test_product_instance_inherits_a_broken_component(rotated_rel2):
+    pi = product_instance(rotated_rel2, finrel(2))
+    one = pi.pack(pi.left.obj(1), pi.right.obj(1))
+    two = pi.pack(pi.left.obj(2), pi.right.obj(2))
+    with pytest.raises(WitnessInvalid, match=r"^dist_prod\(1\|1,1\|1,2\|2\): "):
+        dist_prod(one, one, two)
 
 
 def test_product_instance_enumeration_caps():

@@ -8,7 +8,6 @@ from biprod.errors import NoNullaryStructure, WitnessInvalid
 from biprod.instances import finrel, mat_semiring, z_chain
 from biprod.kernel import check_inverse_pair, compose, equal
 from biprod.monoidal import (
-    DistributorWitnesses,
     dist_coprod,
     dist_prod,
     has_nullary,
@@ -83,23 +82,8 @@ def test_dist_coprod_round_trips():
         assert check_inverse_pair(ip.fwd, ip.bwd).passed
 
 
-def test_dist_prod_rejects_broken_witness():
-    broken = finrel(2)
-    real = broken.distributors
-
-    def shifted(a, b, c):
-        m = real.prod_inv(a, b, c)
-        if len(m.payload) < 2:
-            return m
-        rotated = m.payload[1:] + m.payload[:1]
-        return broken.mor(m.dom, m.cod, rotated)
-
-    broken.distributors = DistributorWitnesses(
-        prod_inv=shifted,
-        coprod_inv=real.coprod_inv,
-        nullary_prod_inv=real.nullary_prod_inv,
-        nullary_coprod_inv=real.nullary_coprod_inv,
-    )
+def test_dist_prod_rejects_broken_witness(rotated_rel2):
+    broken = rotated_rel2
     with pytest.raises(WitnessInvalid) as err:
         dist_prod(broken.obj(1), broken.obj(1), broken.obj(2))
     assert "dist_prod" in str(err.value)
