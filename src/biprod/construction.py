@@ -46,7 +46,9 @@ from .kernel import (
     equation,
     identity,
 )
-from .monoidal import dist_coprod, dist_prod, require_nullary, tensor_obj
+from .monoidal import (
+    dist_coprod, dist_prod, nullary_coprod, nullary_prod, require_nullary, tensor_obj
+)
 from .structure import (
     CoproductWitness,
     Mat2,
@@ -86,16 +88,8 @@ def zero_object(inst) -> ZeroWitness:
     """Certify that (initial @ terminal) is a zero object of the instance."""
     require_nullary(inst)
     z = tensor_obj(inst.initial.obj, inst.terminal.obj)
-    to_terminal = InversePair.certify(
-        inst.terminal.bang(z),
-        inst.distributors.nullary_prod_inv(inst.initial.obj),
-        context="zero_object: z<->terminal",
-    )
-    from_initial = InversePair.certify(
-        inst.initial.cobang(z),
-        inst.distributors.nullary_coprod_inv(inst.terminal.obj),
-        context="zero_object: initial<->z",
-    )
+    to_terminal = nullary_prod(inst.initial.obj)
+    from_initial = nullary_coprod(inst.terminal.obj)
     one_to_zero = compose(from_initial.bwd, to_terminal.bwd)
     zero_to_one = inst.terminal.bang(inst.initial.obj)
     if not equal(zero_to_one, inst.initial.cobang(inst.terminal.obj)):
@@ -212,14 +206,8 @@ def verify_interchange(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> CheckResult:
         y = y_map(a1, a2, b1, b2)
         g = _star_grid(a1, a2, b1, b2)
         checks = [equation("y=star", y.fwd, _interleave(g))]
-        for j in (1, 2):
-            pj = g.p_cod.pi1 if j == 1 else g.p_cod.pi2
-            for k in (1, 2):
-                ik = g.c_dom.in1 if k == 1 else g.c_dom.in2
-                lhs = compose(pj, compose(y.fwd, ik))
-                checks.append(
-                    equation(f"pi{j}*y*i{k}=i{k}*pi{j}", lhs, g.corner(j, k))
-                )
+        for j, k, entry in matrix_of(y.fwd, g.c_dom, g.p_cod).entries():
+            checks.append(equation(f"pi{j}*y*i{k}=i{k}*pi{j}", entry, g.corner(j, k)))
         return CheckResult(name, tuple(checks))
     except CategoryError as exc:
         return CheckResult.from_error(name, exc)

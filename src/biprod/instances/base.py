@@ -7,9 +7,11 @@ hooks are optional; verifiers fall back gracefully when they are absent.
 
 That structure is fixed at construction: a constructor sets terminal,
 initial, tensor and distributors once each, and reassigning or deleting
-one afterwards raises AttributeError.  The construction's caches, keyed
-on an instance's objects, therefore never hand out a certificate made
-with a witness among these that the instance no longer has.
+one afterwards raises AttributeError.  The product and coproduct methods
+cannot be shadowed on an instance either; a different witness takes a
+subclass.  The construction's caches, keyed on an instance's objects,
+therefore never hand out a certificate made with a witness the instance
+no longer has.
 """
 from __future__ import annotations
 
@@ -25,8 +27,10 @@ from ..structure import (
     TerminalWitness,
 )
 
-# the structure a constructor sets once; see the module docstring
+# the structure a constructor sets once, and the witness methods no
+# instance attribute may shadow; see the module docstring
 FIXED_STRUCTURE = frozenset({"terminal", "initial", "tensor", "distributors"})
+FIXED_METHODS = frozenset({"product", "coproduct"})
 
 
 class Instance(Category):
@@ -44,7 +48,7 @@ class Instance(Category):
         super().__delattr__(attr)
 
     def _refuse_change(self, attr: str) -> None:
-        if attr in FIXED_STRUCTURE and attr in self.__dict__:
+        if attr in FIXED_METHODS or (attr in FIXED_STRUCTURE and attr in self.__dict__):
             raise AttributeError(
                 f"instance {self.name}: {attr} is fixed once the instance is built"
             )

@@ -93,25 +93,28 @@ def require_nullary(inst) -> None:
         )
 
 
-def nullary_distributors(a: Obj) -> tuple[InversePair, InversePair]:
-    """Certified isos a@1 -> 1 and 0 -> 0@a for one object a.
-
-    The forward maps are the unique ones supplied by the terminal and
-    initial witnesses; the instance's nullary inverses must undo them.
-    """
+def nullary_prod(a: Obj) -> InversePair:
+    """Certified iso a@1 -> 1, forward the terminal witness's unique map."""
     cat = a.cat
     require_nullary(cat)
-    aname = cat.format_obj(a)
-    at = tensor_obj(a, cat.terminal.obj)
-    prod_iso = InversePair.certify(
-        cat.terminal.bang(at),
+    return InversePair.certify(
+        cat.terminal.bang(tensor_obj(a, cat.terminal.obj)),
         cat.distributors.nullary_prod_inv(a),
-        context=f"nullary_prod({aname})",
+        context=f"nullary_prod({cat.format_obj(a)})",
     )
-    ia = tensor_obj(cat.initial.obj, a)
-    coprod_iso = InversePair.certify(
-        cat.initial.cobang(ia),
+
+
+def nullary_coprod(a: Obj) -> InversePair:
+    """Certified iso 0 -> 0@a, forward the initial witness's unique map."""
+    cat = a.cat
+    require_nullary(cat)
+    return InversePair.certify(
+        cat.initial.cobang(tensor_obj(cat.initial.obj, a)),
         cat.distributors.nullary_coprod_inv(a),
-        context=f"nullary_coprod({aname})",
+        context=f"nullary_coprod({cat.format_obj(a)})",
     )
-    return prod_iso, coprod_iso
+
+
+def nullary_distributors(a: Obj) -> tuple[InversePair, InversePair]:
+    """Both certified nullary isos for one object a."""
+    return nullary_prod(a), nullary_coprod(a)

@@ -9,13 +9,18 @@ A morphism from a binary coproduct into a binary product is determined by
 its four components; Mat2 holds such a square of components.  from_matrix
 reassembles in both orders (copair of pairs, pair of copairs) and insists
 the two agree.
+
+draw is the one sampling policy every check takes its morphisms from:
+every tuple across some homsets when there are at most ENUM_CAP, else
+a bounded number of seeded random ones.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainMismatch, InternalAgreementFailure, WitnessInvalid
 from .kernel import (
@@ -203,8 +208,9 @@ def verify_product_witness(
 ) -> CheckResult:
     """Check p against the universal property, probing from the given objects.
 
-    Homsets of at most ENUM_CAP morphisms get exhaustive uniqueness and
-    existence loops; otherwise PROBE_SAMPLES seeded random probes stand in.
+    The uniqueness and existence loops take their morphisms from draw:
+    all of them where ENUM_CAP allows, otherwise PROBE_SAMPLES seeded
+    random probes, labelled -probe.
     """
     return _verify_universal(p, False, probes, rng)
 
@@ -247,32 +253,37 @@ def _verify_universal(
     checks = [equation(ident, wit.mediate(*legs), identity(wit.apex))]
     for w in probes:
         wname = cat.format_obj(w)
-        homs = cat.enumerate_homset(*hom(w, wit.apex), cap=ENUM_CAP)
-        if homs is not None:
-            for i, h in enumerate(homs):
-                m = wit.mediate(leg(0, h), leg(1, h))
-                checks.append(equation(f"uniq[{wname}#{i}]", m, h))
-        else:
-            for i in range(PROBE_SAMPLES):
-                h = cat.random_morphism(rng, *hom(w, wit.apex))
-                if h is None:
-                    break
-                m = wit.mediate(leg(0, h), leg(1, h))
-                checks.append(equation(f"uniq-probe[{wname}#{i}]", m, h))
-        fs = cat.enumerate_homset(*hom(w, wit.left), cap=ENUM_CAP)
-        gs = cat.enumerate_homset(*hom(w, wit.right), cap=ENUM_CAP)
-        if fs is not None and gs is not None and len(fs) * len(gs) <= ENUM_CAP:
-            for i, (f, g) in enumerate(itertools.product(fs, gs)):
-                m = wit.mediate(f, g)
-                checks.append(equation(f"exist-{names[0]}[{wname}#{i}]", leg(0, m), f))
-                checks.append(equation(f"exist-{names[1]}[{wname}#{i}]", leg(1, m), g))
-        else:
-            for i in range(PROBE_SAMPLES):
-                f = cat.random_morphism(rng, *hom(w, wit.left))
-                g = cat.random_morphism(rng, *hom(w, wit.right))
-                if f is None or g is None:
-                    break
-                m = wit.mediate(f, g)
-                checks.append(equation(f"exist-{names[0]}-probe[{wname}#{i}]", leg(0, m), f))
-                checks.append(equation(f"exist-{names[1]}-probe[{wname}#{i}]", leg(1, m), g))
+        homs, exhaustive = draw(cat, rng, [hom(w, wit.apex)], PROBE_SAMPLES)
+        probe = "" if exhaustive else "-probe"
+        for i, (h,) in enumerate(homs):
+            m = wit.mediate(leg(0, h), leg(1, h))
+            checks.append(equation(f"uniq{probe}[{wname}#{i}]", m, h))
+        pairs, exhaustive = draw(cat, rng, [hom(w, wit.left), hom(w, wit.right)], PROBE_SAMPLES)
+        probe = "" if exhaustive else "-probe"
+        for i, (f, g) in enumerate(pairs):
+            m = wit.mediate(f, g)
+            checks.append(equation(f"exist-{names[0]}{probe}[{wname}#{i}]", leg(0, m), f))
+            checks.append(equation(f"exist-{names[1]}{probe}[{wname}#{i}]", leg(1, m), g))
     return CheckResult(f"{kind}({cat.format_obj(wit.left)},{cat.format_obj(wit.right)})", tuple(checks))
+
+
+def draw(cat, rng: random.Random, homsets: Sequence[tuple[Obj, Obj]], samples: int):
+    """(tuples, exhaustive): a list of morphism tuples, one entry per (dom, cod) homset.
+
+    Each distinct homset is enumerated once.  When all enumerate and there
+    are at most ENUM_CAP tuples, every one comes back in itertools.product
+    order and exhaustive is True.  Otherwise up to samples tuples are drawn
+    from rng, homset by homset, stopping at the first that meets an empty
+    homset.
+    """
+    found = {hs: cat.enumerate_homset(*hs, cap=ENUM_CAP) for hs in dict.fromkeys(homsets)}
+    lists = [found[hs] for hs in homsets]
+    if all(x is not None for x in lists) and math.prod(map(len, lists)) <= ENUM_CAP:
+        return list(itertools.product(*lists)), True
+    tuples = []
+    for _ in range(samples):
+        tup = tuple(cat.random_morphism(rng, dom, cod) for dom, cod in homsets)
+        if any(x is None for x in tup):
+            break
+        tuples.append(tup)
+    return tuples, False

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from biprod.instances import BOOLEANS, MatInstance, finrel, mat_semiring, z_chain
+from biprod.structure import ProductWitness
 
 
 class RotatedProdInv(MatInstance):
@@ -17,9 +18,29 @@ class RotatedProdInv(MatInstance):
         return self.mor(m.dom, m.cod, m.payload[1:] + m.payload[:1])
 
 
+class RotatedMediate(MatInstance):
+    """finrel whose product mediate at (2, 2) rotates rows: a broken witness."""
+
+    def product(self, a, b):
+        p = super().product(a, b)
+        if (a.data, b.data) != (2, 2):
+            return p
+
+        def mediate(f, g):
+            m = p.mediate(f, g)
+            return self.mor(m.dom, m.cod, m.payload[1:] + m.payload[:1])
+
+        return ProductWitness(p.left, p.right, p.apex, p.pi1, p.pi2, mediate)
+
+
 @pytest.fixture
 def rotated_rel2():
     return RotatedProdInv(BOOLEANS, 2, name="finrel")
+
+
+@pytest.fixture
+def rotated_mediate_rel2():
+    return RotatedMediate(BOOLEANS, 2, name="finrel")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -29,7 +30,6 @@ from biprod.cli import (
 from biprod.errors import InvalidBounds, NoNullaryStructure, ParseError, WitnessInvalid
 from biprod.instances import finrel, product_instance, z_chain
 from biprod.kernel import CheckResult
-from biprod.structure import ProductWitness
 
 
 def test_config_validation():
@@ -124,14 +124,23 @@ def _stage_runs(report):
     return runs
 
 
-def _counted_run(monkeypatch, config):
-    """Run the suite, counting the equations each stage's records stand for."""
+def _counted_run(monkeypatch, config, digests=None):
+    """Run the suite, counting the equations each stage's records stand for.
+
+    When given a dict, digests gets per stage the first 16 hex digits of a
+    sha256 over every equation's label and compared payloads, in order.
+    """
     equations = {}
 
     def counting_guard(checks, suite, names, thunk):
         def counted():
             res = thunk()
             equations[suite] = equations.get(suite, 0) + len(res.details)
+            if digests is not None:
+                h = digests.setdefault(suite, hashlib.sha256())
+                for chk in res.details:
+                    sides = (getattr(chk.lhs, "payload", None), getattr(chk.rhs, "payload", None))
+                    h.update(repr((chk.label, *sides)).encode())
             return res
 
         _guard(checks, suite, names, counted)
@@ -207,22 +216,122 @@ def test_stage_record_counts(monkeypatch):
     }
 
 
-def test_guard_reports_failed_equation_of_raised_error():
-    inst = finrel(2)
-    real = inst.product
+def _digested_run(monkeypatch, config):
+    hashes = {}
+    report, equations = _counted_run(monkeypatch, config, hashes)
+    return report, equations, {suite: h.hexdigest()[:16] for suite, h in hashes.items()}
 
-    def rotated(a, b):
-        p = real(a, b)
-        if (a.data, b.data) != (2, 2):
-            return p
 
-        def mediate(f, g):
-            m = p.mediate(f, g)
-            return inst.mor(m.dom, m.cod, m.payload[1:] + m.payload[:1])
+def test_sampled_stage_equations_are_pinned(monkeypatch):
+    # mat-nat homsets never enumerate: witness probes and seeded native pairs
+    nat, nat_equations, nat_digests = _digested_run(
+        monkeypatch,
+        SuiteConfig(instance="mat-nat", max_size=2, max_quad=1, samples=3, seed=5),
+    )
+    assert _stage_runs(nat) == [
+        ("nullary", 1, 0),
+        ("nullary-distributors", 3, 0),
+        ("product-witness", 9, 0),
+        ("coproduct-witness", 9, 0),
+        ("dist-prod", 8, 0),
+        ("dist-coprod", 8, 0),
+        ("interchange", 16, 0),
+        ("t-inverse", 9, 0),
+        ("intertwining", 9, 0),
+        ("canonical", 9, 0),
+        ("biproduct", 9, 0),
+        ("hom-add-laws", 9, 0),
+        ("hom-add-native", 9, 0),
+        ("bilinearity", 8, 0),
+    ]
+    assert nat_equations == {
+        "nullary": 4,
+        "nullary-distributors": 12,
+        "product-witness": 171,
+        "coproduct-witness": 171,
+        "dist-prod": 16,
+        "dist-coprod": 16,
+        "interchange": 80,
+        "t-inverse": 27,
+        "intertwining": 81,
+        "canonical": 9,
+        "biproduct": 45,
+        "hom-add-laws": 2055,
+        "hom-add-native": 27,
+        "bilinearity": 10870,
+    }
+    assert nat_digests == {
+        "nullary": "5c663e35c8158543",
+        "nullary-distributors": "a5bbb31270dee041",
+        "product-witness": "d39ffcc47f8cddb1",
+        "coproduct-witness": "3b727c69d757c3d6",
+        "dist-prod": "a2c53f47915e1bc8",
+        "dist-coprod": "0378c99d5c83afd1",
+        "interchange": "7ab56d963aa3dc38",
+        "t-inverse": "d1e019949786d2dd",
+        "intertwining": "ce7c582d5a4e6c32",
+        "canonical": "a30cf6b052211b91",
+        "biproduct": "5a87774f90cef915",
+        "hom-add-laws": "01e7dcb8ab788381",
+        "hom-add-native": "52ae72215f630508",
+        "bilinearity": "e651545dc84e3e94",
+    }
+    # mat-bool 2 -> 2 has 16 morphisms: the law scans take rng.sample of them
+    boolean, bool_equations, bool_digests = _digested_run(
+        monkeypatch, SuiteConfig(instance="mat-bool", max_size=2)
+    )
+    assert _stage_runs(boolean) == [
+        ("nullary", 1, 0),
+        ("nullary-distributors", 3, 0),
+        ("product-witness", 9, 0),
+        ("coproduct-witness", 9, 0),
+        ("dist-prod", 27, 0),
+        ("dist-coprod", 27, 0),
+        ("interchange", 81, 0),
+        ("t-inverse", 9, 0),
+        ("intertwining", 9, 0),
+        ("canonical", 9, 0),
+        ("biproduct", 9, 0),
+        ("hom-add-laws", 9, 0),
+        ("hom-add-native", 9, 0),
+        ("bilinearity", 27, 0),
+    ]
+    assert bool_equations == {
+        "nullary": 4,
+        "nullary-distributors": 12,
+        "product-witness": 1506,
+        "coproduct-witness": 1506,
+        "dist-prod": 54,
+        "dist-coprod": 54,
+        "interchange": 405,
+        "t-inverse": 27,
+        "intertwining": 81,
+        "canonical": 9,
+        "biproduct": 45,
+        "hom-add-laws": 597,
+        "hom-add-native": 297,
+        "bilinearity": 7172,
+    }
+    assert bool_digests == {
+        "nullary": "5c663e35c8158543",
+        "nullary-distributors": "a5bbb31270dee041",
+        "product-witness": "c945628146cf9a80",
+        "coproduct-witness": "1fa94a206a13cf28",
+        "dist-prod": "df403c1fe940011f",
+        "dist-coprod": "6475e728a9573887",
+        "interchange": "33f9c27d5ad58601",
+        "t-inverse": "6bc8e84837da8662",
+        "intertwining": "31d1f15a607a24d7",
+        "canonical": "5eae476de3c46d5a",
+        "biproduct": "3fcee4638380a85d",
+        "hom-add-laws": "01f43c37f017658c",
+        "hom-add-native": "2f70027fd814a473",
+        "bilinearity": "4de346d8ce2d586d",
+    }
 
-        return ProductWitness(p.left, p.right, p.apex, p.pi1, p.pi2, mediate)
 
-    inst.product = rotated
+def test_guard_reports_failed_equation_of_raised_error(rotated_mediate_rel2):
+    inst = rotated_mediate_rel2
     checks = []
     a, b = inst.obj(2), inst.obj(1)
     _guard(checks, "t-inverse", ("2", "1"), lambda: _t_inverse_check(a, b))
@@ -234,6 +343,14 @@ def test_guard_reports_failed_equation_of_raised_error():
     with pytest.raises(WitnessInvalid) as err:
         _t_inverse_check(a, b)
     assert record.failure == str(err.value)
+
+
+def test_guard_refuses_a_check_that_returns_no_result():
+    # a check that returns nothing has compared nothing, so it cannot pass
+    checks = []
+    with pytest.raises(AttributeError):
+        _guard(checks, "nullary", (), lambda: None)
+    assert checks == []
 
 
 def test_failure_text_of_an_error_without_equations():

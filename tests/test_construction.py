@@ -155,6 +155,27 @@ def test_structure_cannot_change_under_a_cached_certificate():
     assert t_inverse(inst.obj(1), inst.obj(2)) is ti
 
 
+def test_witness_methods_cannot_be_shadowed_under_a_cached_certificate(
+    rotated_mediate_rel2,
+):
+    # were product shadowable after t_inverse certified, the cached pair
+    # would keep vouching for a witness the instance no longer uses
+    inst = finrel(2)
+    a, b = inst.obj(2), inst.obj(1)
+    ti = t_inverse(a, b)
+    for attr in ("product", "coproduct"):
+        with pytest.raises(AttributeError, match=f"instance finrel: {attr} is fixed"):
+            setattr(inst, attr, getattr(rotated_mediate_rel2, attr))
+        with pytest.raises(AttributeError, match=f"{attr} is fixed"):
+            delattr(inst, attr)
+    assert "product" not in vars(inst) and "coproduct" not in vars(inst)
+    assert t_inverse(a, b) is ti
+    assert t_inverse.__wrapped__(a, b).equations == ti.equations
+    # the broken witness, on an instance of its own, is caught
+    with pytest.raises(WitnessInvalid, match=r"^pair: pi1\*m=f"):
+        t_inverse(rotated_mediate_rel2.obj(2), rotated_mediate_rel2.obj(1))
+
+
 def test_t_inverse_rejects_rotated_prod_inv(rotated_rel2):
     with pytest.raises(WitnessInvalid, match=r"^dist_prod\(1,1,1\): bwd\*fwd=id"):
         t_inverse(rotated_rel2.obj(1), rotated_rel2.obj(2))

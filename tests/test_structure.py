@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biprod import structure
 from biprod.errors import DomainMismatch, InternalAgreementFailure, WitnessInvalid
 from biprod.instances import finrel, mat_semiring
 from biprod.kernel import equal, identity
@@ -242,3 +243,87 @@ def test_verify_coproduct_witness_probe_path():
     )
     res = verify_coproduct_witness(fake, NAT.objects(1), rng=random.Random(0))
     assert any("-probe[" in chk.label for chk in res.failures())
+
+
+class _Homsets:
+    """A stand-in category whose homsets are listed by hand.
+
+    A homset listed as None is too large to enumerate, and its random
+    morphisms are fresh names drawn from the rng.
+    """
+
+    def __init__(self, homs):
+        self.homs = homs
+        self.enumerated = []
+
+    def enumerate_homset(self, a, b, cap):
+        self.enumerated.append((a, b))
+        homs = self.homs[a, b]
+        return None if homs is None or len(homs) > cap else list(homs)
+
+    def random_morphism(self, rng, a, b):
+        homs = self.homs[a, b]
+        if homs is None:
+            return f"{a}{b}#{rng.randrange(10**6)}"
+        return rng.choice(homs) if homs else None
+
+
+def test_draw_exhausts_small_homsets_in_product_order():
+    cat = _Homsets({("a", "b"): ["f1", "f2"], ("a", "c"): ["g1", "g2", "g3"]})
+    rng = random.Random(0)
+    tuples, exhaustive = structure.draw(cat, rng, [("a", "b"), ("a", "c")], 2)
+    assert exhaustive
+    assert tuples == [
+        ("f1", "g1"), ("f1", "g2"), ("f1", "g3"),
+        ("f2", "g1"), ("f2", "g2"), ("f2", "g3"),
+    ]
+    # exhausting draws nothing
+    assert rng.random() == random.Random(0).random()
+
+
+def test_draw_samples_past_the_enumeration_cap():
+    # 16 * 32 = ENUM_CAP tuples still enumerate, 23 * 23 = 529 do not
+    at_cap = _Homsets({("a", "b"): list(range(16)), ("a", "c"): list(range(32))})
+    tuples, exhaustive = structure.draw(at_cap, random.Random(0), [("a", "b"), ("a", "c")], 3)
+    assert exhaustive and len(tuples) == structure.ENUM_CAP
+    over = _Homsets({("a", "b"): list(range(23)), ("a", "c"): list(range(23))})
+    rng = random.Random(0)
+    tuples, exhaustive = structure.draw(over, rng, [("a", "b"), ("a", "c")], 3)
+    assert not exhaustive
+    # drawn tuple by tuple, homset by homset, from the one rng
+    ref = random.Random(0)
+    assert tuples == [(ref.choice(range(23)), ref.choice(range(23))) for _ in range(3)]
+
+
+def test_draw_probe_path_on_an_instance():
+    one = NAT.obj(1)
+    rng = random.Random(0)
+    tuples, exhaustive = structure.draw(NAT, rng, [(one, one)], structure.PROBE_SAMPLES)
+    assert not exhaustive
+    ref = random.Random(0)
+    assert tuples == [
+        (NAT.random_morphism(ref, one, one),) for _ in range(structure.PROBE_SAMPLES)
+    ]
+    assert rng.random() == ref.random()
+
+
+def test_draw_stops_at_an_empty_homset():
+    cat = _Homsets({("a", "big"): None, ("a", "none"): []})
+    rng = random.Random(0)
+    tuples, exhaustive = structure.draw(cat, rng, [("a", "big"), ("a", "none")], 5)
+    assert (tuples, exhaustive) == ([], False)
+    # the first tuple drew from the large homset before meeting the empty one
+    ref = random.Random(0)
+    ref.randrange(10**6)
+    assert rng.random() == ref.random()
+
+
+def test_draw_enumerates_a_repeated_homset_once():
+    cat = _Homsets({("a", "b"): ["f1", "f2"], ("b", "b"): ["g"]})
+    homsets = [("a", "b"), ("b", "b"), ("a", "b")]
+    tuples, exhaustive = structure.draw(cat, random.Random(0), homsets, 2)
+    assert exhaustive
+    assert cat.enumerated == [("a", "b"), ("b", "b")]
+    assert tuples == [
+        ("f1", "g", "f1"), ("f1", "g", "f2"), ("f2", "g", "f1"), ("f2", "g", "f2"),
+    ]
