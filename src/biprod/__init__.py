@@ -56,7 +56,6 @@ from .monoidal import (
     dist_coprod,
     dist_prod,
     has_nullary,
-    nullary_distributors,
     tensor,
     tensor_obj,
 )

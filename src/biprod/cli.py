@@ -30,7 +30,7 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 from .construction import (
@@ -53,7 +53,7 @@ from .construction import (
 from .errors import CategoryError, InvalidBounds, ParseError, UnknownInstance
 from .instances import Instance, MatInstance, ProductInstance, resolve
 from .kernel import CheckResult, InversePair, equation
-from .monoidal import dist_coprod, dist_prod, has_nullary, nullary_distributors
+from .monoidal import dist_coprod, dist_prod, has_nullary, nullary_coprod, nullary_prod
 from .structure import draw, matrix_of, verify_coproduct_witness, verify_product_witness
 
 # per-homset sample size for the commutative-monoid law scans
@@ -88,14 +88,7 @@ class SuiteConfig:
         return self.max_quad if self.max_quad is not None else min(self.max_size, 2)
 
     def echo(self) -> dict:
-        return {
-            "instance": self.instance,
-            "max_size": self.max_size,
-            "max_quad": self.quad_bound,
-            "samples": self.samples,
-            "seed": self.seed,
-            "report": self.report,
-        }
+        return {**asdict(self), "max_quad": self.quad_bound}
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,7 @@ STAGES = (
     Stage("nullary", 0, "pair", True, lambda run: _nullary_check(run.inst)),
     Stage(
         "nullary-distributors", 1, "pair", True,
-        lambda run, a: _certificates("nullary-distributors", *nullary_distributors(a)),
+        lambda run, a: _certificates("nullary-distributors", nullary_prod(a), nullary_coprod(a)),
     ),
     Stage(
         "product-witness", 2, "pair", False,
@@ -413,14 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            config = SuiteConfig(
-                instance=args.instance,
-                max_size=args.max_size,
-                max_quad=args.max_quad,
-                samples=args.samples,
-                seed=args.seed,
-                report=args.report,
-            )
+            config = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
             report = run_suite(config)
             if config.report == "json":
                 sys.stdout.write(render_json(report))

@@ -21,13 +21,17 @@ it is built.  The route:
      biproduct equations.
   5. hom_add / verify_semiadditive: with c_map invertible each homset
      gets a commutative-monoid addition that composition respects.
+
+zero_object, zero_map, t_inverse, c_map and the diagonal behind hom_add
+keep their results in the memo of the instance they were built in, so
+each result lives exactly as long as its instance.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     CanonicalMismatch,
@@ -62,6 +66,31 @@ from .structure import (
 )
 
 
+CacheInfo = NamedTuple("CacheInfo", [("hits", int), ("misses", int)])
+
+
+def _per_instance(fn):
+    """Memoize fn under (fn, args) in the memo of the instance args[0] is or lives in.
+
+    A call that raises stores nothing; cache_info() counts over all instances.
+    """
+    counts = [0, 0]  # hits, misses: indexed by whether the call missed
+    missing = object()
+
+    @functools.wraps(fn)
+    def memoized(*args):
+        owner = args[0].cat if isinstance(args[0], Obj) else args[0]
+        key = (fn, args)
+        result = owner.memo.get(key, missing)
+        counts[result is missing] += 1
+        if result is missing:
+            result = owner.memo[key] = fn(*args)
+        return result
+
+    memoized.cache_info = lambda: CacheInfo(*counts)
+    return memoized
+
+
 @dataclass(frozen=True, eq=False)
 class ZeroWitness:
     obj: Obj
@@ -83,7 +112,7 @@ class BiproductWitness:
     equations: CheckResult
 
 
-@lru_cache(maxsize=None)
+@_per_instance
 def zero_object(inst) -> ZeroWitness:
     """Certify that (initial @ terminal) is a zero object of the instance."""
     require_nullary(inst)
@@ -98,7 +127,7 @@ def zero_object(inst) -> ZeroWitness:
     return ZeroWitness(z, to_terminal, from_initial, one_to_zero)
 
 
-@lru_cache(maxsize=None)
+@_per_instance
 def zero_map(a: Obj, b: Obj) -> Mor:
     """The composite a -> terminal -> initial -> b."""
     inst = a.cat
@@ -218,7 +247,7 @@ def t_map(a: Obj, b: Obj) -> Mor:
     return _interleave(_grid(a, a, b, b))
 
 
-@lru_cache(maxsize=None)
+@_per_instance
 def t_inverse(a: Obj, b: Obj) -> InversePair:
     """Invert t_map by conjugating the interleaving iso at the tensor unit.
 
@@ -315,7 +344,7 @@ def canonical_mixed_map(a: Obj, b: Obj) -> Mor:
     )
 
 
-@lru_cache(maxsize=None)
+@_per_instance
 def c_map(a: Obj, b: Obj) -> InversePair:
     """The certified iso a+b -> a x b obtained by splitting through t.
 
@@ -371,7 +400,7 @@ def verify_biproduct(a: Obj, b: Obj) -> CheckResult:
         return CheckResult.from_error(f"biproduct({cat.format_obj(a)},{cat.format_obj(b)})", exc)
 
 
-@lru_cache(maxsize=None)
+@_per_instance
 def _diagonal(a: Obj) -> Mor:
     """The codiagonal-ready map a -> a+a through the mixed iso."""
     cat = a.cat
@@ -386,6 +415,21 @@ def hom_add(f: Mor, g: Mor) -> Mor:
     cat = f.dom.cat
     caa = cat.coproduct(f.dom, f.dom)
     return compose(copair(caa, f, g), _diagonal(f.dom))
+
+
+def _linearity(groups: dict, pre: bool) -> Iterator[EquationCheck]:
+    """h after a sum (before it, if pre) equals the sum of the composites with h."""
+    for (a, b), fs in groups.items():
+        for (x, y), hs in groups.items():
+            if (y != a) if pre else (x != b):
+                continue
+            at = "->".join(a.cat.format_obj(o) for o in ((x, a, b) if pre else (a, b, y)))
+            for (i, f), (j, g) in itertools.product(list(enumerate(fs)), repeat=2):
+                s = hom_add(f, g)
+                for k, h in enumerate(hs):
+                    on = (lambda m: compose(m, h)) if pre else (lambda m: compose(h, m))
+                    label = f"{'pre' if pre else 'post'}-linear[{at}#{i},{j};{k}]"
+                    yield equation(label, on(s), hom_add(on(f), on(g)))
 
 
 def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
@@ -420,34 +464,6 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
                     hom_add(f, hom_add(g, h)),
                 )
             )
-    for (a, b), fs in groups.items():
-        for (b2, c), hs in groups.items():
-            if b2 != b:
-                continue
-            at = f"{cat.format_obj(a)}->{cat.format_obj(b)}->{cat.format_obj(c)}"
-            for (i, f), (j, g) in itertools.product(list(enumerate(fs)), repeat=2):
-                s = hom_add(f, g)
-                for k, h in enumerate(hs):
-                    checks.append(
-                        equation(
-                            f"post-linear[{at}#{i},{j};{k}]",
-                            compose(h, s),
-                            hom_add(compose(h, f), compose(h, g)),
-                        )
-                    )
-    for (a, b), fs in groups.items():
-        for (z2, a2), ws in groups.items():
-            if a2 != a:
-                continue
-            at = f"{cat.format_obj(z2)}->{cat.format_obj(a)}->{cat.format_obj(b)}"
-            for (i, f), (j, g) in itertools.product(list(enumerate(fs)), repeat=2):
-                s = hom_add(f, g)
-                for k, w in enumerate(ws):
-                    checks.append(
-                        equation(
-                            f"pre-linear[{at}#{i},{j};{k}]",
-                            compose(s, w),
-                            hom_add(compose(f, w), compose(g, w)),
-                        )
-                    )
+    for pre in (False, True):
+        checks.extend(_linearity(groups, pre))
     return CheckResult("semiadditive", tuple(checks))

@@ -9,9 +9,9 @@ That structure is fixed at construction: a constructor sets terminal,
 initial, tensor and distributors once each, and reassigning or deleting
 one afterwards raises AttributeError.  The product and coproduct methods
 cannot be shadowed on an instance either; a different witness takes a
-subclass.  The construction's caches, keyed on an instance's objects,
-therefore never hand out a certificate made with a witness the instance
-no longer has.
+subclass.  What the construction derives from that structure lives in
+the instance's own memo, made with it, so a memoized certificate never
+outlives the witnesses it was certified with, nor the instance itself.
 """
 from __future__ import annotations
 
@@ -38,6 +38,10 @@ class Instance(Category):
     initial: InitialWitness | None = None
     tensor: TensorWitness
     distributors: DistributorWitnesses
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.memo: dict = {}  # the construction's results; see construction._per_instance
 
     def __setattr__(self, attr: str, value) -> None:
         self._refuse_change(attr)

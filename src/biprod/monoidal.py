@@ -113,8 +113,3 @@ def nullary_coprod(a: Obj) -> InversePair:
         cat.distributors.nullary_coprod_inv(a),
         context=f"nullary_coprod({cat.format_obj(a)})",
     )
-
-
-def nullary_distributors(a: Obj) -> tuple[InversePair, InversePair]:
-    """Both certified nullary isos for one object a."""
-    return nullary_prod(a), nullary_coprod(a)

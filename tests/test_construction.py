@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+import gc
 import itertools
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +30,7 @@ from biprod.construction import (
     zero_object,
 )
 from biprod.errors import DomainMismatch, NoNullaryStructure, WitnessInvalid
-from biprod.instances import finrel, mat_semiring, z_chain
+from biprod.instances import finrel, mat_semiring, resolve, z_chain
 from biprod.kernel import check_inverse_pair, compose, equal, identity
 
 REL = finrel(3)
@@ -127,6 +131,66 @@ def test_t_inverse_is_transposed_permutation():
 def test_t_inverse_cached():
     a, b = NAT.obj(2), NAT.obj(3)
     assert t_inverse(a, b) is t_inverse(a, b)
+
+
+def test_memo_dies_with_its_instance():
+    # every derived result lives in its instance's memo, so nothing the
+    # construction built keeps a dropped instance alive
+    inst = finrel(2)
+    a, b = inst.obj(1), inst.obj(2)
+    t_inverse(a, b)
+    zero_map(a, b)
+    c_map(a, b)
+    hom_add(identity(a), zero_map(a, a))
+    assert inst.memo
+    ref = weakref.ref(inst)
+    del inst, a, b
+    gc.collect()
+    assert ref() is None
+
+
+def test_memo_counts_over_all_instances():
+    # perfbench/tracer.py reads hits and misses from cache_info()
+    def counts():
+        info = t_inverse.cache_info()
+        return info.hits, info.misses
+
+    first = resolve("finrel", 2)
+    h, m = counts()
+    ti = t_inverse(first.obj(1), first.obj(2))
+    assert counts() == (h, m + 1)
+    assert t_inverse(first.obj(1), first.obj(2)) is ti
+    assert counts() == (h + 1, m + 1)
+    second = resolve("finrel", 2)
+    assert t_inverse(second.obj(1), second.obj(2)) is not ti
+    assert counts() == (h + 1, m + 2)
+
+
+def test_memo_keeps_no_failed_call(rotated_rel2):
+    for _ in range(2):
+        with pytest.raises(WitnessInvalid):
+            t_inverse(rotated_rel2.obj(1), rotated_rel2.obj(2))
+    assert rotated_rel2.memo == {}
+
+
+def test_no_functools_cache_in_the_package():
+    # a functools cache outlives every instance it saw; derived results
+    # belong in the instance's memo
+    found = []
+    for path in sorted(Path(construction.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                names = {node.attr}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names & {"lru_cache", "cache"}]
+    assert found == []
 
 
 def test_structure_cannot_change_under_a_cached_certificate():

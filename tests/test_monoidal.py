@@ -11,7 +11,8 @@ from biprod.monoidal import (
     dist_coprod,
     dist_prod,
     has_nullary,
-    nullary_distributors,
+    nullary_coprod,
+    nullary_prod,
     require_nullary,
     tensor,
     tensor_obj,
@@ -90,7 +91,7 @@ def test_dist_prod_rejects_broken_witness(rotated_rel2):
 
 
 def test_nullary_distributors_certify():
-    prod_iso, coprod_iso = nullary_distributors(REL.obj(2))
+    prod_iso, coprod_iso = nullary_prod(REL.obj(2)), nullary_coprod(REL.obj(2))
     assert prod_iso.fwd.dom.data == 0 and prod_iso.fwd.cod.data == 0
     assert check_inverse_pair(coprod_iso.fwd, coprod_iso.bwd).passed
 
@@ -101,7 +102,9 @@ def test_chain_has_no_nullary_structure():
     with pytest.raises(NoNullaryStructure):
         require_nullary(ch)
     with pytest.raises(NoNullaryStructure):
-        nullary_distributors(ch.obj(0))
+        nullary_prod(ch.obj(0))
+    with pytest.raises(NoNullaryStructure):
+        nullary_coprod(ch.obj(0))
 
 
 def test_chain_rho_certifies():
