@@ -1,0 +1,55 @@
+"""Fail when a traced benchmark run checks less than the newest BENCH_<n>.json.
+
+    python3 .github/bench_floor.py <workload> '<last JSON line of run.py --trace 1>'
+
+Run from the repository root.  Every cli.stage.<stage>.records and
+cli.stage.<stage>.equations value of the run must be at least the one the
+highest-numbered BENCH_<n>.json at the root records for that workload, so
+no speedup can pass by checking fewer equations.  Exits 1 on any shortfall,
+2 when there is no floor to compare against.
+"""
+from __future__ import annotations
+
+import json
+import re
+import sys
+from pathlib import Path
+
+COUNTED = re.compile(r"cli\.stage\.[^.]+\.(records|equations)")
+
+
+def newest_bench(root: Path) -> Path | None:
+    numbered = []
+    for path in root.glob("BENCH_*.json"):
+        m = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+        if m:
+            numbered.append((int(m.group(1)), path))
+    return max(numbered)[1] if numbered else None
+
+
+def main(argv: list[str]) -> int:
+    workload, line = argv
+    bench = newest_bench(Path.cwd())
+    if bench is None:
+        print("error: no BENCH_<n>.json to compare against", file=sys.stderr)
+        return 2
+    floor = json.loads(bench.read_text())["workloads"].get(workload)
+    if floor is None:
+        print(f"error: {bench.name} has no workload {workload}", file=sys.stderr)
+        return 2
+    want = floor["traced"]["metrics"]
+    got = json.loads(line)["metrics"]
+    short = []
+    for name in sorted(want):
+        if COUNTED.fullmatch(name):
+            have = got.get(name, {}).get("value", 0)
+            if have < want[name]["value"]:
+                short.append(f"{name}: {have} < {want[name]['value']}")
+    for problem in short:
+        print(f"{workload} {problem} ({bench.name})")
+    print(f"{workload} stage counts against {bench.name}: {'FAIL' if short else 'ok'}")
+    return 1 if short else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -23,15 +23,17 @@ it is built.  The route:
      gets a commutative-monoid addition that composition respects.
 
 zero_object, zero_map, t_inverse, c_map and the diagonal behind hom_add
-keep their results in the memo of the instance they were built in, so
-each result lives exactly as long as its instance.
+keep their results in the memo of the instance they were built in
+(kernel.per_instance), as do the instances' product and coproduct
+witnesses, so each result lives exactly as long as its instance.  Sums
+are memoized only within one verify_semiadditive call; hom_add itself
+recomputes every sum.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     CanonicalMismatch,
@@ -49,6 +51,7 @@ from .kernel import (
     equal,
     equation,
     identity,
+    per_instance,
 )
 from .monoidal import (
     dist_coprod, dist_prod, nullary_coprod, nullary_prod, require_nullary, tensor_obj
@@ -64,31 +67,6 @@ from .structure import (
     plus_map,
     times_map,
 )
-
-
-CacheInfo = NamedTuple("CacheInfo", [("hits", int), ("misses", int)])
-
-
-def _per_instance(fn):
-    """Memoize fn under (fn, args) in the memo of the instance args[0] is or lives in.
-
-    A call that raises stores nothing; cache_info() counts over all instances.
-    """
-    counts = [0, 0]  # hits, misses: indexed by whether the call missed
-    missing = object()
-
-    @functools.wraps(fn)
-    def memoized(*args):
-        owner = args[0].cat if isinstance(args[0], Obj) else args[0]
-        key = (fn, args)
-        result = owner.memo.get(key, missing)
-        counts[result is missing] += 1
-        if result is missing:
-            result = owner.memo[key] = fn(*args)
-        return result
-
-    memoized.cache_info = lambda: CacheInfo(*counts)
-    return memoized
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +90,7 @@ class BiproductWitness:
     equations: CheckResult
 
 
-@_per_instance
+@per_instance
 def zero_object(inst) -> ZeroWitness:
     """Certify that (initial @ terminal) is a zero object of the instance."""
     require_nullary(inst)
@@ -127,7 +105,7 @@ def zero_object(inst) -> ZeroWitness:
     return ZeroWitness(z, to_terminal, from_initial, one_to_zero)
 
 
-@_per_instance
+@per_instance
 def zero_map(a: Obj, b: Obj) -> Mor:
     """The composite a -> terminal -> initial -> b."""
     inst = a.cat
@@ -247,7 +225,7 @@ def t_map(a: Obj, b: Obj) -> Mor:
     return _interleave(_grid(a, a, b, b))
 
 
-@_per_instance
+@per_instance
 def t_inverse(a: Obj, b: Obj) -> InversePair:
     """Invert t_map by conjugating the interleaving iso at the tensor unit.
 
@@ -344,7 +322,7 @@ def canonical_mixed_map(a: Obj, b: Obj) -> Mor:
     )
 
 
-@_per_instance
+@per_instance
 def c_map(a: Obj, b: Obj) -> InversePair:
     """The certified iso a+b -> a x b obtained by splitting through t.
 
@@ -400,7 +378,7 @@ def verify_biproduct(a: Obj, b: Obj) -> CheckResult:
         return CheckResult.from_error(f"biproduct({cat.format_obj(a)},{cat.format_obj(b)})", exc)
 
 
-@_per_instance
+@per_instance
 def _diagonal(a: Obj) -> Mor:
     """The codiagonal-ready map a -> a+a through the mixed iso."""
     cat = a.cat
@@ -417,7 +395,9 @@ def hom_add(f: Mor, g: Mor) -> Mor:
     return compose(copair(caa, f, g), _diagonal(f.dom))
 
 
-def _linearity(groups: dict, pre: bool) -> Iterator[EquationCheck]:
+def _linearity(
+    groups: dict, pre: bool, add: Callable[[Mor, Mor], Mor]
+) -> Iterator[EquationCheck]:
     """h after a sum (before it, if pre) equals the sum of the composites with h."""
     for (a, b), fs in groups.items():
         for (x, y), hs in groups.items():
@@ -425,11 +405,11 @@ def _linearity(groups: dict, pre: bool) -> Iterator[EquationCheck]:
                 continue
             at = "->".join(a.cat.format_obj(o) for o in ((x, a, b) if pre else (a, b, y)))
             for (i, f), (j, g) in itertools.product(list(enumerate(fs)), repeat=2):
-                s = hom_add(f, g)
+                s = add(f, g)
                 for k, h in enumerate(hs):
                     on = (lambda m: compose(m, h)) if pre else (lambda m: compose(h, m))
                     label = f"{'pre' if pre else 'post'}-linear[{at}#{i},{j};{k}]"
-                    yield equation(label, on(s), hom_add(on(f), on(g)))
+                    yield equation(label, on(s), add(on(f), on(g)))
 
 
 def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
@@ -439,11 +419,21 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
     this a proof for those objects, or a random draw to spot-check.
     Associativity runs over ordered triples within each homset;
     bilinearity runs over pairs of homsets that share an endpoint.
+    Each sum is computed once per call: the laws repeat the same sums,
+    and the memo of them is dropped when the call returns.
     """
     mors = list(sample)
     if not mors:
         return CheckResult("semiadditive", ())
     cat = mors[0].dom.cat
+    sums: dict[tuple[Mor, Mor], Mor] = {}
+
+    def add(f: Mor, g: Mor) -> Mor:
+        s = sums.get((f, g))
+        if s is None:
+            s = sums[f, g] = hom_add(f, g)
+        return s
+
     groups: dict[tuple[Obj, Obj], list[Mor]] = {}
     for f in mors:
         groups.setdefault((f.dom, f.cod), []).append(f)
@@ -452,18 +442,14 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
         at = f"{cat.format_obj(a)}->{cat.format_obj(b)}"
         z = zero_map(a, b)
         for i, f in enumerate(fs):
-            checks.append(equation(f"unit-r[{at}#{i}]", hom_add(f, z), f))
-            checks.append(equation(f"unit-l[{at}#{i}]", hom_add(z, f), f))
+            checks.append(equation(f"unit-r[{at}#{i}]", add(f, z), f))
+            checks.append(equation(f"unit-l[{at}#{i}]", add(z, f), f))
         for (i, f), (j, g) in itertools.combinations(enumerate(fs), 2):
-            checks.append(equation(f"comm[{at}#{i},{j}]", hom_add(f, g), hom_add(g, f)))
+            checks.append(equation(f"comm[{at}#{i},{j}]", add(f, g), add(g, f)))
         for (i, f), (j, g), (k, h) in itertools.product(enumerate(fs), repeat=3):
             checks.append(
-                equation(
-                    f"assoc[{at}#{i},{j},{k}]",
-                    hom_add(hom_add(f, g), h),
-                    hom_add(f, hom_add(g, h)),
-                )
+                equation(f"assoc[{at}#{i},{j},{k}]", add(add(f, g), h), add(f, add(g, h)))
             )
     for pre in (False, True):
-        checks.extend(_linearity(groups, pre))
+        checks.extend(_linearity(groups, pre, add))
     return CheckResult("semiadditive", tuple(checks))

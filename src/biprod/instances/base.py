@@ -12,6 +12,9 @@ cannot be shadowed on an instance either; a different witness takes a
 subclass.  What the construction derives from that structure lives in
 the instance's own memo, made with it, so a memoized certificate never
 outlives the witnesses it was certified with, nor the instance itself.
+The shipped instances keep their product and coproduct witnesses in
+that memo too, through kernel.per_instance; homset sums are memoized
+only for the length of one construction.verify_semiadditive call.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ class Instance(Category):
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
-        self.memo: dict = {}  # the construction's results; see construction._per_instance
+        self.memo: dict = {}  # derived results and witnesses; see kernel.per_instance
 
     def __setattr__(self, attr: str, value) -> None:
         self._refuse_change(attr)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from ..errors import DomainMismatch
-from ..kernel import InversePair, Mor, Obj
+from ..kernel import InversePair, Mor, Obj, per_instance
 from ..monoidal import DistributorWitnesses, TensorWitness
 from ..structure import ENUM_CAP, CoproductWitness, ProductWitness
 from .base import Instance
@@ -69,6 +69,7 @@ class ChainInstance(Instance):
             lo, hi = max(lo, -bound), min(hi, bound)
         return [self.obj(k) for k in range(lo, hi + 1)]
 
+    @per_instance
     def product(self, a: Obj, b: Obj) -> ProductWitness:
         apex = self.obj(min(a.data, b.data))
 
@@ -77,6 +78,7 @@ class ChainInstance(Instance):
 
         return ProductWitness(a, b, apex, self.hom(apex, a), self.hom(apex, b), mediate)
 
+    @per_instance
     def coproduct(self, a: Obj, b: Obj) -> CoproductWitness:
         apex = self.obj(max(a.data, b.data))
 

@@ -14,7 +14,7 @@ import itertools
 import random
 
 from ..errors import InvalidBounds
-from ..kernel import InversePair, Mor, Obj
+from ..kernel import InversePair, Mor, Obj, per_instance
 from ..monoidal import DistributorWitnesses, TensorWitness
 from ..structure import (
     ENUM_CAP,
@@ -99,6 +99,7 @@ class MatInstance(Instance):
         top = self.max_dim if bound is None else min(self.max_dim, bound)
         return [self.obj(d) for d in range(top + 1)]
 
+    @per_instance
     def product(self, a: Obj, b: Obj) -> ProductWitness:
         sr = self.sr
         n, m = a.data, b.data
@@ -111,6 +112,7 @@ class MatInstance(Instance):
 
         return ProductWitness(a, b, apex, pi1, pi2, mediate)
 
+    @per_instance
     def coproduct(self, a: Obj, b: Obj) -> CoproductWitness:
         sr = self.sr
         n, m = a.data, b.data

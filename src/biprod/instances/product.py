@@ -15,7 +15,7 @@ import random
 from dataclasses import fields
 from typing import Callable
 
-from ..kernel import InversePair, Mor, Obj, compose, identity
+from ..kernel import InversePair, Mor, Obj, compose, identity, per_instance
 from ..monoidal import DistributorWitnesses, TensorWitness
 from ..structure import (
     ENUM_CAP,
@@ -112,10 +112,12 @@ class ProductInstance(Instance):
             for ra in self.right.objects(bound)
         ]
 
+    @per_instance
     def product(self, a: Obj, b: Obj) -> ProductWitness:
         lp, rp = self.left.product, self.right.product
         return self._witness(ProductWitness, ("pi1", "pi2"), lp, rp, a, b)
 
+    @per_instance
     def coproduct(self, a: Obj, b: Obj) -> CoproductWitness:
         lc, rc = self.left.coproduct, self.right.coproduct
         return self._witness(CoproductWitness, ("in1", "in2"), lc, rc, a, b)

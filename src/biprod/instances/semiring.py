@@ -31,12 +31,13 @@ def _bool_dot(xs: Sequence, ys: Sequence) -> bool:
     return any(x and y for x, y in zip(xs, ys))
 
 
+# the dots skip zero terms: structural matrices are mostly zeros
 def _int_dot(xs: Sequence, ys: Sequence) -> int:
-    return sum(x * y for x, y in zip(xs, ys))
+    return sum(x * y for x, y in zip(xs, ys) if x and y)
 
 
 def _frac_dot(xs: Sequence, ys: Sequence) -> Fraction:
-    return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+    return sum((x * y for x, y in zip(xs, ys) if x and y), Fraction(0))
 
 
 BOOLEANS = Semiring(

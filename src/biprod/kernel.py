@@ -8,11 +8,13 @@ returns CheckResult values that list every equation tried.  A builder
 certifies with CheckResult.require(), which raises WitnessInvalid on the
 first failed equation; CheckResult.from_error() folds a raised error back
 into a failed result.  An InversePair keeps its certificate as equations.
+per_instance memoizes a function of an instance in that instance's memo.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .errors import CategoryError, DomainMismatch, WitnessInvalid
 
@@ -192,3 +194,30 @@ class InversePair:
     def certify(cls, fwd: Mor, bwd: Mor, context: str = "") -> "InversePair":
         result = check_inverse_pair(fwd, bwd, name=context or "inverse pair")
         return cls(fwd, bwd, result.require())
+
+
+CacheInfo = NamedTuple("CacheInfo", [("hits", int), ("misses", int)])
+
+
+def per_instance(fn):
+    """Memoize fn under (fn, args) in the memo of the instance args[0] is or lives in.
+
+    args[0] is the instance itself (a method's self, zero_object's inst)
+    or an object of it.  A call that raises stores nothing; cache_info()
+    counts over all instances.
+    """
+    counts = [0, 0]  # hits, misses: indexed by whether the call missed
+    missing = object()
+
+    @functools.wraps(fn)
+    def memoized(*args):
+        owner = args[0].cat if isinstance(args[0], Obj) else args[0]
+        key = (fn, args)
+        result = owner.memo.get(key, missing)
+        counts[result is missing] += 1
+        if result is missing:
+            result = owner.memo[key] = fn(*args)
+        return result
+
+    memoized.cache_info = lambda: CacheInfo(*counts)
+    return memoized

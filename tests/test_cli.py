@@ -330,6 +330,63 @@ def test_sampled_stage_equations_are_pinned(monkeypatch):
     }
 
 
+def test_rat_stage_equations_are_pinned(monkeypatch):
+    # the benchmark's suite-rat config: its speedups (zero-skipping dot,
+    # memoized sums and witnesses) must keep every equation, and their
+    # Fraction payloads, as they were before them
+    rat, rat_equations, rat_digests = _digested_run(
+        monkeypatch, SuiteConfig(instance="mat-rat", max_size=2, max_quad=1, seed=1)
+    )
+    assert _stage_runs(rat) == [
+        ("nullary", 1, 0),
+        ("nullary-distributors", 3, 0),
+        ("product-witness", 9, 0),
+        ("coproduct-witness", 9, 0),
+        ("dist-prod", 8, 0),
+        ("dist-coprod", 8, 0),
+        ("interchange", 16, 0),
+        ("t-inverse", 9, 0),
+        ("intertwining", 9, 0),
+        ("canonical", 9, 0),
+        ("biproduct", 9, 0),
+        ("hom-add-laws", 9, 0),
+        ("hom-add-native", 9, 0),
+        ("bilinearity", 8, 0),
+    ]
+    assert rat_equations == {
+        "nullary": 4,
+        "nullary-distributors": 12,
+        "product-witness": 171,
+        "coproduct-witness": 171,
+        "dist-prod": 16,
+        "dist-coprod": 16,
+        "interchange": 80,
+        "t-inverse": 27,
+        "intertwining": 81,
+        "canonical": 9,
+        "biproduct": 45,
+        "hom-add-laws": 2055,
+        "hom-add-native": 225,
+        "bilinearity": 10870,
+    }
+    assert rat_digests == {
+        "nullary": "5c663e35c8158543",
+        "nullary-distributors": "a5bbb31270dee041",
+        "product-witness": "49b4c53fcccc57e5",
+        "coproduct-witness": "98f2aa80df589f7a",
+        "dist-prod": "8b0dcaabd1f87193",
+        "dist-coprod": "9300f0d3e1bb52a2",
+        "interchange": "ed7ad73baab65c80",
+        "t-inverse": "76793fa1829cea05",
+        "intertwining": "99e087a28f1e631c",
+        "canonical": "31e5f2ba2b68d5b1",
+        "biproduct": "4539172632c5af0b",
+        "hom-add-laws": "f0ba64e065cd9f2e",
+        "hom-add-native": "8450b4f4b07d2d11",
+        "bilinearity": "9aa127218ce896c5",
+    }
+
+
 def test_guard_reports_failed_equation_of_raised_error(rotated_mediate_rel2):
     inst = rotated_mediate_rel2
     checks = []

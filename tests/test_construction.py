@@ -138,6 +138,8 @@ def test_memo_dies_with_its_instance():
     # construction built keeps a dropped instance alive
     inst = finrel(2)
     a, b = inst.obj(1), inst.obj(2)
+    inst.product(a, b)
+    inst.coproduct(a, b)
     t_inverse(a, b)
     zero_map(a, b)
     c_map(a, b)
@@ -167,10 +169,66 @@ def test_memo_counts_over_all_instances():
 
 
 def test_memo_keeps_no_failed_call(rotated_rel2):
-    for _ in range(2):
-        with pytest.raises(WitnessInvalid):
-            t_inverse(rotated_rel2.obj(1), rotated_rel2.obj(2))
-    assert rotated_rel2.memo == {}
+    # the witnesses t_inverse built on the way are memoized; the failed
+    # t_inverse itself is not, so the second call re-checks and raises again
+    a, b = rotated_rel2.obj(1), rotated_rel2.obj(2)
+    with pytest.raises(WitnessInvalid):
+        t_inverse(a, b)
+    assert not [key for key in rotated_rel2.memo if key[0] is t_inverse.__wrapped__]
+    with pytest.raises(WitnessInvalid):
+        t_inverse(a, b)
+
+
+@pytest.mark.parametrize("selector", ["mat-rat", "z-chain", "product:finrel+z-chain"])
+def test_witnesses_are_memoized_per_instance(selector):
+    inst = resolve(selector, 1)
+    a, b = inst.objects()[-2:]
+    assert inst.product(a, b) is inst.product(a, b)
+    assert inst.coproduct(a, b) is inst.coproduct(a, b)
+    # each instance builds its own
+    other = resolve(selector, 1)
+    x, y = other.objects()[-2:]
+    assert other.product(x, y) is not inst.product(a, b)
+    assert other.coproduct(x, y) is not inst.coproduct(a, b)
+
+
+def test_product_components_memoize_in_their_own_memos():
+    inst = resolve("product:finrel+z-chain", 1)
+    a, b = inst.objects()[-2:]
+    inst.product(a, b)
+    inst.coproduct(a, b)
+    assert all(key[1][0] is inst for key in inst.memo)
+    for side, component in enumerate((inst.left, inst.right)):
+        x, y = a.data[side], b.data[side]
+        assert {key[0].__name__ for key in component.memo} == {"product", "coproduct"}
+        assert all(key[1][0] is component for key in component.memo)
+        assert component.product(x, y) is component.product(x, y)
+
+
+def test_sums_are_memoized_per_call_only(monkeypatch):
+    # verify_semiadditive computes each distinct sum once per call, and the
+    # sums die with the call: the instance's memo keeps none of them
+    inst = finrel(2)
+    one, two = inst.obj(1), inst.obj(2)
+    sample = inst.enumerate_homset(one, one) + inst.enumerate_homset(one, two)
+    added = []
+
+    def counting_hom_add(f, g):
+        added.append((f, g))
+        return hom_add(f, g)
+
+    monkeypatch.setattr(construction, "hom_add", counting_hom_add)
+    first = verify_semiadditive(sample)
+    assert first.passed
+    assert len(added) == len(set(added))
+    per_call = len(added)
+    assert verify_semiadditive(sample) == first
+    assert len(added) == 2 * per_call
+    memoized = {key[0].__name__ for key in inst.memo}
+    assert "hom_add" not in memoized
+    assert memoized <= {
+        "zero_object", "zero_map", "t_inverse", "c_map", "_diagonal", "product", "coproduct"
+    }
 
 
 def test_no_functools_cache_in_the_package():
@@ -318,6 +376,10 @@ def test_hom_add_rejects_non_parallel():
     g = REL.mor(REL.obj(2), REL.obj(1), ((True, False),))
     with pytest.raises(DomainMismatch):
         hom_add(f, g)
+    # same domain, other codomain: refused even after a sum on that domain
+    hom_add(f, f)
+    with pytest.raises(DomainMismatch):
+        hom_add(f, REL.mor(REL.obj(1), REL.obj(1), ((True,),)))
 
 
 @st.composite

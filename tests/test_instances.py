@@ -5,6 +5,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biprod.errors import DomainMismatch, UnknownInstance, WitnessInvalid
 from biprod.instances import (
@@ -69,6 +71,53 @@ def test_rational_arithmetic_is_exact():
     assert RATIONALS.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
     assert RATIONALS.dot((Fraction(1, 2),), (Fraction(1, 3),)) == Fraction(1, 6)
     assert RATIONALS.dot((), ()) == Fraction(0)
+
+
+# mostly zeros, as in the structural matrices the construction multiplies
+NAT_ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(0, 5))
+RAT_ENTRIES = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=5)
+)
+NAIVE_DOTS = {
+    "nat": (NATURALS, NAT_ENTRIES, lambda xs, ys: sum(x * y for x, y in zip(xs, ys))),
+    "rat": (
+        RATIONALS,
+        RAT_ENTRIES,
+        lambda xs, ys: sum((x * y for x, y in zip(xs, ys)), Fraction(0)),
+    ),
+    "bool": (BOOLEANS, st.booleans(), lambda xs, ys: any(x and y for x, y in zip(xs, ys))),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(NAIVE_DOTS)), data=st.data())
+def test_dot_skipping_zeros_equals_the_naive_sum(kind, data):
+    sr, entries, naive = NAIVE_DOTS[kind]
+    n = data.draw(st.integers(0, 8))
+    xs = data.draw(st.lists(entries, min_size=n, max_size=n))
+    ys = data.draw(st.lists(entries, min_size=n, max_size=n))
+    got, want = sr.dot(xs, ys), naive(xs, ys)
+    assert got == want
+    assert type(got) is type(want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(NAIVE_DOTS)),
+    shape=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    data=st.data(),
+)
+def test_matmul_equals_the_naive_product(kind, shape, data):
+    sr, entries, naive = NAIVE_DOTS[kind]
+    rows, inner, cols = shape
+    a = tuple(tuple(data.draw(entries) for _ in range(inner)) for _ in range(rows))
+    b = tuple(tuple(data.draw(entries) for _ in range(cols)) for _ in range(inner))
+    got = matmul(sr, a, b, inner=inner, cols=cols)
+    # with inner == 0 every column is empty, and the naive dot gives zero
+    b_cols = [tuple(row[j] for row in b) for j in range(cols)]
+    want = tuple(tuple(naive(row, col) for col in b_cols) for row in a)
+    assert got == want
+    assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
 
 
 def test_mat_identity_and_compose_on_empty_dims():
