@@ -51,8 +51,6 @@ from .kernel import (
     identity,
 )
 from .monoidal import (
-    DistributorWitnesses,
-    TensorWitness,
     dist_coprod,
     dist_prod,
     has_nullary,
@@ -61,10 +59,8 @@ from .monoidal import (
 )
 from .structure import (
     CoproductWitness,
-    InitialWitness,
     Mat2,
     ProductWitness,
-    TerminalWitness,
     copair,
     from_matrix,
     matrix_of,

@@ -51,7 +51,7 @@ from .construction import (
     zero_object,
 )
 from .errors import CategoryError, InvalidBounds, ParseError, UnknownInstance
-from .instances import Instance, MatInstance, ProductInstance, resolve
+from .instances import Instance, resolve
 from .kernel import CheckResult, InversePair, equation
 from .monoidal import dist_coprod, dist_prod, has_nullary, nullary_coprod, nullary_prod
 from .structure import draw, matrix_of, verify_coproduct_witness, verify_product_witness
@@ -332,27 +332,6 @@ def _parse_expression(text: str) -> tuple[str, list[str]]:
     return head, parts
 
 
-def _parse_obj(inst, text: str):
-    text = text.strip()
-    if isinstance(inst, ProductInstance):
-        if "|" not in text:
-            raise ParseError(
-                f"objects of {inst.name} are spelled left|right, got {text!r}"
-            )
-        lt, rt = text.split("|", 1)
-        return inst.pack(_parse_obj(inst.left, lt), _parse_obj(inst.right, rt))
-    try:
-        n = int(text)
-    except ValueError:
-        raise ParseError(f"cannot read object {text!r} as an integer") from None
-    if isinstance(inst, MatInstance) and n < 0:
-        raise ParseError("matrix objects are nonnegative dimensions")
-    lo, hi = (0, inst.max_dim) if isinstance(inst, MatInstance) else (inst.lo, inst.hi)
-    if not lo <= n <= hi:
-        raise InvalidBounds(f"object {n} is outside {inst.name}'s objects {lo}..{hi}")
-    return inst.obj(n)
-
-
 def _print_with_entries(inst, m, c, p) -> None:
     print(inst.format_mor(m))
     for j, k, entry in matrix_of(m, c, p).entries():
@@ -364,7 +343,7 @@ def _run_show(args) -> int:
         raise InvalidBounds(f"max size must be at most {MAX_SIZE}, got {args.max_size}")
     inst = resolve(args.instance, args.max_size)
     head, parts = _parse_expression(args.expression)
-    objs = [_parse_obj(inst, t) for t in parts]
+    objs = [inst.parse_obj(t) for t in parts]
     if head == "zero":
         print(inst.format_mor(zero_map(*objs)))
     elif head in ("e", "e'"):

@@ -94,12 +94,12 @@ class BiproductWitness:
 def zero_object(inst) -> ZeroWitness:
     """Certify that (initial @ terminal) is a zero object of the instance."""
     require_nullary(inst)
-    z = tensor_obj(inst.initial.obj, inst.terminal.obj)
-    to_terminal = nullary_prod(inst.initial.obj)
-    from_initial = nullary_coprod(inst.terminal.obj)
+    z = tensor_obj(inst.initial, inst.terminal)
+    to_terminal = nullary_prod(inst.initial)
+    from_initial = nullary_coprod(inst.terminal)
     one_to_zero = compose(from_initial.bwd, to_terminal.bwd)
-    zero_to_one = inst.terminal.bang(inst.initial.obj)
-    if not equal(zero_to_one, inst.initial.cobang(inst.terminal.obj)):
+    zero_to_one = inst.bang(inst.initial)
+    if not equal(zero_to_one, inst.cobang(inst.terminal)):
         raise InternalAgreementFailure("two spellings of the map initial -> terminal disagree")
     InversePair.certify(zero_to_one, one_to_zero, context="zero_object: terminal<->initial")
     return ZeroWitness(z, to_terminal, from_initial, one_to_zero)
@@ -110,7 +110,7 @@ def zero_map(a: Obj, b: Obj) -> Mor:
     """The composite a -> terminal -> initial -> b."""
     inst = a.cat
     zw = zero_object(inst)
-    return compose(inst.initial.cobang(b), compose(zw.one_to_zero, inst.terminal.bang(a)))
+    return compose(inst.cobang(b), compose(zw.one_to_zero, inst.bang(a)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,10 +233,9 @@ def t_inverse(a: Obj, b: Obj) -> InversePair:
     means the unit isos and the distributors disagree, so we refuse.
     """
     cat = a.cat
-    unit = cat.tensor.unit
-    y = y_map(a, b, unit, unit)
-    ra = cat.tensor.rho(a)
-    rb = cat.tensor.rho(b)
+    y = y_map(a, b, cat.unit, cat.unit)
+    ra = cat.rho(a)
+    rb = cat.rho(b)
     into = plus_map(times_map(ra.bwd, ra.bwd), times_map(rb.bwd, rb.bwd))
     outof = times_map(plus_map(ra.fwd, rb.fwd), plus_map(ra.fwd, rb.fwd))
     conj = compose(outof, compose(y.fwd, into))

@@ -16,9 +16,8 @@ import random
 
 from ..errors import DomainMismatch
 from ..kernel import InversePair, Mor, Obj, per_instance
-from ..monoidal import DistributorWitnesses, TensorWitness
-from ..structure import ENUM_CAP, CoproductWitness, ProductWitness
-from .base import Instance
+from ..structure import CoproductWitness, ProductWitness
+from .base import Instance, read_int
 
 
 class ChainInstance(Instance):
@@ -28,18 +27,8 @@ class ChainInstance(Instance):
             raise DomainMismatch("empty enumeration window")
         self.lo = lo
         self.hi = hi
-        self.terminal = None
-        self.initial = None
-        self.tensor = TensorWitness(
-            on_objects=self._tensor_obj,
-            on_morphisms=self._tensor_mor,
-            unit=self.obj(0),
-            rho=self._rho,
-        )
-        self.distributors = DistributorWitnesses(
-            prod_inv=self._prod_inv,
-            coprod_inv=self._coprod_inv,
-        )
+        self.terminal = self.initial = None
+        self.unit = self.obj(0)
 
     def hom(self, a: Obj, b: Obj) -> Mor:
         """The unique morphism a -> b; raises when a > b."""
@@ -69,6 +58,9 @@ class ChainInstance(Instance):
             lo, hi = max(lo, -bound), min(hi, bound)
         return [self.obj(k) for k in range(lo, hi + 1)]
 
+    def parse_obj(self, text: str) -> Obj:
+        return self._windowed(read_int(text), self.lo, self.hi)
+
     @per_instance
     def product(self, a: Obj, b: Obj) -> ProductWitness:
         apex = self.obj(min(a.data, b.data))
@@ -89,28 +81,28 @@ class ChainInstance(Instance):
 
     # tensor: addition, strictly unital and strictly distributive
 
-    def _tensor_obj(self, a: Obj, b: Obj) -> Obj:
+    def tensor_obj(self, a: Obj, b: Obj) -> Obj:
         return self.obj(a.data + b.data)
 
-    def _tensor_mor(self, f: Mor, g: Mor) -> Mor:
-        return self.hom(self._tensor_obj(f.dom, g.dom), self._tensor_obj(f.cod, g.cod))
+    def tensor_mor(self, f: Mor, g: Mor) -> Mor:
+        return self.hom(self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod))
 
-    def _rho(self, a: Obj) -> InversePair:
+    def rho(self, a: Obj) -> InversePair:
         return InversePair.certify(
             self.mor(a, a, None), self.mor(a, a, None), context=f"rho({a.data})"
         )
 
-    def _prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
+    def prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
         x = self.obj(a.data + min(b.data, c.data))
         return self.mor(x, x, None)
 
-    def _coprod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
+    def coprod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
         x = self.obj(max(a.data, b.data) + c.data)
         return self.mor(x, x, None)
 
     # enumeration
 
-    def enumerate_homset(self, a: Obj, b: Obj, cap: int = ENUM_CAP) -> list[Mor]:
+    def enumerate_homset(self, a: Obj, b: Obj) -> list[Mor]:
         return [self.mor(a, b, None)] if a.data <= b.data else []
 
     def random_morphism(self, rng: random.Random, a: Obj, b: Obj) -> Mor | None:

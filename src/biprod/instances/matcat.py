@@ -13,17 +13,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from ..errors import InvalidBounds
+from ..errors import InvalidBounds, ParseError
 from ..kernel import InversePair, Mor, Obj, per_instance
-from ..monoidal import DistributorWitnesses, TensorWitness
-from ..structure import (
-    ENUM_CAP,
-    CoproductWitness,
-    InitialWitness,
-    ProductWitness,
-    TerminalWitness,
-)
-from .base import Instance
+from ..structure import ENUM_CAP, CoproductWitness, ProductWitness
+from .base import Instance, read_int
 from .semiring import (
     BOOLEANS,
     NATURALS,
@@ -47,21 +40,8 @@ class MatInstance(Instance):
             raise InvalidBounds("max_dim must be nonnegative")
         self.sr = sr
         self.max_dim = max_dim
-        zero = self.obj(0)
-        self.terminal = TerminalWitness(zero, self._bang)
-        self.initial = InitialWitness(zero, self._cobang)
-        self.tensor = TensorWitness(
-            on_objects=self._tensor_obj,
-            on_morphisms=self._tensor_mor,
-            unit=self.obj(1),
-            rho=self._rho,
-        )
-        self.distributors = DistributorWitnesses(
-            prod_inv=self._prod_inv,
-            coprod_inv=self._coprod_inv,
-            nullary_prod_inv=self._nullary_prod_inv,
-            nullary_coprod_inv=self._nullary_coprod_inv,
-        )
+        self.terminal = self.initial = self.obj(0)
+        self.unit = self.obj(1)
 
     # category hooks
 
@@ -99,6 +79,12 @@ class MatInstance(Instance):
         top = self.max_dim if bound is None else min(self.max_dim, bound)
         return [self.obj(d) for d in range(top + 1)]
 
+    def parse_obj(self, text: str) -> Obj:
+        n = read_int(text)
+        if n < 0:
+            raise ParseError("matrix objects are nonnegative dimensions")
+        return self._windowed(n, 0, self.max_dim)
+
     @per_instance
     def product(self, a: Obj, b: Obj) -> ProductWitness:
         sr = self.sr
@@ -125,18 +111,18 @@ class MatInstance(Instance):
 
         return CoproductWitness(a, b, apex, in1, in2, mediate)
 
-    def _bang(self, x: Obj) -> Mor:
+    def bang(self, x: Obj) -> Mor:
         return self.mor(x, self.obj(0), ())
 
-    def _cobang(self, x: Obj) -> Mor:
+    def cobang(self, x: Obj) -> Mor:
         return self.mor(self.obj(0), x, ((),) * x.data)
 
     # tensor
 
-    def _tensor_obj(self, a: Obj, b: Obj) -> Obj:
+    def tensor_obj(self, a: Obj, b: Obj) -> Obj:
         return self.obj(a.data * b.data)
 
-    def _tensor_mor(self, f: Mor, g: Mor) -> Mor:
+    def tensor_mor(self, f: Mor, g: Mor) -> Mor:
         payload = kronecker(
             self.sr,
             f.payload,
@@ -147,11 +133,11 @@ class MatInstance(Instance):
             g.dom.data,
         )
         return self.mor(
-            self._tensor_obj(f.dom, g.dom), self._tensor_obj(f.cod, g.cod), payload
+            self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod), payload
         )
 
-    def _rho(self, a: Obj) -> InversePair:
-        at = self._tensor_obj(a, self.tensor.unit)
+    def rho(self, a: Obj) -> InversePair:
+        at = self.tensor_obj(a, self.unit)
         eye = identity_matrix(self.sr, a.data)
         return InversePair.certify(
             self.mor(at, a, eye), self.mor(a, at, eye), context=f"rho({a.data})"
@@ -159,7 +145,7 @@ class MatInstance(Instance):
 
     # distributors: index shuffles, handed out as their inverse permutations
 
-    def _prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
+    def prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
         an, bn, cn = a.data, b.data, c.data
         mapping = []
         for i in range(an):
@@ -172,7 +158,7 @@ class MatInstance(Instance):
         cod = self.obj(an * (bn + cn))
         return self.mor(dom, cod, inverse_permutation_matrix(self.sr, mapping))
 
-    def _coprod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
+    def coprod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
         an, bn, cn = a.data, b.data, c.data
         mapping = [i * cn + j for i in range(an) for j in range(cn)]
         mapping += [(an + i) * cn + j for i in range(bn) for j in range(cn)]
@@ -180,21 +166,21 @@ class MatInstance(Instance):
         cod = self.obj(an * cn + bn * cn)
         return self.mor(dom, cod, inverse_permutation_matrix(self.sr, mapping))
 
-    def _nullary_prod_inv(self, a: Obj) -> Mor:
+    def nullary_prod_inv(self, a: Obj) -> Mor:
         z = self.obj(0)
         return self.mor(z, z, ())
 
-    def _nullary_coprod_inv(self, a: Obj) -> Mor:
+    def nullary_coprod_inv(self, a: Obj) -> Mor:
         z = self.obj(0)
         return self.mor(z, z, ())
 
     # enumeration and sampling
 
-    def enumerate_homset(self, a: Obj, b: Obj, cap: int = ENUM_CAP) -> list[Mor] | None:
+    def enumerate_homset(self, a: Obj, b: Obj) -> list[Mor] | None:
         if self.sr.carrier is None:
             return None
         cells = a.data * b.data
-        if len(self.sr.carrier) ** cells > cap:
+        if len(self.sr.carrier) ** cells > ENUM_CAP:
             return None
         out = []
         for values in itertools.product(self.sr.carrier, repeat=cells):

@@ -2,29 +2,35 @@
 
 Objects and morphisms are pairs, and every piece of structure is run in
 each component and repacked.  _lift does that for a structure map on
-objects (bang, cobang, every distributor) and gives None when either
-component lacks the map; _witness does it for a product or coproduct
-witness (apex, both legs and mediate).  So nullary structure exists
-exactly when both components have it, which makes mixed products (one
-component with a zero object, one without) useful counterexamples.
+objects, and makes it a method: bang, cobang and the four distributor
+inverses (prod_inv, coprod_inv, nullary_prod_inv, nullary_coprod_inv).
+_witness does it for a product or coproduct witness (apex, both legs and
+mediate).  tensor_obj, tensor_mor and rho pair up the components' own.
+terminal and initial are packed only when both components have them, so
+nullary structure exists exactly when both components have it, which
+makes mixed products (one component with a zero object, one without)
+useful counterexamples.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import fields
-from typing import Callable
 
+from ..errors import ParseError
 from ..kernel import InversePair, Mor, Obj, compose, identity, per_instance
-from ..monoidal import DistributorWitnesses, TensorWitness
-from ..structure import (
-    ENUM_CAP,
-    CoproductWitness,
-    InitialWitness,
-    ProductWitness,
-    TerminalWitness,
-)
+from ..structure import ENUM_CAP, CoproductWitness, ProductWitness
 from .base import Instance
+
+
+def _lift(name: str):
+    """The method that splits its objects, runs name in each component and packs."""
+
+    def lifted(self, *xs: Obj) -> Mor:
+        lmap, rmap = getattr(self.left, name), getattr(self.right, name)
+        return self.pack_mor(lmap(*(x.data[0] for x in xs)), rmap(*(x.data[1] for x in xs)))
+
+    lifted.__name__ = name
+    return lifted
 
 
 class ProductInstance(Instance):
@@ -32,39 +38,17 @@ class ProductInstance(Instance):
         super().__init__(name or f"product:{left.name}+{right.name}")
         self.left = left
         self.right = right
-        lt, rt, li, ri = left.terminal, right.terminal, left.initial, right.initial
-        self.terminal = (
-            TerminalWitness(self.pack(lt.obj, rt.obj), self._lift(lt.bang, rt.bang))
-            if lt is not None and rt is not None
-            else None
-        )
-        self.initial = (
-            InitialWitness(self.pack(li.obj, ri.obj), self._lift(li.cobang, ri.cobang))
-            if li is not None and ri is not None
-            else None
-        )
-        self.tensor = TensorWitness(
-            on_objects=self._tensor_obj,
-            on_morphisms=self._tensor_mor,
-            unit=self.pack(left.tensor.unit, right.tensor.unit),
-            rho=self._rho,
-        )
-        ld, rd = left.distributors, right.distributors
-        self.distributors = DistributorWitnesses(
-            *(self._lift(getattr(ld, f.name), getattr(rd, f.name)) for f in fields(ld))
-        )
+        for attr in ("terminal", "initial"):
+            lx, rx = getattr(left, attr), getattr(right, attr)
+            setattr(self, attr, None if lx is None or rx is None else self.pack(lx, rx))
+        self.unit = self.pack(left.unit, right.unit)
 
-    def _lift(self, lmap: Callable[..., Mor] | None, rmap: Callable[..., Mor] | None):
-        """Split the objects, run the map in each component, pack; None if one lacks it."""
-        if lmap is None or rmap is None:
-            return None
-
-        def lifted(*xs: Obj) -> Mor:
-            ls = [x.data[0] for x in xs]
-            rs = [x.data[1] for x in xs]
-            return self.pack_mor(lmap(*ls), rmap(*rs))
-
-        return lifted
+    bang = _lift("bang")
+    cobang = _lift("cobang")
+    prod_inv = _lift("prod_inv")
+    coprod_inv = _lift("coprod_inv")
+    nullary_prod_inv = _lift("nullary_prod_inv")
+    nullary_coprod_inv = _lift("nullary_coprod_inv")
 
     def pack(self, la: Obj, ra: Obj) -> Obj:
         return self.obj((la, ra))
@@ -112,6 +96,13 @@ class ProductInstance(Instance):
             for ra in self.right.objects(bound)
         ]
 
+    def parse_obj(self, text: str) -> Obj:
+        text = text.strip()
+        if "|" not in text:
+            raise ParseError(f"objects of {self.name} are spelled left|right, got {text!r}")
+        lt, rt = text.split("|", 1)
+        return self.pack(self.left.parse_obj(lt), self.right.parse_obj(rt))
+
     @per_instance
     def product(self, a: Obj, b: Obj) -> ProductWitness:
         lp, rp = self.left.product, self.right.product
@@ -138,21 +129,21 @@ class ProductInstance(Instance):
 
     # tensor
 
-    def _tensor_obj(self, a: Obj, b: Obj) -> Obj:
+    def tensor_obj(self, a: Obj, b: Obj) -> Obj:
         return self.pack(
-            self.left.tensor.on_objects(a.data[0], b.data[0]),
-            self.right.tensor.on_objects(a.data[1], b.data[1]),
+            self.left.tensor_obj(a.data[0], b.data[0]),
+            self.right.tensor_obj(a.data[1], b.data[1]),
         )
 
-    def _tensor_mor(self, f: Mor, g: Mor) -> Mor:
+    def tensor_mor(self, f: Mor, g: Mor) -> Mor:
         return self.pack_mor(
-            self.left.tensor.on_morphisms(f.payload[0], g.payload[0]),
-            self.right.tensor.on_morphisms(f.payload[1], g.payload[1]),
+            self.left.tensor_mor(f.payload[0], g.payload[0]),
+            self.right.tensor_mor(f.payload[1], g.payload[1]),
         )
 
-    def _rho(self, a: Obj) -> InversePair:
-        lr = self.left.tensor.rho(a.data[0])
-        rr = self.right.tensor.rho(a.data[1])
+    def rho(self, a: Obj) -> InversePair:
+        lr = self.left.rho(a.data[0])
+        rr = self.right.rho(a.data[1])
         return InversePair.certify(
             self.pack_mor(lr.fwd, rr.fwd),
             self.pack_mor(lr.bwd, rr.bwd),
@@ -161,10 +152,10 @@ class ProductInstance(Instance):
 
     # enumeration
 
-    def enumerate_homset(self, a: Obj, b: Obj, cap: int = ENUM_CAP) -> list[Mor] | None:
-        ls = self.left.enumerate_homset(a.data[0], b.data[0], cap=cap)
-        rs = self.right.enumerate_homset(a.data[1], b.data[1], cap=cap)
-        if ls is None or rs is None or len(ls) * len(rs) > cap:
+    def enumerate_homset(self, a: Obj, b: Obj) -> list[Mor] | None:
+        ls = self.left.enumerate_homset(a.data[0], b.data[0])
+        rs = self.right.enumerate_homset(a.data[1], b.data[1])
+        if ls is None or rs is None or len(ls) * len(rs) > ENUM_CAP:
             return None
         return [self.pack_mor(lf, rf) for lf, rf in itertools.product(ls, rs)]
 

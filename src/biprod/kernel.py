@@ -205,6 +205,10 @@ def per_instance(fn):
     args[0] is the instance itself (a method's self, zero_object's inst)
     or an object of it.  A call that raises stores nothing; cache_info()
     counts over all instances.
+
+    Every key and result refers back to the instance, so an instance that
+    has memoized anything is in a reference cycle: it is freed by the
+    cyclic garbage collector, not when its last reference goes.
     """
     counts = [0, 0]  # hits, misses: indexed by whether the call missed
     missing = object()

@@ -1,12 +1,13 @@
 """Tensor structure and the distributivity witnesses an instance supplies.
 
-The tensor here is deliberately minimal: an action on objects and
-morphisms, a unit, and a certified right-unit isomorphism per object.
-That is all the later construction consumes; associators and the left
-unit never come up.
+The tensor here is deliberately minimal.  An instance implements it as
+methods: tensor_obj and tensor_mor (the action on objects and
+morphisms), the data attribute unit, and rho(a), the certified
+right-unit isomorphism a@unit -> a.  That is all the later construction
+consumes; associators and the left unit never come up.
 
 Distributivity is not derived, it is witnessed.  The canonical comparison
-maps always exist, and the instance supplies their inverses:
+maps always exist, and the instance supplies their inverses as methods:
 
   prod_inv(a, b, c):    (a@b) x (a@c) -> a@(b x c), inverse of
                         <a@pi1, a@pi2>
@@ -17,42 +18,25 @@ maps always exist, and the instance supplies their inverses:
   nullary_coprod_inv(a): 0@a -> 0, inverse of the unique map 0 -> 0@a
                         (0 the initial object)
 
-dist_prod and dist_coprod certify both round trips before handing the
-isomorphism out, so a wrong witness fails loudly at the point of use.
+The nullary ones, with bang and cobang, exist exactly when the instance
+has terminal and initial objects (its terminal and initial attributes
+are not None).  dist_prod and dist_coprod certify both round trips
+before handing the isomorphism out, so a wrong witness fails loudly at
+the point of use.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from .errors import NoNullaryStructure
-from .kernel import InversePair, Mor, Obj, compose, identity
+from .kernel import InversePair, Mor, Obj, identity
 from .structure import copair, pair
 
 
-@dataclass(frozen=True, eq=False)
-class TensorWitness:
-    on_objects: Callable[[Obj, Obj], Obj]
-    on_morphisms: Callable[[Mor, Mor], Mor]
-    unit: Obj
-    # right unit isomorphism a@unit -> a, already certified by the instance
-    rho: Callable[[Obj], InversePair]
-
-
-@dataclass(frozen=True, eq=False)
-class DistributorWitnesses:
-    prod_inv: Callable[[Obj, Obj, Obj], Mor]
-    coprod_inv: Callable[[Obj, Obj, Obj], Mor]
-    nullary_prod_inv: Callable[[Obj], Mor] | None = None
-    nullary_coprod_inv: Callable[[Obj], Mor] | None = None
-
-
 def tensor_obj(a: Obj, b: Obj) -> Obj:
-    return a.cat.tensor.on_objects(a, b)
+    return a.cat.tensor_obj(a, b)
 
 
 def tensor(f: Mor, g: Mor) -> Mor:
-    return f.dom.cat.tensor.on_morphisms(f, g)
+    return f.dom.cat.tensor_mor(f, g)
 
 
 def dist_prod(a: Obj, b: Obj, c: Obj) -> InversePair:
@@ -61,7 +45,7 @@ def dist_prod(a: Obj, b: Obj, c: Obj) -> InversePair:
     pbc = cat.product(b, c)
     p_out = cat.product(tensor_obj(a, b), tensor_obj(a, c))
     fwd = pair(p_out, tensor(identity(a), pbc.pi1), tensor(identity(a), pbc.pi2))
-    bwd = cat.distributors.prod_inv(a, b, c)
+    bwd = cat.prod_inv(a, b, c)
     ctx = f"dist_prod({cat.format_obj(a)},{cat.format_obj(b)},{cat.format_obj(c)})"
     return InversePair.certify(fwd, bwd, context=ctx)
 
@@ -72,18 +56,13 @@ def dist_coprod(a: Obj, b: Obj, c: Obj) -> InversePair:
     cab = cat.coproduct(a, b)
     c_out = cat.coproduct(tensor_obj(a, c), tensor_obj(b, c))
     fwd = copair(c_out, tensor(cab.in1, identity(c)), tensor(cab.in2, identity(c)))
-    bwd = cat.distributors.coprod_inv(a, b, c)
+    bwd = cat.coprod_inv(a, b, c)
     ctx = f"dist_coprod({cat.format_obj(a)},{cat.format_obj(b)},{cat.format_obj(c)})"
     return InversePair.certify(fwd, bwd, context=ctx)
 
 
 def has_nullary(inst) -> bool:
-    return (
-        inst.terminal is not None
-        and inst.initial is not None
-        and inst.distributors.nullary_prod_inv is not None
-        and inst.distributors.nullary_coprod_inv is not None
-    )
+    return inst.terminal is not None and inst.initial is not None
 
 
 def require_nullary(inst) -> None:
@@ -94,22 +73,22 @@ def require_nullary(inst) -> None:
 
 
 def nullary_prod(a: Obj) -> InversePair:
-    """Certified iso a@1 -> 1, forward the terminal witness's unique map."""
+    """Certified iso a@1 -> 1, forward the unique map to the terminal object."""
     cat = a.cat
     require_nullary(cat)
     return InversePair.certify(
-        cat.terminal.bang(tensor_obj(a, cat.terminal.obj)),
-        cat.distributors.nullary_prod_inv(a),
+        cat.bang(tensor_obj(a, cat.terminal)),
+        cat.nullary_prod_inv(a),
         context=f"nullary_prod({cat.format_obj(a)})",
     )
 
 
 def nullary_coprod(a: Obj) -> InversePair:
-    """Certified iso 0 -> 0@a, forward the initial witness's unique map."""
+    """Certified iso 0 -> 0@a, forward the unique map from the initial object."""
     cat = a.cat
     require_nullary(cat)
     return InversePair.certify(
-        cat.initial.cobang(tensor_obj(cat.initial.obj, a)),
-        cat.distributors.nullary_coprod_inv(a),
+        cat.cobang(tensor_obj(cat.initial, a)),
+        cat.nullary_coprod_inv(a),
         context=f"nullary_coprod({cat.format_obj(a)})",
     )

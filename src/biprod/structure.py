@@ -33,7 +33,7 @@ from .kernel import (
     identity,
 )
 
-# largest homset enumerated exhaustively, by the verifiers and by default
+# largest homset enumerated exhaustively, by the verifiers and by enumerate_homset
 ENUM_CAP = 512
 # seeded random probes per check where a homset is too large to enumerate
 PROBE_SAMPLES = 2
@@ -57,18 +57,6 @@ class CoproductWitness:
     in1: Mor
     in2: Mor
     mediate: Callable[[Mor, Mor], Mor]
-
-
-@dataclass(frozen=True, eq=False)
-class TerminalWitness:
-    obj: Obj
-    bang: Callable[[Obj], Mor]
-
-
-@dataclass(frozen=True, eq=False)
-class InitialWitness:
-    obj: Obj
-    cobang: Callable[[Obj], Mor]
 
 
 def pair(p: ProductWitness, f: Mor, g: Mor) -> Mor:
@@ -276,7 +264,7 @@ def draw(cat, rng: random.Random, homsets: Sequence[tuple[Obj, Obj]], samples: i
     from rng, homset by homset, stopping at the first that meets an empty
     homset.
     """
-    found = {hs: cat.enumerate_homset(*hs, cap=ENUM_CAP) for hs in dict.fromkeys(homsets)}
+    found = {hs: cat.enumerate_homset(*hs) for hs in dict.fromkeys(homsets)}
     lists = [found[hs] for hs in homsets]
     if all(x is not None for x in lists) and math.prod(map(len, lists)) <= ENUM_CAP:
         return list(itertools.product(*lists)), True

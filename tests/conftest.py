@@ -11,8 +11,8 @@ from biprod.structure import ProductWitness
 class RotatedProdInv(MatInstance):
     """finrel whose prod_inv has its rows rotated by one: a broken distributor."""
 
-    def _prod_inv(self, a, b, c):
-        m = super()._prod_inv(a, b, c)
+    def prod_inv(self, a, b, c):
+        m = super().prod_inv(a, b, c)
         if len(m.payload) < 2:
             return m
         return self.mor(m.dom, m.cod, m.payload[1:] + m.payload[:1])

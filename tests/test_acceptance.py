@@ -64,13 +64,13 @@ def test_zero_object_stage():
             zw = zero_object(inst)
             assert check_inverse_pair(zw.to_terminal.fwd, zw.to_terminal.bwd).passed
             assert check_inverse_pair(zw.from_initial.fwd, zw.from_initial.bwd).passed
-            one = inst.terminal.obj
-            naught = inst.initial.obj
+            one = inst.terminal
+            naught = inst.initial
             assert equal(
-                compose(zw.one_to_zero, inst.terminal.bang(naught)), identity(naught)
+                compose(zw.one_to_zero, inst.bang(naught)), identity(naught)
             )
             assert equal(
-                compose(inst.terminal.bang(naught), zw.one_to_zero), identity(one)
+                compose(inst.bang(naught), zw.one_to_zero), identity(one)
             )
             z23 = zero_map(inst.obj(2), inst.obj(3))
             assert z23.payload == ((inst.sr.zero,) * 2,) * 3

@@ -20,7 +20,6 @@ from biprod.cli import (
     _failure_text,
     _guard,
     _parse_expression,
-    _parse_obj,
     _t_inverse_check,
     main,
     render_json,
@@ -387,6 +386,63 @@ def test_rat_stage_equations_are_pinned(monkeypatch):
     }
 
 
+def test_product_stage_equations_are_pinned(monkeypatch):
+    # a product instance with nullary structure on both sides: every
+    # structure map, witness and distributor is a lifted pair of the
+    # components' own, and must check the same equations as before
+    pi, pi_equations, pi_digests = _digested_run(
+        monkeypatch, SuiteConfig(instance="product:finrel+mat-nat", max_size=1, max_quad=1)
+    )
+    assert _stage_runs(pi) == [
+        ("nullary", 1, 0),
+        ("nullary-distributors", 4, 0),
+        ("product-witness", 16, 0),
+        ("coproduct-witness", 16, 0),
+        ("dist-prod", 64, 0),
+        ("dist-coprod", 64, 0),
+        ("interchange", 256, 0),
+        ("t-inverse", 16, 0),
+        ("intertwining", 16, 0),
+        ("canonical", 16, 0),
+        ("biproduct", 16, 0),
+        ("hom-add-laws", 16, 0),
+        ("hom-add-native", 16, 0),
+        ("bilinearity", 64, 0),
+    ]
+    assert pi_equations == {
+        "nullary": 4,
+        "nullary-distributors": 16,
+        "product-witness": 400,
+        "coproduct-witness": 400,
+        "dist-prod": 128,
+        "dist-coprod": 128,
+        "interchange": 1280,
+        "t-inverse": 48,
+        "intertwining": 144,
+        "canonical": 16,
+        "biproduct": 80,
+        "hom-add-laws": 3320,
+        "hom-add-native": 400,
+        "bilinearity": 53660,
+    }
+    assert pi_digests == {
+        "nullary": "9ddb6a96163126d3",
+        "nullary-distributors": "450ba4c65dd29efc",
+        "product-witness": "876ae172d9cf5758",
+        "coproduct-witness": "1af7393ba4ebda4e",
+        "dist-prod": "98ccca71c169e6cf",
+        "dist-coprod": "48ce6eb8d2634bf3",
+        "interchange": "96e42e568c762fa9",
+        "t-inverse": "837ce2362a3af5d9",
+        "intertwining": "d049992865e4abed",
+        "canonical": "323a7e8aca40b7bf",
+        "biproduct": "c0bbdb63e7c94146",
+        "hom-add-laws": "079980ace72d0b95",
+        "hom-add-native": "ebf6d628f3e840bd",
+        "bilinearity": "381e2cf91c33a3a6",
+    }
+
+
 def test_guard_reports_failed_equation_of_raised_error(rotated_mediate_rel2):
     inst = rotated_mediate_rel2
     checks = []
@@ -584,15 +640,15 @@ def test_parse_expression():
 
 def test_parse_obj():
     rel = finrel(3)
-    assert _parse_obj(rel, " 2 ").data == 2
+    assert rel.parse_obj(" 2 ").data == 2
     with pytest.raises(ParseError):
-        _parse_obj(rel, "-1")
+        rel.parse_obj("-1")
     with pytest.raises(ParseError):
-        _parse_obj(rel, "abc")
+        rel.parse_obj("abc")
     ch = z_chain(-5, 5)
-    assert _parse_obj(ch, "-3").data == -3
+    assert ch.parse_obj("-3").data == -3
     pi = product_instance(finrel(2), z_chain(-2, 2))
-    packed = _parse_obj(pi, "1|-2")
+    packed = pi.parse_obj("1|-2")
     assert packed.data == (pi.left.obj(1), pi.right.obj(-2))
     with pytest.raises(ParseError):
-        _parse_obj(pi, "3")
+        pi.parse_obj("3")

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import gc
 import itertools
+import re
 import weakref
 from pathlib import Path
 
@@ -60,8 +60,8 @@ def to_bool(m):
 def test_zero_object_sits_between_terminal_and_initial():
     zw = zero_object(REL)
     assert zw.obj.data == 0
-    assert zw.one_to_zero.dom == REL.terminal.obj
-    assert zw.one_to_zero.cod == REL.initial.obj
+    assert zw.one_to_zero.dom == REL.terminal
+    assert zw.one_to_zero.cod == REL.initial
 
 
 def test_zero_map_is_empty_relation():
@@ -135,7 +135,8 @@ def test_t_inverse_cached():
 
 def test_memo_dies_with_its_instance():
     # every derived result lives in its instance's memo, so nothing the
-    # construction built keeps a dropped instance alive
+    # construction built keeps a dropped instance alive; the memo refers
+    # back to its instance, so only the cyclic collector frees it
     inst = finrel(2)
     a, b = inst.obj(1), inst.obj(2)
     inst.product(a, b)
@@ -251,30 +252,40 @@ def test_no_functools_cache_in_the_package():
     assert found == []
 
 
-def test_structure_cannot_change_under_a_cached_certificate():
-    # t_inverse is cached per object pair; were prod_inv swappable after it
-    # certified, the cached pair would keep vouching for the old distributor
-    inst = finrel(2)
-    ti = t_inverse(inst.obj(1), inst.obj(2))
-    real = inst.distributors
+FIXED_DATA = ("terminal", "initial", "unit")
+FIXED_METHODS = (
+    "product",
+    "coproduct",
+    "bang",
+    "cobang",
+    "tensor_obj",
+    "tensor_mor",
+    "rho",
+    "prod_inv",
+    "coprod_inv",
+    "nullary_prod_inv",
+    "nullary_coprod_inv",
+)
 
-    def rotated_prod_inv(a, b, c):
-        m = real.prod_inv(a, b, c)
-        return inst.mor(m.dom, m.cod, m.payload[1:] + m.payload[:1])
 
-    rotated = dataclasses.replace(real, prod_inv=rotated_prod_inv)
-    for attr, value in (
-        ("distributors", rotated),
-        ("tensor", inst.tensor),
-        ("terminal", None),
-        ("initial", None),
-    ):
-        with pytest.raises(AttributeError, match=f"instance finrel: {attr} is fixed"):
-            setattr(inst, attr, value)
-    with pytest.raises(AttributeError, match="distributors is fixed"):
-        del inst.distributors
-    assert inst.distributors is real
-    assert t_inverse(inst.obj(1), inst.obj(2)) is ti
+@pytest.mark.parametrize("selector", ["finrel", "z-chain", "product:finrel+mat-nat"])
+def test_structure_cannot_change_under_a_cached_certificate(selector):
+    # t_inverse is cached per object pair; were prod_inv (or any other
+    # structure) swappable after it certified, the cached pair would keep
+    # vouching for structure the instance no longer uses
+    inst = resolve(selector, 1 if selector.startswith("product:") else 2)
+    a, b = inst.objects()[-2:]
+    ti = t_inverse(a, b)
+    data = {attr: getattr(inst, attr) for attr in FIXED_DATA}
+    for attr in FIXED_DATA + FIXED_METHODS:
+        fixed = re.escape(f"instance {inst.name}: {attr} is fixed once the instance is built")
+        with pytest.raises(AttributeError, match=fixed):
+            setattr(inst, attr, None)
+        with pytest.raises(AttributeError, match=fixed):
+            delattr(inst, attr)
+    assert {attr: getattr(inst, attr) for attr in FIXED_DATA} == data
+    assert not vars(inst).keys() & set(FIXED_METHODS)
+    assert t_inverse(a, b) is ti
 
 
 def test_witness_methods_cannot_be_shadowed_under_a_cached_certificate(

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -31,7 +30,8 @@ from biprod.instances.semiring import (
     vstack,
 )
 from biprod.kernel import compose, equal, identity
-from biprod.monoidal import DistributorWitnesses, dist_prod, has_nullary
+from biprod.monoidal import dist_prod, has_nullary
+from biprod.structure import ENUM_CAP
 
 
 def test_matmul_handles_empty_inner():
@@ -131,10 +131,13 @@ def test_mat_identity_and_compose_on_empty_dims():
 
 
 def test_mat_enumerate_homset_counts():
-    rel = finrel(3)
+    rel = finrel(4)
     assert len(rel.enumerate_homset(rel.obj(2), rel.obj(2))) == 16
     assert len(rel.enumerate_homset(rel.obj(0), rel.obj(3))) == 1
-    assert rel.enumerate_homset(rel.obj(3), rel.obj(3), cap=511) is None
+    # 3 -> 3 has exactly ENUM_CAP relations, 3 -> 4 has 4096
+    assert ENUM_CAP == 512
+    assert len(rel.enumerate_homset(rel.obj(3), rel.obj(3))) == 512
+    assert rel.enumerate_homset(rel.obj(3), rel.obj(4)) is None
     nat = mat_semiring("mat-nat", 3)
     assert nat.enumerate_homset(nat.obj(1), nat.obj(1)) is None
 
@@ -179,7 +182,7 @@ def test_chain_min_max_structure():
     a, b = ch.obj(-2), ch.obj(3)
     assert ch.product(a, b).apex.data == -2
     assert ch.coproduct(a, b).apex.data == 3
-    assert ch.tensor.on_objects(a, b).data == 1
+    assert ch.tensor_obj(a, b).data == 1
 
 
 def test_chain_objects_window():
@@ -226,9 +229,7 @@ def test_product_instance_nullary_requires_both():
     with_zero = product_instance(finrel(2), mat_semiring("mat-nat", 2))
     without = product_instance(finrel(2), z_chain(-2, 2))
     assert with_zero.terminal is not None
-    assert with_zero.distributors.nullary_prod_inv is not None
     assert without.terminal is None
-    assert without.distributors.nullary_prod_inv is None
     # each piece of structure exists exactly when both components have it
     expect_nullary = {
         "product:finrel+mat-nat": True,
@@ -242,26 +243,29 @@ def test_product_instance_nullary_requires_both():
         for attr in ("terminal", "initial"):
             both = getattr(pi.left, attr) is not None and getattr(pi.right, attr) is not None
             assert (getattr(pi, attr) is not None) is both
-        for field in dataclasses.fields(DistributorWitnesses):
-            ld = getattr(pi.left.distributors, field.name)
-            rd = getattr(pi.right.distributors, field.name)
-            lifted = getattr(pi.distributors, field.name)
-            assert (lifted is None) is (ld is None or rd is None)
+        # the distributors lift always; bang, cobang and the nullary
+        # distributors run only when both components have them
+        x = pi.objects()[-1]
+        assert pi.prod_inv(x, x, x).dom.cat is pi
+        assert pi.coprod_inv(x, x, x).dom.cat is pi
+        for name in ("bang", "cobang", "nullary_prod_inv", "nullary_coprod_inv"):
+            if nullary:
+                assert getattr(pi, name)(x).dom.cat is pi
+            else:
+                with pytest.raises(NotImplementedError):
+                    getattr(pi, name)(x)
 
 
 def test_product_instance_lifts_component_maps():
     pi = resolve("product:finrel+product:mat-nat+finrel", 1)
-    ld, rd = pi.left.distributors, pi.right.distributors
     for a, b, c in itertools.product(pi.objects(), repeat=3):
         la, lb, lc = a.data[0], b.data[0], c.data[0]
         ra, rb, rc = a.data[1], b.data[1], c.data[1]
-        assert pi.distributors.prod_inv(a, b, c) == pi.pack_mor(
-            ld.prod_inv(la, lb, lc), rd.prod_inv(ra, rb, rc)
+        assert pi.prod_inv(a, b, c) == pi.pack_mor(
+            pi.left.prod_inv(la, lb, lc), pi.right.prod_inv(ra, rb, rc)
         )
     for a in pi.objects():
-        assert pi.terminal.bang(a) == pi.pack_mor(
-            pi.left.terminal.bang(a.data[0]), pi.right.terminal.bang(a.data[1])
-        )
+        assert pi.bang(a) == pi.pack_mor(pi.left.bang(a.data[0]), pi.right.bang(a.data[1]))
 
 
 def test_product_instance_inherits_a_broken_component(rotated_rel2):
@@ -273,12 +277,17 @@ def test_product_instance_inherits_a_broken_component(rotated_rel2):
 
 
 def test_product_instance_enumeration_caps():
-    pi = product_instance(finrel(2), finrel(2))
+    pi = product_instance(finrel(3), finrel(2))
     one = pi.pack(pi.left.obj(1), pi.right.obj(1))
     homs = pi.enumerate_homset(one, one)
     assert len(homs) == 4
     two = pi.pack(pi.left.obj(2), pi.right.obj(2))
-    assert pi.enumerate_homset(two, two, cap=255) is None
+    assert len(pi.enumerate_homset(two, two)) == 256
+    # both parts enumerate (64 and 16 maps), their product exceeds ENUM_CAP
+    three_two = pi.pack(pi.left.obj(3), pi.right.obj(2))
+    assert len(pi.left.enumerate_homset(two.data[0], three_two.data[0])) == 64
+    assert len(pi.right.enumerate_homset(two.data[1], three_two.data[1])) == 16
+    assert pi.enumerate_homset(two, three_two) is None
 
 
 def test_resolve_selectors():

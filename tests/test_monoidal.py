@@ -59,7 +59,7 @@ def test_tensor_functorial(ms):
 
 
 def test_rho_is_certified_identity_for_matrices():
-    r = REL.tensor.rho(REL.obj(2))
+    r = REL.rho(REL.obj(2))
     assert r.fwd.payload == ((True, False), (False, True))
     assert check_inverse_pair(r.fwd, r.bwd).passed
 
@@ -109,5 +109,5 @@ def test_chain_has_no_nullary_structure():
 
 def test_chain_rho_certifies():
     ch = z_chain(-2, 2)
-    r = ch.tensor.rho(ch.obj(1))
+    r = ch.rho(ch.obj(1))
     assert r.fwd.dom.data == 1

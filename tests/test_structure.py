@@ -256,10 +256,10 @@ class _Homsets:
         self.homs = homs
         self.enumerated = []
 
-    def enumerate_homset(self, a, b, cap):
+    def enumerate_homset(self, a, b):
         self.enumerated.append((a, b))
         homs = self.homs[a, b]
-        return None if homs is None or len(homs) > cap else list(homs)
+        return None if homs is None or len(homs) > structure.ENUM_CAP else list(homs)
 
     def random_morphism(self, rng, a, b):
         homs = self.homs[a, b]
