@@ -24,10 +24,11 @@ it is built.  The route:
 
 zero_object, zero_map, t_inverse, c_map and the diagonal behind hom_add
 keep their results in the memo of the instance they were built in
-(kernel.per_instance), as do the instances' product and coproduct
-witnesses, so each result lives exactly as long as its instance.  Sums
-are memoized only within one verify_semiadditive call; hom_add itself
-recomputes every sum.
+(kernel.per_instance), as do monoidal's certified distributors dist_prod
+and dist_coprod and the instances' product and coproduct witnesses, so
+each result lives exactly as long as its instance.  Sums are memoized
+only within one verify_semiadditive call; hom_add itself recomputes
+every sum.
 """
 from __future__ import annotations
 

@@ -9,6 +9,12 @@ certifies with CheckResult.require(), which raises WitnessInvalid on the
 first failed equation; CheckResult.from_error() folds a raised error back
 into a failed result.  An InversePair keeps its certificate as equations.
 per_instance memoizes a function of an instance in that instance's memo.
+
+Memoized certificates keep many of these records alive, so they are kept
+small: every record here is slotted (no per-record __dict__), Category.obj
+interns objects (equal data gives the category's one Obj), and a passing
+equation keeps its right side as both sides, freeing the computed left
+side it equals.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from typing import Any, Iterable, NamedTuple
 from .errors import CategoryError, DomainMismatch, WitnessInvalid
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Obj:
     cat: "Category"
     data: Any
@@ -28,7 +34,7 @@ class Obj:
         return self.cat.format_obj(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Mor:
     dom: Obj
     cod: Obj
@@ -43,6 +49,7 @@ class Category:
 
     def __init__(self, name: str = "category"):
         self.name = name
+        self._objs: dict = {}  # data -> its one Obj; see obj
 
     # payload hooks
 
@@ -67,7 +74,11 @@ class Category:
     # builders
 
     def obj(self, data: Any) -> Obj:
-        return Obj(self, data)
+        """The object with this data: one Obj per data, interned in the category."""
+        a = self._objs.get(data)
+        if a is None:
+            a = self._objs[data] = Obj(self, data)
+        return a
 
     def mor(self, dom: Obj, cod: Obj, payload: Any) -> Mor:
         if dom.cat is not self or cod.cat is not self:
@@ -96,7 +107,7 @@ def equal(f: Mor, g: Mor) -> bool:
     return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquationCheck:
     label: str
     lhs: Mor | None
@@ -108,7 +119,7 @@ class EquationCheck:
         return f"{self.label} ({self.note})" if self.note else self.label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     details: tuple[EquationCheck, ...]
@@ -156,7 +167,8 @@ def equation(label: str, lhs: Mor, rhs: Mor) -> EquationCheck:
         )
         return EquationCheck(label, lhs, rhs, False, note)
     if lhs.payload == rhs.payload:
-        return EquationCheck(label, lhs, rhs, True)
+        # equal sides: keep one, so the freshly computed lhs can be freed
+        return EquationCheck(label, rhs, rhs, True)
     note = cat.first_difference(lhs, rhs) or "payloads differ"
     return EquationCheck(label, lhs, rhs, False, note)
 
@@ -181,7 +193,7 @@ def check_inverse_pair(fwd: Mor, bwd: Mor, name: str = "inverse pair") -> CheckR
     return CheckResult(name, details)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InversePair:
     """A certified isomorphism: both composites were checked at build time."""
 

@@ -20,14 +20,15 @@ maps always exist, and the instance supplies their inverses as methods:
 
 The nullary ones, with bang and cobang, exist exactly when the instance
 has terminal and initial objects (its terminal and initial attributes
-are not None).  dist_prod and dist_coprod certify both round trips
-before handing the isomorphism out, so a wrong witness fails loudly at
-the point of use.
+are not None).  dist_prod and dist_coprod certify both round trips once
+per instance and keep the certified isomorphism in the instance's memo
+(kernel.per_instance), so y_map reuses one certificate per object
+triple.  A wrong witness stores nothing and fails loudly at every use.
 """
 from __future__ import annotations
 
 from .errors import NoNullaryStructure
-from .kernel import InversePair, Mor, Obj, identity
+from .kernel import InversePair, Mor, Obj, identity, per_instance
 from .structure import copair, pair
 
 
@@ -39,6 +40,7 @@ def tensor(f: Mor, g: Mor) -> Mor:
     return f.dom.cat.tensor_mor(f, g)
 
 
+@per_instance
 def dist_prod(a: Obj, b: Obj, c: Obj) -> InversePair:
     """Certified iso a@(b x c) -> (a@b) x (a@c), canonical map forward."""
     cat = a.cat
@@ -50,6 +52,7 @@ def dist_prod(a: Obj, b: Obj, c: Obj) -> InversePair:
     return InversePair.certify(fwd, bwd, context=ctx)
 
 
+@per_instance
 def dist_coprod(a: Obj, b: Obj, c: Obj) -> InversePair:
     """Certified iso (a@c) + (b@c) -> (a+b)@c, canonical map forward."""
     cat = a.cat

@@ -39,7 +39,7 @@ ENUM_CAP = 512
 PROBE_SAMPLES = 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ProductWitness:
     left: Obj
     right: Obj
@@ -49,7 +49,7 @@ class ProductWitness:
     mediate: Callable[[Mor, Mor], Mor]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CoproductWitness:
     left: Obj
     right: Obj
@@ -125,7 +125,7 @@ def plus_map(f: Mor, g: Mor) -> Mor:
     return copair(cd, compose(cc.in1, f), compose(cc.in2, g))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat2:
     """Components of a morphism from a binary coproduct into a binary product.
 

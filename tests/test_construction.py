@@ -228,7 +228,8 @@ def test_sums_are_memoized_per_call_only(monkeypatch):
     memoized = {key[0].__name__ for key in inst.memo}
     assert "hom_add" not in memoized
     assert memoized <= {
-        "zero_object", "zero_map", "t_inverse", "c_map", "_diagonal", "product", "coproduct"
+        "zero_object", "zero_map", "t_inverse", "c_map", "_diagonal", "product", "coproduct",
+        "dist_prod", "dist_coprod",
     }
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biprod.errors import DomainMismatch, WitnessInvalid
-from biprod.instances import finrel, mat_semiring
+from biprod.instances import finrel, mat_semiring, resolve
 from biprod.kernel import (
     CheckResult,
     InversePair,
@@ -106,6 +106,53 @@ def test_equation_notes_type_mismatch():
     chk = equation("f=g", f, g)
     assert not chk.ok
     assert "type mismatch" in chk.note
+
+
+def test_equation_keeps_one_side_when_they_agree():
+    a = REL.obj(2)
+    swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
+    lhs, rhs = compose(swap, swap), identity(a)
+    chk = equation("swap*swap=id", lhs, rhs)
+    assert chk.ok and chk.note == ""
+    # the sides equal the computed ones; the two share one record
+    assert equal(chk.lhs, lhs) and equal(chk.rhs, rhs)
+    assert chk.lhs is chk.rhs
+
+
+def test_failing_equation_keeps_both_sides():
+    a = REL.obj(2)
+    f = REL.mor(a, a, bmat((1, 0), (0, 1)))
+    g = REL.mor(a, a, bmat((1, 0), (1, 1)))
+    chk = equation("f=g", f, g)
+    assert not chk.ok
+    assert chk.lhs is f and chk.rhs is g
+    assert not equal(chk.lhs, chk.rhs)
+    assert chk.note == "entry (2,1): 0 vs 1"
+
+
+@pytest.mark.parametrize("selector", ["finrel", "z-chain", "product:finrel+mat-nat"])
+def test_objects_are_interned(selector):
+    inst = resolve(selector, 1 if selector.startswith("product:") else 2)
+    for x in inst.objects():
+        assert inst.obj(x.data) is x
+        assert inst.obj(x.data) is inst.obj(x.data)
+        assert inst.tensor_obj(x, x) is inst.obj(inst.tensor_obj(x, x).data)
+
+
+def test_packed_objects_are_interned():
+    inst = resolve("product:finrel+mat-nat", 1)
+    one, zero = inst.left.obj(1), inst.right.obj(0)
+    assert inst.pack(one, zero) is inst.pack(one, zero)
+    assert inst.pack(one, zero) is inst.obj((inst.left.obj(1), inst.right.obj(0)))
+    assert inst.parse_obj("1|0") is inst.pack(one, zero)
+
+
+def test_kernel_records_have_no_instance_dict():
+    a = REL.obj(2)
+    swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
+    pair = InversePair.certify(swap, swap)
+    for record in (a, swap, pair.equations.details[0], pair):
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_check_result_reporting():

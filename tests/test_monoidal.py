@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biprod.cli import STAGES, CheckRecord, _guard
+from biprod.construction import y_map
 from biprod.errors import NoNullaryStructure, WitnessInvalid
-from biprod.instances import finrel, mat_semiring, z_chain
-from biprod.kernel import check_inverse_pair, compose, equal
+from biprod.instances import finrel, mat_semiring, resolve, z_chain
+from biprod.kernel import InversePair, check_inverse_pair, compose, equal
 from biprod.monoidal import (
     dist_coprod,
     dist_prod,
@@ -88,6 +93,58 @@ def test_dist_prod_rejects_broken_witness(rotated_rel2):
     with pytest.raises(WitnessInvalid) as err:
         dist_prod(broken.obj(1), broken.obj(1), broken.obj(2))
     assert "dist_prod" in str(err.value)
+
+
+@pytest.mark.parametrize("selector", ["finrel", "z-chain", "product:finrel+mat-nat"])
+def test_distributors_are_certified_once_per_instance(selector):
+    inst = resolve(selector, 1 if selector.startswith("product:") else 2)
+    objs = inst.objects()[-2:]
+    for a, b, c in itertools.product(objs, repeat=3):
+        assert dist_prod(a, b, c) is dist_prod(a, b, c)
+        assert dist_coprod(a, b, c) is dist_coprod(a, b, c)
+    # one entry per object triple
+    memoized = [key[0].__name__ for key in inst.memo]
+    assert memoized.count("dist_prod") == memoized.count("dist_coprod") == 8
+
+
+def test_second_y_map_certifies_no_distributor(monkeypatch):
+    real = InversePair.__dict__["certify"].__func__
+    contexts = []
+
+    def counted(cls, fwd, bwd, context=""):
+        contexts.append(context)
+        return real(cls, fwd, bwd, context)
+
+    monkeypatch.setattr(InversePair, "certify", classmethod(counted))
+    inst = finrel(2)
+    quad = (inst.obj(1), inst.obj(2), inst.obj(1), inst.obj(2))
+    first = y_map(*quad)
+    kinds = sorted(c.split("(")[0] for c in contexts)
+    assert kinds == ["dist_coprod"] * 3 + ["dist_prod"] * 3 + ["y"]
+    del contexts[:]
+    assert y_map(*quad) == first
+    assert contexts == ["y(1,2,1,2)"]
+
+
+def test_broken_distributor_fails_at_every_use(rotated_rel2):
+    broken = rotated_rel2
+    a, b = broken.obj(1), broken.obj(2)
+    for _ in range(2):
+        with pytest.raises(WitnessInvalid, match=re.escape("dist_prod(1,1,2): bwd*fwd=id")):
+            dist_prod(a, a, b)
+    stages = {s.name: s for s in STAGES}
+    checks = []
+    for _ in range(2):
+        for stage, names in (("dist-prod", "112"), ("interchange", "1122")):
+            objs = tuple(broken.obj(int(n)) for n in names)
+            _guard(checks, stage, tuple(names), lambda: stages[stage].check(None, *objs))
+    assert checks == [
+        CheckRecord("dist-prod", ("1", "1", "2"), False,
+                    "dist_prod(1,1,2): bwd*fwd=id (entry (1,1): 0 vs 1)"),
+        CheckRecord("interchange", ("1", "1", "2", "2"), False,
+                    "dist_prod(1,2,2): bwd*fwd=id (entry (1,1): 0 vs 1)"),
+    ] * 2
+    assert "dist_prod" not in {key[0].__name__ for key in broken.memo}
 
 
 def test_nullary_distributors_certify():
