@@ -4,6 +4,12 @@ Matrices are immutable so they can sit inside morphism payloads: a
 morphism with r-dimensional codomain and c-dimensional domain carries an
 r-tuple of c-tuples.  Dimension zero is taken seriously: a 0 x c matrix
 is the empty tuple and an r x 0 matrix is r empty rows.
+
+matmul is row-sparse (Gustavson, ACM TOMS 4(3), 1978): the structural
+matrices the construction multiplies are nearly all zeros, so it multiplies
+only nonzero entries, summing each output entry's terms in ascending inner
+index from the semiring's zero; results are the dense product's, in value
+and in type.
 """
 from __future__ import annotations
 
@@ -20,24 +26,10 @@ class Semiring:
     one: Any
     add: Callable[[Any, Any], Any]
     mul: Callable[[Any, Any], Any]
-    dot: Callable[[Sequence, Sequence], Any]
     sample: Callable[[random.Random], Any]
     # finite list of all elements, or None when there are infinitely many
     carrier: tuple | None = None
     render: Callable[[Any], str] = str
-
-
-def _bool_dot(xs: Sequence, ys: Sequence) -> bool:
-    return any(x and y for x, y in zip(xs, ys))
-
-
-# the dots skip zero terms: structural matrices are mostly zeros
-def _int_dot(xs: Sequence, ys: Sequence) -> int:
-    return sum(x * y for x, y in zip(xs, ys) if x and y)
-
-
-def _frac_dot(xs: Sequence, ys: Sequence) -> Fraction:
-    return sum((x * y for x, y in zip(xs, ys) if x and y), Fraction(0))
 
 
 BOOLEANS = Semiring(
@@ -46,7 +38,6 @@ BOOLEANS = Semiring(
     one=True,
     add=lambda x, y: x or y,
     mul=lambda x, y: x and y,
-    dot=_bool_dot,
     sample=lambda rng: rng.random() < 0.5,
     carrier=(False, True),
     render=lambda v: "1" if v else "0",
@@ -58,7 +49,6 @@ NATURALS = Semiring(
     one=1,
     add=lambda x, y: x + y,
     mul=lambda x, y: x * y,
-    dot=_int_dot,
     sample=lambda rng: rng.randint(0, 5),
 )
 
@@ -68,7 +58,6 @@ RATIONALS = Semiring(
     one=Fraction(1),
     add=lambda x, y: x + y,
     mul=lambda x, y: x * y,
-    dot=_frac_dot,
     sample=lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
 )
 
@@ -87,8 +76,17 @@ def matmul(sr: Semiring, a: tuple, b: tuple, inner: int, cols: int) -> tuple:
     """a @ b where a is len(a) x inner and b is inner x cols."""
     if inner == 0:
         return zero_matrix(sr, len(a), cols)
-    bt = tuple(zip(*b))
-    return tuple(tuple(sr.dot(row, col) for col in bt) for row in a)
+    add, mul, zero = sr.add, sr.mul, sr.zero
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * cols
+        for x, entries in zip(row, b_nonzero):
+            if x:
+                for j, y in entries:
+                    acc[j] = add(acc[j], mul(x, y))
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def matrix_add(sr: Semiring, a: tuple, b: tuple) -> tuple:

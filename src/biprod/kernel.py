@@ -2,13 +2,15 @@
 
 A Category subclass supplies payload-level behaviour (how identities look,
 how payloads compose, how to print things).  Objects and morphisms are
-plain frozen records; two morphisms are equal exactly when their domain,
-codomain, and payload are equal.  Verification code never asserts; it
-returns CheckResult values that list every equation tried.  A builder
-certifies with CheckResult.require(), which raises WitnessInvalid on the
-first failed equation; CheckResult.from_error() folds a raised error back
-into a failed result.  An InversePair keeps its certificate as equations.
-per_instance memoizes a function of an instance in that instance's memo.
+plain frozen records.  Objects compare by identity: Category.obj interns
+them by data, so build them only with cat.obj or parse_obj, never Obj(...).
+Two morphisms are equal exactly when their domain, codomain, and payload
+are equal.  Verification code never asserts; it returns CheckResult values
+that list every equation tried.  A builder certifies with
+CheckResult.require(), which raises WitnessInvalid on the first failed
+equation; CheckResult.from_error() folds a raised error back into a failed
+result.  An InversePair keeps its certificate as equations.  per_instance
+memoizes a function of an instance in that instance's memo.
 
 Memoized certificates keep many of these records alive, so they are kept
 small: every record here is slotted (no per-record __dict__), Category.obj
@@ -25,7 +27,7 @@ from typing import Any, Iterable, NamedTuple
 from .errors import CategoryError, DomainMismatch, WitnessInvalid
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(frozen=True, repr=False, eq=False, slots=True)
 class Obj:
     cat: "Category"
     data: Any

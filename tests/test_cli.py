@@ -574,6 +574,42 @@ def test_benchmark_tracer_attaches():
     assert out["snapshot"]["spans"]["instances.product.pack_mor"][0] > 0
 
 
+def test_json_report_is_the_same_across_hash_seeds():
+    # objects hash by address, so a report that leaned on set or hash order
+    # would differ between processes; str hashing varies with PYTHONHASHSEED
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "biprod", "verify", "--instance", "product:finrel+z-chain"]
+    argv += ["--max-size", "1", "--max-quad", "1", "--report", "json"]
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=300)
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1  # z-chain lacks nullary structure by design
+    assert json.loads(runs[0][1])["summary"]["failed"] == 7
+
+
+# (instance, max size, expression) -> sha256 of stdout, captured before the
+# row-sparse matmul and identity-compared objects
+PINNED_SHOWS = {
+    ("mat-rat", "4", "star(2,2,2,2)"): "9d713b86330f3e2b49350e88db5892514b47d571827b82f3f0dafc2c050dcfa0",
+    ("mat-rat", "4", "c(4,4)"): "27274c1bf19d015eca09cabeedb52556e4bcd59219a4d0843c35de0694209c7b",
+    ("mat-rat", "4", "t(4,3)"): "a7418c1e87e1a660573d950349155d7662c7d69be8cc77f6acfdea6286e2e80f",
+    ("mat-rat", "4", "e'(4,4)"): "47fe7bf8ebe95ab1025212cba276f039c82226864a10360b99800063bc32f74b",
+    ("mat-rat", "4", "zero(4,3)"): "67dfc7a0359479d9cfd747e0356ae2dc430b8c15f7fbd1dce3bfa86d39f26ca0",
+    ("product:finrel+mat-nat", "2", "star(1|1,1|0,0|1,1|1)"):
+        "27b8e9129e3dc9adc2b157ac4129c622fa21b7eb5951f8f17b4b12338b922500",
+}
+
+
+@pytest.mark.parametrize("instance, size, expr", sorted(PINNED_SHOWS))
+def test_show_outputs_are_pinned(capsys, instance, size, expr):
+    assert main(["show", expr, "--instance", instance, "--max-size", size]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHOWS[instance, size, expr]
+
+
 def test_show_prints_frozen_interleaving(capsys):
     assert main(["show", "t(1,1)"]) == 0
     out = capsys.readouterr().out

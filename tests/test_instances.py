@@ -28,6 +28,7 @@ from biprod.instances.semiring import (
     kronecker,
     matmul,
     vstack,
+    zero_matrix,
 )
 from biprod.kernel import compose, equal, identity
 from biprod.monoidal import dist_prod, has_nullary
@@ -69,8 +70,10 @@ def test_inverse_permutation_matrix():
 
 def test_rational_arithmetic_is_exact():
     assert RATIONALS.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
-    assert RATIONALS.dot((Fraction(1, 2),), (Fraction(1, 3),)) == Fraction(1, 6)
-    assert RATIONALS.dot((), ()) == Fraction(0)
+    # a 1 x n by n x 1 product is a dot product
+    half, third = ((Fraction(1, 2),),), ((Fraction(1, 3),),)
+    assert matmul(RATIONALS, half, third, inner=1, cols=1) == ((Fraction(1, 6),),)
+    assert matmul(RATIONALS, ((),), (), inner=0, cols=1) == ((Fraction(0),),)
 
 
 # mostly zeros, as in the structural matrices the construction multiplies
@@ -96,15 +99,27 @@ def test_dot_skipping_zeros_equals_the_naive_sum(kind, data):
     n = data.draw(st.integers(0, 8))
     xs = data.draw(st.lists(entries, min_size=n, max_size=n))
     ys = data.draw(st.lists(entries, min_size=n, max_size=n))
-    got, want = sr.dot(xs, ys), naive(xs, ys)
+    # the dot product of xs and ys is the 1 x n by n x 1 matmul
+    ((got,),) = matmul(sr, (tuple(xs),), tuple((y,) for y in ys), inner=n, cols=1)
+    want = naive(xs, ys)
     assert got == want
     assert type(got) is type(want)
+
+
+def assert_matmul_is_naive(sr, naive, a, b, inner, cols):
+    """matmul(sr, a, b, inner, cols) equals the dense product, entry by entry and in type."""
+    got = matmul(sr, a, b, inner=inner, cols=cols)
+    # with inner == 0 every column is empty, and the naive dot gives zero
+    b_cols = [tuple(row[j] for row in b) for j in range(cols)]
+    want = tuple(tuple(naive(row, col) for col in b_cols) for row in a)
+    assert got == want
+    assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     kind=st.sampled_from(sorted(NAIVE_DOTS)),
-    shape=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
     data=st.data(),
 )
 def test_matmul_equals_the_naive_product(kind, shape, data):
@@ -112,12 +127,32 @@ def test_matmul_equals_the_naive_product(kind, shape, data):
     rows, inner, cols = shape
     a = tuple(tuple(data.draw(entries) for _ in range(inner)) for _ in range(rows))
     b = tuple(tuple(data.draw(entries) for _ in range(cols)) for _ in range(inner))
-    got = matmul(sr, a, b, inner=inner, cols=cols)
-    # with inner == 0 every column is empty, and the naive dot gives zero
-    b_cols = [tuple(row[j] for row in b) for j in range(cols)]
-    want = tuple(tuple(naive(row, col) for col in b_cols) for row in a)
-    assert got == want
-    assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
+    assert_matmul_is_naive(sr, naive, a, b, inner, cols)
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(sorted(NAIVE_DOTS)), data=st.data())
+def test_matmul_with_structural_factors_equals_the_naive_product(kind, data):
+    # permutations and identity and zero blocks: the factors the construction multiplies
+    sr, entries, naive = NAIVE_DOTS[kind]
+    k, n, m = (data.draw(st.integers(0, 3)) for _ in range(3))
+    perm = inverse_permutation_matrix(sr, data.draw(st.permutations(range(n))))
+    proj = hstack(identity_matrix(sr, k), zero_matrix(sr, k, n))  # (k+n) -> k
+    inj = vstack(identity_matrix(sr, k), zero_matrix(sr, n, k))  # k -> (k+n)
+    block = vstack(proj, hstack(zero_matrix(sr, n, k), perm))  # I_k (+) perm
+    x = tuple(tuple(data.draw(entries) for _ in range(m)) for _ in range(k + n))
+    y = tuple(tuple(data.draw(entries) for _ in range(k + n)) for _ in range(m))
+    for a, b, inner, cols in (
+        (perm, perm, n, n),
+        (block, x, k + n, m),
+        (y, block, k + n, k + n),
+        (proj, block, k + n, k + n),
+        (block, inj, k + n, k),
+        (inj, proj, k, k + n),
+        (zero_matrix(sr, m, k + n), x, k + n, m),
+        (y, zero_matrix(sr, k + n, k), k + n, k),
+    ):
+        assert_matmul_is_naive(sr, naive, a, b, inner, cols)
 
 
 def test_mat_identity_and_compose_on_empty_dims():

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biprod import kernel
 from biprod.errors import DomainMismatch, WitnessInvalid
 from biprod.instances import finrel, mat_semiring, resolve
 from biprod.kernel import (
     CheckResult,
     InversePair,
+    Obj,
     check_inverse_pair,
     compose,
     equal,
@@ -145,6 +149,43 @@ def test_packed_objects_are_interned():
     assert inst.pack(one, zero) is inst.pack(one, zero)
     assert inst.pack(one, zero) is inst.obj((inst.left.obj(1), inst.right.obj(0)))
     assert inst.parse_obj("1|0") is inst.pack(one, zero)
+
+
+def test_objects_compare_by_identity():
+    # interning gives equal data one Obj, so object's own eq and hash decide
+    assert Obj.__eq__ is object.__eq__
+    assert Obj.__hash__ is object.__hash__
+    assert REL.obj(2) == REL.obj(2)
+    assert finrel(3).obj(2) != REL.obj(2)
+
+
+def test_objects_are_built_only_by_category_obj():
+    # identity equality is sound only while every Obj comes from the interning
+    # Category.obj, so no other code in the package may call Obj(...)
+    found, allowed_calls = [], 0
+    for path in sorted(Path(kernel.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside_obj = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "Category"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "obj"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name != "Obj":
+                continue
+            if id(node) in inside_obj:
+                allowed_calls += 1
+            else:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert allowed_calls == 1
 
 
 def test_kernel_records_have_no_instance_dict():
