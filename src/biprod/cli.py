@@ -360,7 +360,7 @@ def _run_show(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biprod",
         description="verify biproduct structure on finite category instances",
@@ -382,7 +382,16 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("expression", help="e.g. 't(1,2)', 'star(1,1,2,2)', 'zero(2,3)'")
     s.add_argument("--instance", default="finrel")
     s.add_argument("--max-size", type=int, default=3)
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once at import: parse_args keeps no state between calls, so a
+# request pays only for parsing its own arguments.
+PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = PARSER.parse_args(argv)
     try:
         if args.command == "verify":
             config = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})

@@ -10,6 +10,20 @@ matrices the construction multiplies are nearly all zeros, so it multiplies
 only nonzero entries, summing each output entry's terms in ascending inner
 index from the semiring's zero; results are the dense product's, in value
 and in type.
+
+Those structural matrices (identities, injections, projections, zero maps,
+permutations) hold the semiring's own zero and one objects, so matmul and
+kronecker recognise them by identity and use only laws every semiring has:
+
+    0 + v = v,   1 * v = v * 1 = v,   0 * v = v * 0 = 0.
+
+An entry that *is* sr.zero is skipped, and one that *is* sr.one kept,
+without calling sr.nonzero; a factor that *is* sr.one gives the other
+factor without sr.mul; a sum that still *is* sr.zero takes its first term
+without sr.add.  Every other entry, even one equal to zero or one, goes
+through nonzero, mul and add.  As identity implies equality, the results
+are the dense product's, in value and in type, for entries of the
+carrier's own type.
 """
 from __future__ import annotations
 
@@ -21,6 +35,17 @@ from typing import Any, Callable, Sequence
 
 @dataclass(frozen=True, eq=False)
 class Semiring:
+    """A commutative semiring (add, mul, zero, one) on Python values.
+
+    matmul and kronecker apply its laws 0 + v = v, 1 * v = v and
+    0 * v = 0 to the zero and one objects themselves, and skip an entry
+    when nonzero(entry) is False, which must hold exactly when the entry
+    equals zero.  nonzero defaults to comparing with zero; a carrier whose
+    only falsy value is its zero (bool, int, Fraction) may pass the faster
+    bool.  zero need not be falsy: in the tropical semiring zero is inf
+    and one is 0.
+    """
+
     name: str
     zero: Any
     one: Any
@@ -30,6 +55,12 @@ class Semiring:
     # finite list of all elements, or None when there are infinitely many
     carrier: tuple | None = None
     render: Callable[[Any], str] = str
+    nonzero: Callable[[Any], bool] | None = None
+
+    def __post_init__(self) -> None:
+        if self.nonzero is None:
+            zero = self.zero
+            object.__setattr__(self, "nonzero", lambda v: v != zero)
 
 
 BOOLEANS = Semiring(
@@ -41,6 +72,7 @@ BOOLEANS = Semiring(
     sample=lambda rng: rng.random() < 0.5,
     carrier=(False, True),
     render=lambda v: "1" if v else "0",
+    nonzero=bool,
 )
 
 NATURALS = Semiring(
@@ -50,6 +82,7 @@ NATURALS = Semiring(
     add=lambda x, y: x + y,
     mul=lambda x, y: x * y,
     sample=lambda rng: rng.randint(0, 5),
+    nonzero=bool,
 )
 
 RATIONALS = Semiring(
@@ -59,6 +92,7 @@ RATIONALS = Semiring(
     add=lambda x, y: x + y,
     mul=lambda x, y: x * y,
     sample=lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
+    nonzero=bool,
 )
 
 
@@ -76,15 +110,30 @@ def matmul(sr: Semiring, a: tuple, b: tuple, inner: int, cols: int) -> tuple:
     """a @ b where a is len(a) x inner and b is inner x cols."""
     if inner == 0:
         return zero_matrix(sr, len(a), cols)
-    add, mul, zero = sr.add, sr.mul, sr.zero
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    add, mul, zero, one, nonzero = sr.add, sr.mul, sr.zero, sr.one, sr.nonzero
+    # plain loops: a comprehension closing over zero, one and nonzero would
+    # turn them into cell variables, which costs more than it saves on the
+    # tiny products most calls make (before Python 3.12 inlines comprehensions)
+    b_nonzero = []
+    for row in b:
+        entries = []
+        for j, y in enumerate(row):
+            if y is one or y is not zero and nonzero(y):
+                entries.append((j, y))
+        b_nonzero.append(entries)
     out = []
     for row in a:
         acc = [zero] * cols
         for x, entries in zip(row, b_nonzero):
-            if x:
+            if x is one:
                 for j, y in entries:
-                    acc[j] = add(acc[j], mul(x, y))
+                    sum_ = acc[j]
+                    acc[j] = y if sum_ is zero else add(sum_, y)
+            elif x is not zero and nonzero(x):
+                for j, y in entries:
+                    term = x if y is one else mul(x, y)
+                    sum_ = acc[j]
+                    acc[j] = term if sum_ is zero else add(sum_, term)
         out.append(tuple(acc))
     return tuple(out)
 
@@ -113,8 +162,15 @@ def kronecker(
     b_cols: int,
 ) -> tuple:
     """Tensor of matrices: row (i,k) maps to i*b_rows+k, column (j,l) to j*b_cols+l."""
+    mul, zero, one = sr.mul, sr.zero, sr.one
+
+    def times(x, y):
+        if x is zero or y is zero:
+            return zero
+        return y if x is one else x if y is one else mul(x, y)
+
     return tuple(
-        tuple(sr.mul(a[i][j], b[k][l]) for j in range(a_cols) for l in range(b_cols))
+        tuple(times(a[i][j], b[k][l]) for j in range(a_cols) for l in range(b_cols))
         for i in range(a_rows)
         for k in range(b_rows)
     )

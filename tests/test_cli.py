@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -661,6 +663,66 @@ def test_show_failure_modes(capsys):
     assert "object 5 is outside z-chain's objects -3..3" in err
     assert "object 2 is outside finrel's objects 0..1" in err
     assert "max size must be at most 16, got 17" in err
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses arguments this way
+        return exc.code
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for argv in (["show", "t(1,1)"], ["show"], ["verify", "--max-size", "1"], ["show", "zero(1,2)"]):
+        _exit_code(argv)
+    assert built == []
+    # the counter sees a build: the parser and its two subcommands
+    cli._build_parser()
+    assert len(built) == 3
+
+
+# a show refused by the parser, one refused by its bounds, a valid show and
+# verify with every default: a leaked argument would show in the next echo
+IN_TURN = (
+    ["show"],
+    ["show", "t(1,1)", "--instance", "mat-rat", "--max-size", "99"],
+    ["show", "zero(1,2)"],
+    ["verify"],
+)
+
+
+def test_calls_in_turn_match_calls_alone(monkeypatch, capsys):
+    # the usage text wraps at the terminal width, so fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
+
+    def timeless(out):
+        return re.sub(r" in \d+ ms$", " in _ ms", out, flags=re.M)
+
+    alone = []
+    for argv in IN_TURN:
+        proc = subprocess.run(
+            [sys.executable, "-m", "biprod", *argv],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        alone.append((proc.returncode, timeless(proc.stdout), proc.stderr))
+    in_turn = []
+    for argv in IN_TURN:
+        code = _exit_code(argv)
+        out, err = capsys.readouterr()
+        in_turn.append((code, timeless(out), err))
+    assert in_turn == alone
+    assert [code for code, _, _ in alone] == [2, 2, 0, 0]
+    assert "instance=finrel max_size=2 max_quad=2 samples=25 seed=0" in alone[3][1]
 
 
 def test_parse_expression():

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biprod import cli
+from biprod.construction import hom_add
 from biprod.errors import DomainMismatch, UnknownInstance, WitnessInvalid
 from biprod.instances import (
     BOOLEANS,
@@ -22,6 +26,7 @@ from biprod.instances import (
     z_chain,
 )
 from biprod.instances.semiring import (
+    Semiring,
     hstack,
     identity_matrix,
     inverse_permutation_matrix,
@@ -76,10 +81,33 @@ def test_rational_arithmetic_is_exact():
     assert matmul(RATIONALS, ((),), (), inner=0, cols=1) == ((Fraction(0),),)
 
 
-# mostly zeros, as in the structural matrices the construction multiplies
-NAT_ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(0, 5))
+# The tropical semiring (min, +) on the naturals and infinity: its zero, inf,
+# is truthy and its one, 0, is falsy, so only the semiring can say which
+# entries are zero.
+MIN_PLUS = Semiring(
+    name="min-plus",
+    zero=math.inf,
+    one=0,
+    add=min,
+    mul=lambda x, y: x + y,
+    sample=lambda rng: rng.choice((math.inf, 0, 1, 2, 3)),
+)
+
+# Mostly zeros and ones, as in the structural matrices the construction
+# multiplies.  The semiring's own zero and one objects take matmul's and
+# kronecker's identity shortcuts; equal values that are other objects (a
+# fresh Fraction, float("inf"), 0.0) must take the general path.  Python
+# interns the int and bool zeros and ones, so nat and bool have no others.
+NAT_ENTRIES = st.one_of(st.just(0), st.just(0), st.just(1), st.integers(0, 5))
 RAT_ENTRIES = st.one_of(
-    st.just(Fraction(0)), st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=5)
+    st.just(RATIONALS.zero),
+    st.builds(Fraction, st.just(0)),
+    st.just(RATIONALS.one),
+    st.builds(Fraction, st.just(1)),
+    st.fractions(-5, 5, max_denominator=5),
+)
+MIN_PLUS_ENTRIES = st.one_of(
+    st.just(math.inf), st.just(float("inf")), st.just(0), st.just(0.0), st.integers(0, 5)
 )
 NAIVE_DOTS = {
     "nat": (NATURALS, NAT_ENTRIES, lambda xs, ys: sum(x * y for x, y in zip(xs, ys))),
@@ -89,7 +117,25 @@ NAIVE_DOTS = {
         lambda xs, ys: sum((x * y for x, y in zip(xs, ys)), Fraction(0)),
     ),
     "bool": (BOOLEANS, st.booleans(), lambda xs, ys: any(x and y for x, y in zip(xs, ys))),
+    "min-plus": (
+        MIN_PLUS,
+        MIN_PLUS_ENTRIES,
+        lambda xs, ys: min((x + y for x, y in zip(xs, ys)), default=math.inf),
+    ),
 }
+
+
+def test_semirings_decide_what_is_zero():
+    for sr in (BOOLEANS, NATURALS, RATIONALS):
+        assert sr.nonzero is bool
+    # the default compares with zero, not with Python truthiness
+    assert MIN_PLUS.nonzero(math.inf) is False
+    assert MIN_PLUS.nonzero(float("inf")) is False
+    assert MIN_PLUS.nonzero(0) is True
+    # the identity matrix over min-plus is a left and right unit
+    f = ((3, math.inf), (0, 1), (math.inf, 2))
+    assert matmul(MIN_PLUS, identity_matrix(MIN_PLUS, 3), f, inner=3, cols=2) == f
+    assert matmul(MIN_PLUS, f, identity_matrix(MIN_PLUS, 2), inner=2, cols=2) == f
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,6 +199,80 @@ def test_matmul_with_structural_factors_equals_the_naive_product(kind, data):
         (y, zero_matrix(sr, k + n, k), k + n, k),
     ):
         assert_matmul_is_naive(sr, naive, a, b, inner, cols)
+
+
+def assert_kronecker_is_naive(sr, naive, a, b, shape):
+    """kronecker(sr, a, b, *shape) equals its definition, entry by entry and in type."""
+    a_rows, a_cols, b_rows, b_cols = shape
+    got = kronecker(sr, a, b, *shape)
+    # entry ((i,k),(j,l)) is a[i][j] * b[k][l], the one-term dot product
+    want = tuple(
+        tuple(
+            naive((a[i][j],), (b[k][l],)) for j in range(a_cols) for l in range(b_cols)
+        )
+        for i in range(a_rows)
+        for k in range(b_rows)
+    )
+    assert got == want
+    assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(NAIVE_DOTS)),
+    shape=st.tuples(*(st.integers(0, 3) for _ in range(4))),
+    data=st.data(),
+)
+def test_kronecker_equals_the_naive_definition(kind, shape, data):
+    sr, entries, naive = NAIVE_DOTS[kind]
+    a_rows, a_cols, b_rows, b_cols = shape
+    a = tuple(tuple(data.draw(entries) for _ in range(a_cols)) for _ in range(a_rows))
+    b = tuple(tuple(data.draw(entries) for _ in range(b_cols)) for _ in range(b_rows))
+    assert_kronecker_is_naive(sr, naive, a, b, shape)
+    # the structural factors tensor_mor sees: identities and zero maps
+    n = data.draw(st.integers(0, 3))
+    for s in (identity_matrix(sr, n), zero_matrix(sr, n, n)):
+        assert_kronecker_is_naive(sr, naive, s, b, (n, n, b_rows, b_cols))
+        assert_kronecker_is_naive(sr, naive, a, s, (a_rows, a_cols, n, n))
+
+
+# per semiring, entries other than its own zero and one objects: values
+# equal to zero or one that are other objects, then a value equal to neither
+OTHER_ENTRIES = {
+    "nat": (2,),
+    "rat": (Fraction(0), Fraction(1), Fraction(-3, 2)),
+    "bool": (),
+    "min-plus": (float("inf"), 0.0, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAIVE_DOTS))
+def test_only_the_semirings_own_zero_and_one_take_the_shortcuts(kind):
+    sr, _, naive = NAIVE_DOTS[kind]
+    values = (sr.zero, sr.one, *OTHER_ENTRIES[kind])
+    for x, y in itertools.product(values, repeat=2):
+        assert_kronecker_is_naive(sr, naive, ((x,),), ((y,),), (1, 1, 1, 1))
+        assert_matmul_is_naive(sr, naive, ((x, y),), ((y,), (x,)), 2, 1)
+        assert_matmul_is_naive(sr, naive, ((x,), (y,)), ((y, x),), 1, 2)
+
+
+def test_every_stage_passes_over_min_plus(monkeypatch):
+    # the construction never relies on Python truthiness: over a semiring
+    # whose zero is truthy, every stage passes and hom_add is the entrywise min
+    inst = MatInstance(MIN_PLUS, 2)
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: inst)
+    report = cli.run_suite(cli.SuiteConfig(instance="mat-min-plus", max_size=2, samples=5))
+    assert [c for c in report.checks if not c.passed] == []
+    assert {c.suite for c in report.checks} == {s.name for s in cli.STAGES}
+    rng = random.Random(3)
+    for a, b in itertools.product(inst.objects(), repeat=2):
+        for _ in range(10):
+            f, g = inst.random_morphism(rng, a, b), inst.random_morphism(rng, a, b)
+            total = hom_add(f, g)
+            assert equal(total, inst.native_add(f, g))
+            assert total.payload == tuple(
+                tuple(min(x, y) for x, y in zip(rf, rg)) for rf, rg in zip(f.payload, g.payload)
+            )
 
 
 def test_mat_identity_and_compose_on_empty_dims():
