@@ -1,12 +1,13 @@
-"""Fail when a traced benchmark run checks less than the newest BENCH_<n>.json.
+"""Fail when a traced benchmark run is wrong or checks less than the newest BENCH_<n>.json.
 
     python3 .github/bench_floor.py <workload> '<last JSON line of run.py --trace 1>'
 
-Run from the repository root.  Every cli.stage.<stage>.records and
+Run from the repository root.  The run must report correct: true with 0
+failed operations.  Every cli.stage.<stage>.records and
 cli.stage.<stage>.equations value of the run must be at least the one the
 highest-numbered BENCH_<n>.json at the root records for that workload, so
-no speedup can pass by checking fewer equations.  Exits 1 on any shortfall,
-2 when there is no floor to compare against.
+no speedup can pass by checking fewer equations.  Exits 1 on a wrong run
+or any shortfall, 2 when there is no floor to compare against.
 """
 from __future__ import annotations
 
@@ -29,6 +30,9 @@ def newest_bench(root: Path) -> Path | None:
 
 def main(argv: list[str]) -> int:
     workload, line = argv
+    run = json.loads(line)
+    print(f"{workload} correct: {run['correct']} failed: {run['failed']}")
+    wrong = run["correct"] is not True or run["failed"] != 0
     bench = newest_bench(Path.cwd())
     if bench is None:
         print("error: no BENCH_<n>.json to compare against", file=sys.stderr)
@@ -38,7 +42,7 @@ def main(argv: list[str]) -> int:
         print(f"error: {bench.name} has no workload {workload}", file=sys.stderr)
         return 2
     want = floor["traced"]["metrics"]
-    got = json.loads(line)["metrics"]
+    got = run["metrics"]
     short = []
     for name in sorted(want):
         if COUNTED.fullmatch(name):
@@ -48,7 +52,7 @@ def main(argv: list[str]) -> int:
     for problem in short:
         print(f"{workload} {problem} ({bench.name})")
     print(f"{workload} stage counts against {bench.name}: {'FAIL' if short else 'ok'}")
-    return 1 if short else 0
+    return 1 if wrong or short else 0
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from typing import Callable, NamedTuple
 
 from .construction import (
     _grid,
-    _interleave,
     _star_grid,
     c_map,
     canonical_mixed_map,
@@ -54,7 +53,9 @@ from .errors import CategoryError, InvalidBounds, ParseError, UnknownInstance
 from .instances import Instance, resolve
 from .kernel import CheckResult, InversePair, equation
 from .monoidal import dist_coprod, dist_prod, has_nullary, nullary_coprod, nullary_prod
-from .structure import draw, matrix_of, verify_coproduct_witness, verify_product_witness
+from .structure import (
+    ENUM_CAP, Mat2, draw, matrix_of, verify_coproduct_witness, verify_product_witness
+)
 
 # per-homset sample size for the commutative-monoid law scans
 LAW_SAMPLE_CAP = 5
@@ -76,8 +77,9 @@ class SuiteConfig:
         top = min(4, self.max_size)
         if self.max_quad is not None and not (1 <= self.max_quad <= top):
             raise InvalidBounds(f"quad bound must be between 1 and min(4, max size) = {top}")
-        if self.samples < 1:
-            raise InvalidBounds("samples must be at least 1")
+        # drawing more pairs than the exhaustive cap adds no coverage
+        if not 1 <= self.samples <= ENUM_CAP:
+            raise InvalidBounds(f"samples must be between 1 and {ENUM_CAP}")
         if self.report not in ("text", "json"):
             raise InvalidBounds(f"unknown report format {self.report!r}")
 
@@ -332,9 +334,9 @@ def _parse_expression(text: str) -> tuple[str, list[str]]:
     return head, parts
 
 
-def _print_with_entries(inst, m, c, p) -> None:
+def _print_with_entries(inst, m, components: Mat2) -> None:
     print(inst.format_mor(m))
-    for j, k, entry in matrix_of(m, c, p).entries():
+    for j, k, entry in components.entries():
         print(f"  [{j},{k}] {inst.format_mor(entry)}")
 
 
@@ -351,12 +353,11 @@ def _run_show(args) -> int:
         print(inst.format_mor(e if head == "e" else e_prime))
     elif head in ("star", "t"):
         g = _star_grid(*objs) if head == "star" else _grid(objs[0], objs[0], objs[1], objs[1])
-        _print_with_entries(inst, _interleave(g), g.c_dom, g.p_cod)
+        _print_with_entries(inst, g.map, g.corners)
     else:
         a, b = objs
-        _print_with_entries(
-            inst, c_map(a, b).fwd, inst.coproduct(a, b), inst.product(a, b)
-        )
+        c = c_map(a, b).fwd
+        _print_with_entries(inst, c, matrix_of(c, inst.coproduct(a, b), inst.product(a, b)))
     return 0
 
 

@@ -22,13 +22,16 @@ it is built.  The route:
   5. hom_add / verify_semiadditive: with c_map invertible each homset
      gets a commutative-monoid addition that composition respects.
 
-zero_object, zero_map, t_inverse, c_map and the diagonal behind hom_add
-keep their results in the memo of the instance they were built in
+zero_object, zero_map, t_inverse, c_map, the diagonal behind hom_add and
+_grid keep their results in the memo of the instance they were built in
 (kernel.per_instance), as do monoidal's certified distributors dist_prod
 and dist_coprod and the instances' product and coproduct witnesses, so
-each result lives exactly as long as its instance.  Sums are memoized
-only within one verify_semiadditive call; hom_add itself recomputes
-every sum.
+each result lives exactly as long as its instance.  _grid assembles the
+interleaving map of four corner objects, with both from_matrix orders
+and all their re-checks, once per instance; star_map and t_map read it,
+and every quadruple of star_map with the same tensor corners shares it.
+Sums are memoized only within one verify_semiadditive call; hom_add
+itself recomputes every sum.
 """
 from __future__ import annotations
 
@@ -116,47 +119,35 @@ def zero_map(a: Obj, b: Obj) -> Mor:
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """The witnesses around an interleaving square with corners x11..x22.
+    """The interleaving square with corners x11..x22, certified once.
 
     The domain is (x11 x x12) + (x21 x x22), the codomain is
-    (x11 + x21) x (x12 + x22).
+    (x11 + x21) x (x12 + x22).  corners holds component (j,k), which is
+    in_k . pi_j, and map is the morphism with those components.
     """
 
-    prods: tuple[ProductWitness, ProductWitness]
-    cops: tuple[CoproductWitness, CoproductWitness]
     c_dom: CoproductWitness
     p_cod: ProductWitness
-
-    def pi(self, j: int, k: int) -> Mor:
-        p = self.prods[k - 1]
-        return p.pi1 if j == 1 else p.pi2
-
-    def inj(self, j: int, k: int) -> Mor:
-        c = self.cops[j - 1]
-        return c.in1 if k == 1 else c.in2
-
-    def corner(self, j: int, k: int) -> Mor:
-        return compose(self.inj(j, k), self.pi(j, k))
+    corners: Mat2
+    map: Mor
 
 
+@per_instance
 def _grid(x11: Obj, x12: Obj, x21: Obj, x22: Obj) -> _Grid:
     cat = x11.cat
     p1 = cat.product(x11, x12)
     p2 = cat.product(x21, x22)
     c1 = cat.coproduct(x11, x21)
     c2 = cat.coproduct(x12, x22)
-    return _Grid(
-        prods=(p1, p2),
-        cops=(c1, c2),
-        c_dom=cat.coproduct(p1.apex, p2.apex),
-        p_cod=cat.product(c1.apex, c2.apex),
+    c_dom = cat.coproduct(p1.apex, p2.apex)
+    p_cod = cat.product(c1.apex, c2.apex)
+    corners = Mat2(
+        compose(c1.in1, p1.pi1),
+        compose(c1.in2, p2.pi1),
+        compose(c2.in1, p1.pi2),
+        compose(c2.in2, p2.pi2),
     )
-
-
-def _interleave(g: _Grid) -> Mor:
-    """The map of a grid assembled entrywise: component (j,k) is in_k . pi_j."""
-    m = Mat2(g.corner(1, 1), g.corner(1, 2), g.corner(2, 1), g.corner(2, 2))
-    return from_matrix(m, g.c_dom, g.p_cod)
+    return _Grid(c_dom, p_cod, corners, from_matrix(corners, c_dom, p_cod))
 
 
 def _star_grid(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> _Grid:
@@ -171,7 +162,7 @@ def star_map(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> Mor:
     Runs ((a1@b1) x (a1@b2)) + ((a2@b1) x (a2@b2))
       -> ((a1@b1) + (a2@b1)) x ((a1@b2) + (a2@b2)).
     """
-    return _interleave(_star_grid(a1, a2, b1, b2))
+    return _star_grid(a1, a2, b1, b2).map
 
 
 def y_map(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> InversePair:
@@ -213,9 +204,10 @@ def verify_interchange(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> CheckResult:
     try:
         y = y_map(a1, a2, b1, b2)
         g = _star_grid(a1, a2, b1, b2)
-        checks = [equation("y=star", y.fwd, _interleave(g))]
-        for j, k, entry in matrix_of(y.fwd, g.c_dom, g.p_cod).entries():
-            checks.append(equation(f"pi{j}*y*i{k}=i{k}*pi{j}", entry, g.corner(j, k)))
+        checks = [equation("y=star", y.fwd, g.map)]
+        entries = zip(matrix_of(y.fwd, g.c_dom, g.p_cod).entries(), g.corners.entries())
+        for (j, k, entry), (_, _, corner) in entries:
+            checks.append(equation(f"pi{j}*y*i{k}=i{k}*pi{j}", entry, corner))
         return CheckResult(name, tuple(checks))
     except CategoryError as exc:
         return CheckResult.from_error(name, exc)
@@ -223,7 +215,7 @@ def verify_interchange(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> CheckResult:
 
 def t_map(a: Obj, b: Obj) -> Mor:
     """The interleaving at a pair: (a x a) + (b x b) -> (a+b) x (a+b)."""
-    return _interleave(_grid(a, a, b, b))
+    return _grid(a, a, b, b).map
 
 
 @per_instance
@@ -296,15 +288,15 @@ def verify_intertwining(a: Obj, b: Obj) -> CheckResult:
     name = f"intertwining({cat.format_obj(a)},{cat.format_obj(b)})"
     try:
         g = _grid(a, a, b, b)
-        t = _interleave(g)
+        t = g.map
         e, e_prime = idempotents(a, b)
         te = compose(t, e)
         et = compose(e_prime, t)
         want = {
-            (1, 1): g.corner(1, 1),
+            (1, 1): g.corners.f11,
             (1, 2): zero_map(g.c_dom.right, g.p_cod.left),
             (2, 1): zero_map(g.c_dom.left, g.p_cod.right),
-            (2, 2): g.corner(2, 2),
+            (2, 2): g.corners.f22,
         }
         checks = [equation("t*e=e'*t", te, et)]
         for tag, f in (("t*e", te), ("e'*t", et)):

@@ -4,24 +4,27 @@ A Category subclass supplies payload-level behaviour (how identities look,
 how payloads compose, how to print things).  Objects and morphisms are
 plain frozen records.  Objects compare by identity: Category.obj interns
 them by data, so build them only with cat.obj or parse_obj, never Obj(...).
-Two morphisms are equal exactly when their domain, codomain, and payload
-are equal.  Verification code never asserts; it returns CheckResult values
-that list every equation tried.  A builder certifies with
-CheckResult.require(), which raises WitnessInvalid on the first failed
-equation; CheckResult.from_error() folds a raised error back into a failed
-result.  An InversePair keeps its certificate as equations.  per_instance
-memoizes a function of an instance in that instance's memo.
+Mor, EquationCheck and CheckResult are named tuples: immutable, without
+a per-record __dict__, and compared and hashed by their fields.  So two
+morphisms are equal exactly when their domain, codomain, and payload are
+equal; a Mor also equals the plain tuple of its fields, and no caller
+compares one with a payload.  Verification code never asserts; it
+returns CheckResult values that list every equation tried.  A builder
+certifies with CheckResult.require(), which raises WitnessInvalid on the
+first failed equation; CheckResult.from_error() folds a raised error back
+into a failed result.  An InversePair keeps its certificate as equations.
+per_instance memoizes a function of an instance in that instance's memo.
 
 Memoized certificates keep many of these records alive, so they are kept
-small: every record here is slotted (no per-record __dict__), Category.obj
-interns objects (equal data gives the category's one Obj), and a passing
+small: no record here has a per-record __dict__, Category.obj interns
+objects (equal data gives the category's one Obj), and a passing
 equation keeps its right side as both sides, freeing the computed left
 side it equals.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple
 
 from .errors import CategoryError, DomainMismatch, WitnessInvalid
@@ -36,8 +39,7 @@ class Obj:
         return self.cat.format_obj(self)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
-class Mor:
+class Mor(NamedTuple):
     dom: Obj
     cod: Obj
     payload: Any
@@ -109,8 +111,7 @@ def equal(f: Mor, g: Mor) -> bool:
     return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
 
 
-@dataclass(frozen=True, slots=True)
-class EquationCheck:
+class EquationCheck(NamedTuple):
     label: str
     lhs: Mor | None
     rhs: Mor | None
@@ -121,8 +122,7 @@ class EquationCheck:
         return f"{self.label} ({self.note})" if self.note else self.label
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     details: tuple[EquationCheck, ...]
 
@@ -150,7 +150,7 @@ class CheckResult:
         result = exc.result if isinstance(exc, WitnessInvalid) else None
         if result is not None and not result.passed:
             f = result.failures()[0]
-            return cls(name, (replace(f, label=f"{result.name}: {f.label}"),))
+            return cls(name, (f._replace(label=f"{result.name}: {f.label}"),))
         return cls(name, (error_check(type(exc).__name__, str(exc)),))
 
     def describe(self) -> str:

@@ -31,6 +31,7 @@ from biprod.cli import (
 from biprod.errors import InvalidBounds, NoNullaryStructure, ParseError, WitnessInvalid
 from biprod.instances import finrel, product_instance, z_chain
 from biprod.kernel import CheckResult
+from biprod.structure import ENUM_CAP
 
 
 def test_config_validation():
@@ -45,6 +46,8 @@ def test_config_validation():
         SuiteConfig(max_size=1, max_quad=4)
     with pytest.raises(InvalidBounds):
         SuiteConfig(samples=0)
+    with pytest.raises(InvalidBounds):
+        SuiteConfig(samples=ENUM_CAP + 1)
     with pytest.raises(InvalidBounds):
         SuiteConfig(report="xml")
 
@@ -529,6 +532,15 @@ def test_main_verify_exit_codes(capsys):
     err = capsys.readouterr().err
     assert "unknown instance" in err
     assert "max size" in err
+
+
+def test_oversized_samples_exit_2_before_anything_is_built(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "resolve", refuse)
+    assert main(["verify", "--samples", "1000000000000"]) == 2
+    assert f"samples must be between 1 and {ENUM_CAP}" in capsys.readouterr().err
 
 
 def test_main_json_duration_on_stderr(capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biprod.cli as cli
 import biprod.construction as construction
 from biprod.construction import (
     biproduct,
@@ -180,6 +181,72 @@ def test_memo_keeps_no_failed_call(rotated_rel2):
         t_inverse(a, b)
 
 
+def test_grid_is_memoized():
+    a, b = REL.obj(1), REL.obj(2)
+    g = construction._grid(a, a, b, b)
+    assert construction._grid(a, a, b, b) is g
+    assert t_map(a, b) is g.map
+
+
+def test_star_grid_is_keyed_by_its_corners():
+    # on the chain the tensor is addition, so both quads have corners 0, 1, 1, 2
+    chain = z_chain()
+    first = construction._star_grid(*map(chain.obj, (0, 1, 0, 1)))
+    second = construction._star_grid(*map(chain.obj, (1, 2, -1, 0)))
+    assert first is second
+
+
+def test_repeated_interchange_assembles_no_matrix(monkeypatch):
+    inst = finrel(2)
+    quad = (inst.obj(1), inst.obj(2), inst.obj(2), inst.obj(1))
+    calls = []
+    real = construction.from_matrix
+
+    def counting_from_matrix(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construction, "from_matrix", counting_from_matrix)
+    first = verify_interchange(*quad)
+    assert first.passed and len(calls) == 1
+    assert verify_interchange(*quad) == first
+    assert len(calls) == 1
+
+
+def test_failed_grid_is_not_memoized(rotated_mediate_rel2):
+    # the codomain (1+1) x (1+1) uses the rotated product(2,2) mediate
+    inst = rotated_mediate_rel2
+    one = inst.obj(1)
+    texts = []
+    for _ in range(2):
+        with pytest.raises(WitnessInvalid) as err:
+            construction._grid(one, one, one, one)
+        texts.append(str(err.value))
+    assert texts == ["pair: pi1*m=f (entry (1,1): 0 vs 1)"] * 2
+    assert not [key for key in inst.memo if key[0].__name__ == "_grid"]
+
+
+def test_grid_failures_keep_their_record_text(rotated_mediate_rel2):
+    inst = rotated_mediate_rel2
+    objs = inst.objects(2)
+    failed = {}
+    for stage in cli.STAGES:
+        if stage.name in ("interchange", "t-inverse", "intertwining"):
+            for tup in itertools.product(objs, repeat=stage.arity):
+                records = []
+                cli._guard(records, stage.name, (), lambda: stage.check(None, *tup))
+                if not records[0].passed:
+                    failed[stage.name, "".join(map(inst.format_obj, tup))] = records[0].failure
+    first_entry = "pair: pi1*m=f (entry (1,1): 0 vs 1)"
+    quads = ("0122 0211 1022 1111 1122 1211 1222 2011 2111 2122 2211").split()
+    pairs = ("02", "11", "12", "20", "21", "22")
+    want = {("interchange", q): first_entry for q in quads}
+    want.update({("t-inverse", p): first_entry for p in pairs})
+    want.update({("intertwining", p): first_entry for p in pairs})
+    want["intertwining", "12"] = "pair: pi1*m=f (entry (2,1): 1 vs 0)"
+    assert failed == want
+
+
 @pytest.mark.parametrize("selector", ["mat-rat", "z-chain", "product:finrel+z-chain"])
 def test_witnesses_are_memoized_per_instance(selector):
     inst = resolve(selector, 1)
@@ -229,7 +296,7 @@ def test_sums_are_memoized_per_call_only(monkeypatch):
     assert "hom_add" not in memoized
     assert memoized <= {
         "zero_object", "zero_map", "t_inverse", "c_map", "_diagonal", "product", "coproduct",
-        "dist_prod", "dist_coprod",
+        "dist_prod", "dist_coprod", "_grid",
     }
 
 

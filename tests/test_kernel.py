@@ -192,8 +192,43 @@ def test_kernel_records_have_no_instance_dict():
     a = REL.obj(2)
     swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
     pair = InversePair.certify(swap, swap)
-    for record in (a, swap, pair.equations.details[0], pair):
+    for record in (a, swap, pair.equations.details[0], pair.equations, pair):
         assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_kernel_records_are_immutable():
+    a = REL.obj(2)
+    swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
+    chk = equation("swap=swap", swap, swap)
+    res = CheckResult("demo", (chk,))
+    for record, attr, value in ((swap, "payload", ()), (chk, "ok", False), (res, "name", "x")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, value)
+
+
+def test_morphisms_compare_and_hash_by_fields():
+    a, b = REL.obj(2), REL.obj(1)
+    f = REL.mor(a, a, bmat((0, 1), (1, 0)))
+    g = REL.mor(a, a, bmat((0, 1), (1, 0)))
+    assert f is not g
+    assert f == g and hash(f) == hash(g)
+    # a different domain alone makes them unequal
+    assert REL.mor(b, a, f.payload) != f
+
+
+def test_from_error_relabels_and_keeps_the_rest():
+    a = REL.obj(2)
+    f = REL.mor(a, a, bmat((1, 0), (0, 1)))
+    g = REL.mor(a, a, bmat((1, 0), (1, 1)))
+    failed = CheckResult("inner", (equation("f=g", f, g),))
+    with pytest.raises(WitnessInvalid) as err:
+        failed.require()
+    res = CheckResult.from_error("outer", err.value)
+    assert res.name == "outer"
+    (got,) = res.details
+    assert got.label == "inner: f=g"
+    assert got.lhs is f and got.rhs is g
+    assert (got.ok, got.note) == (False, "entry (2,1): 0 vs 1")
 
 
 def test_check_result_reporting():
