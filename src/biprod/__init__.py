@@ -18,7 +18,6 @@ from .construction import (
     star_map,
     t_inverse,
     t_map,
-    verify_biproduct,
     verify_interchange,
     verify_intertwining,
     verify_semiadditive,
@@ -27,10 +26,8 @@ from .construction import (
     zero_object,
 )
 from .errors import (
-    CanonicalMismatch,
     CategoryError,
     DomainMismatch,
-    InternalAgreementFailure,
     InvalidBounds,
     NoNullaryStructure,
     ParseError,

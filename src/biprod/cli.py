@@ -5,7 +5,8 @@ the number of objects its check takes, the bound those objects are drawn
 up to (max_size for "pair" stages, the smaller quad bound for "quad"
 ones), whether it needs terminal and initial objects, and the check.
 One loop runs every check on every tuple of objects and appends one
-record each; a raised CategoryError becomes a failed record through
+record each.  A check raises when it, or a witness it builds on, fails;
+_guard alone turns the raised CategoryError into a failed record through
 CheckResult.from_error, so the record names the first failed equation
 and its differing entry.  Stages about a certified iso report the
 equations it was certified by.  On an instance without terminal and
@@ -36,13 +37,13 @@ from typing import Callable, NamedTuple
 from .construction import (
     _grid,
     _star_grid,
+    biproduct,
     c_map,
     canonical_mixed_map,
     hom_add,
     idempotents,
     t_inverse,
     t_map,
-    verify_biproduct,
     verify_interchange,
     verify_intertwining,
     verify_semiadditive,
@@ -232,7 +233,7 @@ STAGES = (
     Stage("t-inverse", 2, "pair", False, lambda run, a, b: _t_inverse_check(a, b)),
     Stage("intertwining", 2, "pair", True, lambda run, a, b: verify_intertwining(a, b)),
     Stage("canonical", 2, "pair", True, lambda run, a, b: _canonical_check(a, b)),
-    Stage("biproduct", 2, "pair", True, lambda run, a, b: verify_biproduct(a, b)),
+    Stage("biproduct", 2, "pair", True, lambda run, a, b: biproduct(a, b).equations),
     Stage(
         "hom-add-laws", 2, "pair", True,
         lambda run, a, b: verify_semiadditive(_homset_sample(run, a, b)),

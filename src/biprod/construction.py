@@ -32,6 +32,12 @@ and all their re-checks, once per instance; star_map and t_map read it,
 and every quadruple of star_map with the same tensor corners shares it.
 Sums are memoized only within one verify_semiadditive call; hom_add
 itself recomputes every sum.
+
+Builders certify with CheckResult.require() and raise WitnessInvalid on
+the first failed equation; the verify_* functions return their own
+equations but raise when a witness they build on fails.  Nothing here
+catches an error: the command line's cli._guard alone folds one into a
+failed record.
 """
 from __future__ import annotations
 
@@ -39,12 +45,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import (
-    CanonicalMismatch,
-    CategoryError,
-    DomainMismatch,
-    InternalAgreementFailure,
-)
+from .errors import DomainMismatch
 from .kernel import (
     CheckResult,
     EquationCheck,
@@ -52,7 +53,6 @@ from .kernel import (
     Mor,
     Obj,
     compose,
-    equal,
     equation,
     identity,
     per_instance,
@@ -103,8 +103,9 @@ def zero_object(inst) -> ZeroWitness:
     from_initial = nullary_coprod(inst.terminal)
     one_to_zero = compose(from_initial.bwd, to_terminal.bwd)
     zero_to_one = inst.bang(inst.initial)
-    if not equal(zero_to_one, inst.cobang(inst.terminal)):
-        raise InternalAgreementFailure("two spellings of the map initial -> terminal disagree")
+    CheckResult(
+        "zero_object", (equation("bang=cobang", zero_to_one, inst.cobang(inst.terminal)),)
+    ).require()
     InversePair.certify(zero_to_one, one_to_zero, context="zero_object: terminal<->initial")
     return ZeroWitness(z, to_terminal, from_initial, one_to_zero)
 
@@ -196,21 +197,18 @@ def verify_interchange(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> CheckResult:
     """Check that the distributivity route equals the entrywise interleaving.
 
     One equation against star_map, then each of the four components of the
-    iso read off independently against in_k . pi_j.
+    iso read off independently against in_k . pi_j.  A witness this builds
+    on that fails its own equations (a distributor, a pair or copair
+    re-check) raises WitnessInvalid instead of giving a result.
     """
-    cat = a1.cat
-    names = ",".join(cat.format_obj(x) for x in (a1, a2, b1, b2))
-    name = f"interchange({names})"
-    try:
-        y = y_map(a1, a2, b1, b2)
-        g = _star_grid(a1, a2, b1, b2)
-        checks = [equation("y=star", y.fwd, g.map)]
-        entries = zip(matrix_of(y.fwd, g.c_dom, g.p_cod).entries(), g.corners.entries())
-        for (j, k, entry), (_, _, corner) in entries:
-            checks.append(equation(f"pi{j}*y*i{k}=i{k}*pi{j}", entry, corner))
-        return CheckResult(name, tuple(checks))
-    except CategoryError as exc:
-        return CheckResult.from_error(name, exc)
+    names = ",".join(a1.cat.format_obj(x) for x in (a1, a2, b1, b2))
+    y = y_map(a1, a2, b1, b2)
+    g = _star_grid(a1, a2, b1, b2)
+    checks = [equation("y=star", y.fwd, g.map)]
+    entries = zip(matrix_of(y.fwd, g.c_dom, g.p_cod).entries(), g.corners.entries())
+    for (j, k, entry), (_, _, corner) in entries:
+        checks.append(equation(f"pi{j}*y*i{k}=i{k}*pi{j}", entry, corner))
+    return CheckResult(f"interchange({names})", tuple(checks))
 
 
 def t_map(a: Obj, b: Obj) -> Mor:
@@ -282,29 +280,26 @@ def verify_intertwining(a: Obj, b: Obj) -> CheckResult:
 
     Beyond t*e = e'*t, both composites are decomposed into their four
     components and matched against the diagonal picture: identities on
-    the matching corners, zero maps off them.
+    the matching corners, zero maps off them.  A failed witness underneath
+    (the grid, the idempotents, a zero map) raises WitnessInvalid.
     """
     cat = a.cat
-    name = f"intertwining({cat.format_obj(a)},{cat.format_obj(b)})"
-    try:
-        g = _grid(a, a, b, b)
-        t = g.map
-        e, e_prime = idempotents(a, b)
-        te = compose(t, e)
-        et = compose(e_prime, t)
-        want = {
-            (1, 1): g.corners.f11,
-            (1, 2): zero_map(g.c_dom.right, g.p_cod.left),
-            (2, 1): zero_map(g.c_dom.left, g.p_cod.right),
-            (2, 2): g.corners.f22,
-        }
-        checks = [equation("t*e=e'*t", te, et)]
-        for tag, f in (("t*e", te), ("e'*t", et)):
-            for j, k, entry in matrix_of(f, g.c_dom, g.p_cod).entries():
-                checks.append(equation(f"{tag}[{j},{k}]", entry, want[(j, k)]))
-        return CheckResult(name, tuple(checks))
-    except CategoryError as exc:
-        return CheckResult.from_error(name, exc)
+    g = _grid(a, a, b, b)
+    t = g.map
+    e, e_prime = idempotents(a, b)
+    te = compose(t, e)
+    et = compose(e_prime, t)
+    want = {
+        (1, 1): g.corners.f11,
+        (1, 2): zero_map(g.c_dom.right, g.p_cod.left),
+        (2, 1): zero_map(g.c_dom.left, g.p_cod.right),
+        (2, 2): g.corners.f22,
+    }
+    checks = [equation("t*e=e'*t", te, et)]
+    for tag, f in (("t*e", te), ("e'*t", et)):
+        for j, k, entry in matrix_of(f, g.c_dom, g.p_cod).entries():
+            checks.append(equation(f"{tag}[{j},{k}]", entry, want[(j, k)]))
+    return CheckResult(f"intertwining({cat.format_obj(a)},{cat.format_obj(b)})", tuple(checks))
 
 
 def canonical_mixed_map(a: Obj, b: Obj) -> Mor:
@@ -336,6 +331,7 @@ def biproduct(a: Obj, b: Obj) -> BiproductWitness:
 
     The witness keeps the five equations it was certified by: the mixed
     iso against the canonical matrix, and pr_j . in_k against id or 0.
+    iso=canonical comes first, so it is the failure raised when it fails.
     """
     cat = a.cat
     c = c_map(a, b)
@@ -353,21 +349,7 @@ def biproduct(a: Obj, b: Obj) -> BiproductWitness:
             equation("pr2*in2=id", compose(pr2, cab.in2), identity(b)),
         ),
     )
-    canonical = res.details[0]
-    if not canonical.ok:
-        raise CanonicalMismatch(
-            f"constructed iso a+b -> a x b is not the canonical matrix ({canonical.note})"
-        )
     return BiproductWitness(a, b, cab.apex, cab.in1, cab.in2, pr1, pr2, c, res.require())
-
-
-def verify_biproduct(a: Obj, b: Obj) -> CheckResult:
-    """Build the biproduct and report the equations it was certified by."""
-    cat = a.cat
-    try:
-        return biproduct(a, b).equations
-    except CategoryError as exc:
-        return CheckResult.from_error(f"biproduct({cat.format_obj(a)},{cat.format_obj(b)})", exc)
 
 
 @per_instance

@@ -28,14 +28,6 @@ class NoNullaryStructure(CategoryError):
     """The instance lacks a terminal or initial object (or their inverses)."""
 
 
-class CanonicalMismatch(CategoryError):
-    """A constructed isomorphism disagrees with the canonical matrix form."""
-
-
-class InternalAgreementFailure(CategoryError):
-    """Two routes that must agree produced different answers."""
-
-
 class UnknownInstance(CategoryError):
     """Instance selector does not name a registered instance."""
 

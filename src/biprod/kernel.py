@@ -9,10 +9,12 @@ a per-record __dict__, and compared and hashed by their fields.  So two
 morphisms are equal exactly when their domain, codomain, and payload are
 equal; a Mor also equals the plain tuple of its fields, and no caller
 compares one with a payload.  Verification code never asserts; it
-returns CheckResult values that list every equation tried.  A builder
-certifies with CheckResult.require(), which raises WitnessInvalid on the
-first failed equation; CheckResult.from_error() folds a raised error back
-into a failed result.  An InversePair keeps its certificate as equations.
+returns CheckResult values that list every equation tried.  A failed
+equation becomes an error one way only: CheckResult.require(), which
+raises WitnessInvalid on the first failed equation.  An error becomes a
+failed result one way only: CheckResult.from_error(), which the command
+line's cli._guard alone calls.  An InversePair keeps its certificate as
+equations.
 per_instance memoizes a function of an instance in that instance's memo.
 
 Memoized certificates keep many of these records alive, so they are kept

@@ -22,13 +22,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import DomainMismatch, InternalAgreementFailure, WitnessInvalid
+from .errors import DomainMismatch, WitnessInvalid
 from .kernel import (
     CheckResult,
     Mor,
     Obj,
     compose,
-    equal,
     equation,
     identity,
 )
@@ -181,11 +180,7 @@ def from_matrix(m: Mat2, c: CoproductWitness | None = None, p: ProductWitness | 
         p = cat.product(m.f11.cod, m.f21.cod)
     by_cols = copair(c, pair(p, m.f11, m.f21), pair(p, m.f12, m.f22))
     by_rows = pair(p, copair(c, m.f11, m.f12), copair(c, m.f21, m.f22))
-    if not equal(by_cols, by_rows):
-        note = cat.first_difference(by_cols, by_rows) or "payloads differ"
-        raise InternalAgreementFailure(
-            f"matrix assembly orders disagree: {note}"
-        )
+    CheckResult("from_matrix", (equation("cols=rows", by_cols, by_rows),)).require()
     return by_cols
 
 

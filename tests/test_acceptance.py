@@ -25,7 +25,6 @@ from biprod.construction import (
     hom_add,
     t_inverse,
     t_map,
-    verify_biproduct,
     verify_interchange,
     verify_intertwining,
     verify_semiadditive,
@@ -115,7 +114,7 @@ def test_biproduct_canonical_form():
             for a, b in itertools.product(inst.objects(3), repeat=2):
                 bw = biproduct(a, b)
                 assert equal(bw.mixed_iso.fwd, canonical_mixed_map(a, b))
-                res = verify_biproduct(a, b)
+                res = bw.equations
                 assert res.passed, f"{inst.name} ({a.data},{b.data})"
 
 

@@ -448,6 +448,29 @@ def test_product_stage_equations_are_pinned(monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "fixture, passed, failed, sha256",
+    [
+        (
+            "rotated_rel2", 104, 134,
+            "6b818e457026aad3230ca34677d183208414271512e60505b1d63ce1459e0483",
+        ),
+        (
+            "rotated_mediate_rel2", 164, 74,
+            "5d2e907f57001c00fbc3f9c8289621a3d7180421a253f05b295d1aa3c656ad15",
+        ),
+    ],
+)
+def test_broken_instance_reports_are_pinned(request, monkeypatch, fixture, passed, failed, sha256):
+    # every failure text of a broken distributor and a broken mediate, as
+    # `verify --instance finrel --max-size 2 --report json` prints it
+    inst = request.getfixturevalue(fixture)
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: inst)
+    report = run_suite(SuiteConfig(instance="finrel", max_size=2, seed=0, report="json"))
+    assert (report.passed, report.failed) == (passed, failed)
+    assert hashlib.sha256(render_json(report).encode()).hexdigest() == sha256
+
+
 def test_guard_reports_failed_equation_of_raised_error(rotated_mediate_rel2):
     inst = rotated_mediate_rel2
     checks = []

@@ -22,7 +22,6 @@ from biprod.construction import (
     star_map,
     t_inverse,
     t_map,
-    verify_biproduct,
     verify_interchange,
     verify_intertwining,
     verify_semiadditive,
@@ -33,6 +32,7 @@ from biprod.construction import (
 from biprod.errors import DomainMismatch, NoNullaryStructure, WitnessInvalid
 from biprod.instances import finrel, mat_semiring, resolve, z_chain
 from biprod.kernel import check_inverse_pair, compose, equal, identity
+from biprod.structure import Mat2, from_matrix
 
 REL = finrel(3)
 NAT = mat_semiring("mat-nat", 3)
@@ -104,12 +104,8 @@ def test_interchange_over_small_universe():
 
 def test_interchange_reports_broken_distributor(rotated_rel2):
     broken = rotated_rel2
-    res = verify_interchange(
-        broken.obj(1), broken.obj(1), broken.obj(2), broken.obj(2)
-    )
-    assert not res.passed
-    first = res.failures()[0]
-    assert "dist_prod" in (first.label + first.note)
+    with pytest.raises(WitnessInvalid, match="dist_prod"):
+        verify_interchange(broken.obj(1), broken.obj(1), broken.obj(2), broken.obj(2))
 
 
 def test_t_frozen_on_singletons():
@@ -440,7 +436,39 @@ def test_biproduct_witness_equations():
     assert equal(compose(w.pr1, w.in2), zero_map(b, a))
     assert equal(compose(w.pr2, w.in1), zero_map(a, b))
     assert equal(compose(w.pr2, w.in2), identity(b))
-    assert verify_biproduct(a, b).passed
+    assert w.equations.passed
+
+
+def _swapped_canonical(monkeypatch):
+    # off-diagonal identities at (1,1): the type of a+b -> a x b, the wrong value
+    real = construction.canonical_mixed_map
+
+    def swapped(a, b):
+        if (a.data, b.data) != (1, 1):
+            return real(a, b)
+        zero = zero_map(a, a)
+        return from_matrix(Mat2(zero, identity(a), identity(a), zero))
+
+    monkeypatch.setattr(construction, "canonical_mixed_map", swapped)
+
+
+def test_biproduct_raises_on_a_non_canonical_iso(monkeypatch):
+    _swapped_canonical(monkeypatch)
+    inst = finrel(1)
+    one = inst.obj(1)
+    with pytest.raises(WitnessInvalid, match=r"^biproduct\(1,1\): iso=canonical") as err:
+        biproduct(one, one)
+    # the other four equations hold: the mismatch is the only failure
+    assert [chk.label for chk in err.value.result.failures()] == ["iso=canonical"]
+
+
+def test_canonical_mismatch_fails_only_its_biproduct_record(monkeypatch):
+    _swapped_canonical(monkeypatch)
+    report = cli.run_suite(cli.SuiteConfig(instance="finrel", max_size=1))
+    failed = [(c.suite, c.objects, c.failure) for c in report.checks if not c.passed]
+    assert failed == [
+        ("biproduct", ("1", "1"), "biproduct(1,1): iso=canonical (entry (1,1): 1 vs 0)")
+    ]
 
 
 def test_hom_add_frozen_on_naturals():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import itertools
 from pathlib import Path
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biprod import kernel
-from biprod.errors import DomainMismatch, WitnessInvalid
+from biprod import errors, kernel
+from biprod.errors import CategoryError, DomainMismatch, WitnessInvalid
 from biprod.instances import finrel, mat_semiring, resolve
 from biprod.kernel import (
     CheckResult,
@@ -186,6 +187,50 @@ def test_objects_are_built_only_by_category_obj():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert allowed_calls == 1
+
+
+def _catches_category_error(handler: ast.ExceptHandler) -> bool:
+    """Whether an except clause would catch a CategoryError: bare, a base or a subclass."""
+    if handler.type is None:
+        return True
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    for node in types:
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+        cls = getattr(errors, name, None) or getattr(builtins, name, None)
+        if not isinstance(cls, type) or issubclass(CategoryError, cls):
+            return True  # an unknown name, or CategoryError or a base of it
+        if issubclass(cls, CategoryError):
+            return True
+    return False
+
+
+def test_errors_fold_into_records_only_in_the_guard():
+    # require() is the one way a failed equation becomes an error, and
+    # cli._guard the one way an error becomes a record: only _guard calls
+    # from_error, and no construction code catches a CategoryError
+    package = Path(kernel.__file__).parent
+    found, guard_calls = [], 0
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside_guard = {
+            id(node)
+            for fn in tree.body
+            if path.name == "cli.py" and isinstance(fn, ast.FunctionDef) and fn.name == "_guard"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if getattr(getattr(node, "func", None), "attr", None) != "from_error":
+                continue
+            if id(node) in inside_guard:
+                guard_calls += 1
+            else:
+                found.append(f"{path.name}:{node.lineno} from_error")
+    for name in ("construction.py", "structure.py", "monoidal.py"):
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if isinstance(node, ast.ExceptHandler) and _catches_category_error(node):
+                found.append(f"{name}:{node.lineno} except")
+    assert found == []
+    assert guard_calls == 1
 
 
 def test_kernel_records_have_no_instance_dict():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biprod import structure
-from biprod.errors import DomainMismatch, InternalAgreementFailure, WitnessInvalid
+from biprod.errors import DomainMismatch, WitnessInvalid
 from biprod.instances import finrel, mat_semiring
 from biprod.kernel import equal, identity
 from biprod.structure import (
@@ -160,7 +160,7 @@ def _fake_coproduct():
 def test_from_matrix_detects_assembly_disagreement():
     one = REL.obj(1)
     m = Mat2(identity(one), identity(one), identity(one), identity(one))
-    with pytest.raises(InternalAgreementFailure):
+    with pytest.raises(WitnessInvalid, match="^from_matrix: cols=rows"):
         from_matrix(m, _fake_coproduct(), _fake_product())
 
 
