@@ -43,7 +43,6 @@ from .kernel import (
     Obj,
     check_inverse_pair,
     compose,
-    equal,
     equation,
     identity,
 )

@@ -222,6 +222,7 @@ def t_inverse(a: Obj, b: Obj) -> InversePair:
 
     The conjugate must coincide with t_map on the nose; anything else
     means the unit isos and the distributors disagree, so we refuse.
+    The certificate lists that equation first, then both round trips.
     """
     cat = a.cat
     y = y_map(a, b, cat.unit, cat.unit)
@@ -232,12 +233,13 @@ def t_inverse(a: Obj, b: Obj) -> InversePair:
     conj = compose(outof, compose(y.fwd, into))
     t = t_map(a, b)
     ctx = f"t_inverse({cat.format_obj(a)},{cat.format_obj(b)})"
-    CheckResult(ctx, (equation("conjugate=direct", conj, t),)).require()
+    direct = CheckResult(ctx, (equation("conjugate=direct", conj, t),)).require()
     bwd = compose(
         plus_map(times_map(ra.fwd, ra.fwd), times_map(rb.fwd, rb.fwd)),
         compose(y.bwd, times_map(plus_map(ra.bwd, rb.bwd), plus_map(ra.bwd, rb.bwd))),
     )
-    return InversePair.certify(t, bwd, context=ctx)
+    trips = InversePair.certify(t, bwd, context=ctx).equations
+    return InversePair(t, bwd, CheckResult(ctx, direct.details + trips.details))
 
 
 def _splitting(a: Obj, b: Obj) -> tuple[Mor, Mor, Mor, Mor]:

@@ -15,9 +15,11 @@ all of it held as the instance's own data attributes and methods:
   nullary_coprod_inv
 
 bang, cobang and the two nullary distributors are called only when
-terminal and initial are set.  parse_obj reads back what format_obj
-prints.  Enumeration and random generation hooks are optional;
-verifiers fall back gracefully when they are absent.
+terminal and initial are set.  rho and the nullary distributor inverses
+are identities unless an instance overrides them; each default first
+checks, by object identity, that the tensor is strict there.  parse_obj
+reads back what format_obj prints.  Enumeration and random generation
+hooks are optional; verifiers fall back gracefully when they are absent.
 
 That structure is fixed at construction: a constructor sets terminal,
 initial and unit once each, and reassigning or deleting one afterwards
@@ -35,7 +37,7 @@ from __future__ import annotations
 import random
 
 from ..errors import InvalidBounds, ParseError
-from ..kernel import Category, InversePair, Mor, Obj
+from ..kernel import Category, InversePair, Mor, Obj, identity
 from ..structure import CoproductWitness, ProductWitness
 
 # the structure a constructor sets once, and the structure methods no
@@ -112,7 +114,10 @@ class Instance(Category):
         raise NotImplementedError
 
     def rho(self, a: Obj) -> InversePair:
-        raise NotImplementedError
+        if self.tensor_obj(a, self.unit) is not a:
+            raise self._no_default("rho", a)
+        eye = identity(a)
+        return InversePair.certify(eye, eye, context=f"rho({self.format_obj(a)})")
 
     def prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
         raise NotImplementedError
@@ -121,10 +126,20 @@ class Instance(Category):
         raise NotImplementedError
 
     def nullary_prod_inv(self, a: Obj) -> Mor:
-        raise NotImplementedError
+        one = self.terminal
+        if one is None or self.tensor_obj(a, one) is not one:
+            raise self._no_default("nullary_prod_inv", a)
+        return identity(one)
 
     def nullary_coprod_inv(self, a: Obj) -> Mor:
-        raise NotImplementedError
+        zero = self.initial
+        if zero is None or self.tensor_obj(zero, a) is not zero:
+            raise self._no_default("nullary_coprod_inv", a)
+        return identity(zero)
+
+    def _no_default(self, method: str, a: Obj) -> NotImplementedError:
+        why = f"the tensor is not strict at {self.format_obj(a)}"
+        return NotImplementedError(f"instance {self.name}: {why}; override {method}")
 
     def enumerate_homset(self, a: Obj, b: Obj) -> list[Mor] | None:
         """All morphisms a -> b, or None when there are more than ENUM_CAP."""

@@ -1,10 +1,10 @@
 """The integers as a thin category: one morphism a -> b exactly when a <= b.
 
 Product is min, coproduct is max, the tensor is addition with unit 0,
-and addition distributes over both on the nose, so every distributor is
-an identity.  What the chain does not have is a terminal or initial
-object, and with them it loses the zero object, zero maps, and homset
-addition.  It is the standing counterexample showing the nullary
+and addition distributes over both on the nose, so every distributor,
+and rho, is an identity.  What the chain does not have is a terminal or
+initial object, and with them it loses the zero object, zero maps, and
+homset addition.  It is the standing counterexample showing the nullary
 hypotheses pull real weight.
 
 lo..hi only window the enumeration; the structure maps accept any
@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from ..errors import DomainMismatch
-from ..kernel import InversePair, Mor, Obj, per_instance
+from ..kernel import Mor, Obj, per_instance
 from ..structure import CoproductWitness, ProductWitness
 from .base import Instance, read_int
 
@@ -43,9 +43,6 @@ class ChainInstance(Instance):
 
     def compose_payload(self, g: Mor, f: Mor):
         return None
-
-    def format_obj(self, a: Obj) -> str:
-        return str(a.data)
 
     def format_mor(self, f: Mor) -> str:
         return f"{f.dom.data}<={f.cod.data}"
@@ -86,11 +83,6 @@ class ChainInstance(Instance):
 
     def tensor_mor(self, f: Mor, g: Mor) -> Mor:
         return self.hom(self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod))
-
-    def rho(self, a: Obj) -> InversePair:
-        return InversePair.certify(
-            self.mor(a, a, None), self.mor(a, a, None), context=f"rho({a.data})"
-        )
 
     def prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
         x = self.obj(a.data + min(b.data, c.data))

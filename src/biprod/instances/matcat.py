@@ -14,7 +14,7 @@ import itertools
 import random
 
 from ..errors import InvalidBounds, ParseError
-from ..kernel import InversePair, Mor, Obj, per_instance
+from ..kernel import Mor, Obj, per_instance
 from ..structure import ENUM_CAP, CoproductWitness, ProductWitness
 from .base import Instance, read_int
 from .semiring import (
@@ -50,9 +50,6 @@ class MatInstance(Instance):
 
     def compose_payload(self, g: Mor, f: Mor):
         return matmul(self.sr, g.payload, f.payload, inner=g.dom.data, cols=f.dom.data)
-
-    def format_obj(self, a: Obj) -> str:
-        return str(a.data)
 
     def format_mor(self, f: Mor) -> str:
         r, c = f.cod.data, f.dom.data
@@ -136,13 +133,6 @@ class MatInstance(Instance):
             self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod), payload
         )
 
-    def rho(self, a: Obj) -> InversePair:
-        at = self.tensor_obj(a, self.unit)
-        eye = identity_matrix(self.sr, a.data)
-        return InversePair.certify(
-            self.mor(at, a, eye), self.mor(a, at, eye), context=f"rho({a.data})"
-        )
-
     # distributors: index shuffles, handed out as their inverse permutations
 
     def prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
@@ -165,14 +155,6 @@ class MatInstance(Instance):
         dom = self.obj((an + bn) * cn)
         cod = self.obj(an * cn + bn * cn)
         return self.mor(dom, cod, inverse_permutation_matrix(self.sr, mapping))
-
-    def nullary_prod_inv(self, a: Obj) -> Mor:
-        z = self.obj(0)
-        return self.mor(z, z, ())
-
-    def nullary_coprod_inv(self, a: Obj) -> Mor:
-        z = self.obj(0)
-        return self.mor(z, z, ())
 
     # enumeration and sampling
 

@@ -1,11 +1,12 @@
 """Componentwise product of two instances.
 
 Objects and morphisms are pairs, and every piece of structure is run in
-each component and repacked.  _lift does that for a structure map on
-objects, and makes it a method: bang, cobang and the four distributor
-inverses (prod_inv, coprod_inv, nullary_prod_inv, nullary_coprod_inv).
-_witness does it for a product or coproduct witness (apex, both legs and
-mediate).  tensor_obj, tensor_mor and rho pair up the components' own.
+each component and repacked.  _lift makes a method that does that for
+bang, cobang, tensor_mor, prod_inv, coprod_inv, random_morphism and
+native_add: it splits objects by data and morphisms by payload, hands
+any other argument (the rng) to both sides, left first, and gives None
+when either side does.  _witness does it for a product or coproduct
+witness.  rho and the nullary inverses are Instance's identities.
 terminal and initial are packed only when both components have them, so
 nullary structure exists exactly when both components have it, which
 makes mixed products (one component with a zero object, one without)
@@ -14,20 +15,24 @@ useful counterexamples.
 from __future__ import annotations
 
 import itertools
-import random
 
 from ..errors import ParseError
-from ..kernel import InversePair, Mor, Obj, compose, identity, per_instance
+from ..kernel import Mor, Obj, compose, identity, per_instance
 from ..structure import ENUM_CAP, CoproductWitness, ProductWitness
 from .base import Instance
 
 
 def _lift(name: str):
-    """The method that splits its objects, runs name in each component and packs."""
+    """The method that runs name in each component on split arguments and packs."""
 
-    def lifted(self, *xs: Obj) -> Mor:
-        lmap, rmap = getattr(self.left, name), getattr(self.right, name)
-        return self.pack_mor(lmap(*(x.data[0] for x in xs)), rmap(*(x.data[1] for x in xs)))
+    def lifted(self, *args) -> Mor | None:
+        largs, rargs = zip(*(
+            x.data if isinstance(x, Obj) else x.payload if isinstance(x, Mor) else (x, x)
+            for x in args
+        ))
+        lf = getattr(self.left, name)(*largs)
+        rf = getattr(self.right, name)(*rargs)
+        return None if lf is None or rf is None else self.pack_mor(lf, rf)
 
     lifted.__name__ = name
     return lifted
@@ -45,10 +50,11 @@ class ProductInstance(Instance):
 
     bang = _lift("bang")
     cobang = _lift("cobang")
+    tensor_mor = _lift("tensor_mor")
     prod_inv = _lift("prod_inv")
     coprod_inv = _lift("coprod_inv")
-    nullary_prod_inv = _lift("nullary_prod_inv")
-    nullary_coprod_inv = _lift("nullary_coprod_inv")
+    random_morphism = _lift("random_morphism")
+    native_add = _lift("native_add")
 
     def pack(self, la: Obj, ra: Obj) -> Obj:
         return self.obj((la, ra))
@@ -135,21 +141,6 @@ class ProductInstance(Instance):
             self.right.tensor_obj(a.data[1], b.data[1]),
         )
 
-    def tensor_mor(self, f: Mor, g: Mor) -> Mor:
-        return self.pack_mor(
-            self.left.tensor_mor(f.payload[0], g.payload[0]),
-            self.right.tensor_mor(f.payload[1], g.payload[1]),
-        )
-
-    def rho(self, a: Obj) -> InversePair:
-        lr = self.left.rho(a.data[0])
-        rr = self.right.rho(a.data[1])
-        return InversePair.certify(
-            self.pack_mor(lr.fwd, rr.fwd),
-            self.pack_mor(lr.bwd, rr.bwd),
-            context=f"rho({self.format_obj(a)})",
-        )
-
     # enumeration
 
     def enumerate_homset(self, a: Obj, b: Obj) -> list[Mor] | None:
@@ -158,20 +149,6 @@ class ProductInstance(Instance):
         if ls is None or rs is None or len(ls) * len(rs) > ENUM_CAP:
             return None
         return [self.pack_mor(lf, rf) for lf, rf in itertools.product(ls, rs)]
-
-    def random_morphism(self, rng: random.Random, a: Obj, b: Obj) -> Mor | None:
-        lf = self.left.random_morphism(rng, a.data[0], b.data[0])
-        rf = self.right.random_morphism(rng, a.data[1], b.data[1])
-        if lf is None or rf is None:
-            return None
-        return self.pack_mor(lf, rf)
-
-    def native_add(self, f: Mor, g: Mor) -> Mor | None:
-        ls = self.left.native_add(f.payload[0], g.payload[0])
-        rs = self.right.native_add(f.payload[1], g.payload[1])
-        if ls is None or rs is None:
-            return None
-        return self.pack_mor(ls, rs)
 
 
 def product_instance(left: Instance, right: Instance) -> ProductInstance:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import CategoryError, DomainMismatch, WitnessInvalid
 
@@ -107,10 +107,6 @@ def compose(g: Mor, f: Mor) -> Mor:
             f"second starts at {cat.format_obj(g.dom)}"
         )
     return Mor(f.dom, g.cod, cat.compose_payload(g, f))
-
-
-def equal(f: Mor, g: Mor) -> bool:
-    return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
 
 
 class EquationCheck(NamedTuple):

@@ -4,7 +4,8 @@ The tensor here is deliberately minimal.  An instance implements it as
 methods: tensor_obj and tensor_mor (the action on objects and
 morphisms), the data attribute unit, and rho(a), the certified
 right-unit isomorphism a@unit -> a.  That is all the later construction
-consumes; associators and the left unit never come up.
+consumes; associators and the left unit never come up.  Every shipped
+tensor is strictly unital, so rho is Instance's certified identity.
 
 Distributivity is not derived, it is witnessed.  The canonical comparison
 maps always exist, and the instance supplies their inverses as methods:
@@ -20,7 +21,9 @@ maps always exist, and the instance supplies their inverses as methods:
 
 The nullary ones, with bang and cobang, exist exactly when the instance
 has terminal and initial objects (its terminal and initial attributes
-are not None).  dist_prod and dist_coprod certify both round trips once
+are not None); they are Instance's identities unless an instance
+overrides them, since a@1 = 1 and 0@a = 0 on the nose in every shipped
+instance.  dist_prod and dist_coprod certify both round trips once
 per instance and keep the certified isomorphism in the instance's memo
 (kernel.per_instance), so y_map reuses one certificate per object
 triple.  A wrong witness stores nothing and fails loudly at every use.

@@ -33,7 +33,7 @@ from biprod.construction import (
 )
 from biprod.errors import NoNullaryStructure
 from biprod.instances import finrel, mat_semiring, product_instance, z_chain
-from biprod.kernel import check_inverse_pair, compose, equal, identity
+from biprod.kernel import check_inverse_pair, compose, identity
 from biprod.structure import verify_coproduct_witness, verify_product_witness
 
 
@@ -65,12 +65,8 @@ def test_zero_object_stage():
             assert check_inverse_pair(zw.from_initial.fwd, zw.from_initial.bwd).passed
             one = inst.terminal
             naught = inst.initial
-            assert equal(
-                compose(zw.one_to_zero, inst.bang(naught)), identity(naught)
-            )
-            assert equal(
-                compose(inst.bang(naught), zw.one_to_zero), identity(one)
-            )
+            assert compose(zw.one_to_zero, inst.bang(naught)) == identity(naught)
+            assert compose(inst.bang(naught), zw.one_to_zero) == identity(one)
             z23 = zero_map(inst.obj(2), inst.obj(3))
             assert z23.payload == ((inst.sr.zero,) * 2,) * 3
         assert time.perf_counter() - start < 1.0
@@ -96,7 +92,7 @@ def test_interleaving_inverse():
             for a, b in itertools.product(inst.objects(3), repeat=2):
                 ti = t_inverse(a, b)
                 direct = t_map(a, b)
-                assert equal(ti.fwd, direct)
+                assert ti.fwd == direct
                 assert check_inverse_pair(direct, ti.bwd).passed
 
 
@@ -113,7 +109,7 @@ def test_biproduct_canonical_form():
         for inst in standard_instances(3):
             for a, b in itertools.product(inst.objects(3), repeat=2):
                 bw = biproduct(a, b)
-                assert equal(bw.mixed_iso.fwd, canonical_mixed_map(a, b))
+                assert bw.mixed_iso.fwd == canonical_mixed_map(a, b)
                 res = bw.equations
                 assert res.passed, f"{inst.name} ({a.data},{b.data})"
 
@@ -153,11 +149,11 @@ def test_homset_addition():
                 w = inst.random_morphism(rng, z, a)
                 total = hom_add(f, g)
                 assert total.payload == _entrywise(lambda x, y: x + y, f, g)
-                assert equal(total, hom_add(g, f))
-                assert equal(hom_add(total, k), hom_add(f, hom_add(g, k)))
-                assert equal(hom_add(f, zero_map(a, b)), f)
-                assert equal(compose(h, total), hom_add(compose(h, f), compose(h, g)))
-                assert equal(compose(total, w), hom_add(compose(f, w), compose(g, w)))
+                assert total == hom_add(g, f)
+                assert hom_add(total, k) == hom_add(f, hom_add(g, k))
+                assert hom_add(f, zero_map(a, b)) == f
+                assert compose(h, total) == hom_add(compose(h, f), compose(h, g))
+                assert compose(total, w) == hom_add(compose(f, w), compose(g, w))
 
 
 def test_missing_structure_fidelity():

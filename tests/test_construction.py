@@ -31,7 +31,7 @@ from biprod.construction import (
 )
 from biprod.errors import DomainMismatch, NoNullaryStructure, WitnessInvalid
 from biprod.instances import finrel, mat_semiring, resolve, z_chain
-from biprod.kernel import check_inverse_pair, compose, equal, identity
+from biprod.kernel import check_inverse_pair, compose, identity
 from biprod.structure import Mat2, from_matrix
 
 REL = finrel(3)
@@ -93,7 +93,7 @@ def test_y_is_certified_and_equals_star():
     quad = (NAT.obj(1), NAT.obj(2), NAT.obj(1), NAT.obj(2))
     y = y_map(*quad)
     assert check_inverse_pair(y.fwd, y.bwd).passed
-    assert equal(y.fwd, star_map(*quad))
+    assert y.fwd == star_map(*quad)
 
 
 def test_interchange_over_small_universe():
@@ -120,7 +120,7 @@ def test_t_frozen_on_one_two():
 
 def test_t_inverse_is_transposed_permutation():
     ti = t_inverse(REL.obj(1), REL.obj(2))
-    assert equal(ti.fwd, t_map(REL.obj(1), REL.obj(2)))
+    assert ti.fwd == t_map(REL.obj(1), REL.obj(2))
     assert ti.bwd.payload == tuple(zip(*ti.fwd.payload))
     assert check_inverse_pair(ti.fwd, ti.bwd).passed
 
@@ -392,8 +392,8 @@ def test_idempotents_frozen_on_singletons():
 
 def test_idempotents_square_to_themselves():
     e, e_prime = idempotents(REL.obj(2), REL.obj(3))
-    assert equal(compose(e, e), e)
-    assert equal(compose(e_prime, e_prime), e_prime)
+    assert compose(e, e) == e
+    assert compose(e_prime, e_prime) == e_prime
 
 
 def test_intertwining_holds():
@@ -425,17 +425,17 @@ def test_canonical_mixed_map_is_identity_block_matrix():
 def test_c_map_matches_canonical():
     ip = c_map(REL.obj(1), REL.obj(1))
     assert ip.fwd.payload == to_bool(((1, 0), (0, 1)))
-    assert equal(ip.fwd, canonical_mixed_map(REL.obj(1), REL.obj(1)))
+    assert ip.fwd == canonical_mixed_map(REL.obj(1), REL.obj(1))
 
 
 def test_biproduct_witness_equations():
     a, b = NAT.obj(2), NAT.obj(3)
     w = biproduct(a, b)
     assert w.apex == NAT.coproduct(a, b).apex
-    assert equal(compose(w.pr1, w.in1), identity(a))
-    assert equal(compose(w.pr1, w.in2), zero_map(b, a))
-    assert equal(compose(w.pr2, w.in1), zero_map(a, b))
-    assert equal(compose(w.pr2, w.in2), identity(b))
+    assert compose(w.pr1, w.in1) == identity(a)
+    assert compose(w.pr1, w.in2) == zero_map(b, a)
+    assert compose(w.pr2, w.in1) == zero_map(a, b)
+    assert compose(w.pr2, w.in2) == identity(b)
     assert w.equations.passed
 
 
@@ -507,7 +507,7 @@ def parallel_pair(draw, max_dim=3):
 @given(parallel_pair())
 def test_hom_add_is_relational_union(fg):
     f, g = fg
-    assert equal(hom_add(f, g), REL.native_add(f, g))
+    assert hom_add(f, g) == REL.native_add(f, g)
 
 
 def test_semiadditive_vacuous_on_empty_sample():

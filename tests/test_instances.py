@@ -35,7 +35,7 @@ from biprod.instances.semiring import (
     vstack,
     zero_matrix,
 )
-from biprod.kernel import compose, equal, identity
+from biprod.kernel import compose, identity
 from biprod.monoidal import dist_prod, has_nullary
 from biprod.structure import ENUM_CAP
 
@@ -269,7 +269,7 @@ def test_every_stage_passes_over_min_plus(monkeypatch):
         for _ in range(10):
             f, g = inst.random_morphism(rng, a, b), inst.random_morphism(rng, a, b)
             total = hom_add(f, g)
-            assert equal(total, inst.native_add(f, g))
+            assert total == inst.native_add(f, g)
             assert total.payload == tuple(
                 tuple(min(x, y) for x, y in zip(rf, rg)) for rf, rg in zip(f.payload, g.payload)
             )
@@ -362,7 +362,7 @@ def test_product_instance_componentwise_compose():
         pi.right.hom(pi.right.obj(0), pi.right.obj(1)),
     )
     assert f.dom == a and f.cod == b
-    assert equal(compose(identity(b), f), f)
+    assert compose(identity(b), f) == f
 
 
 def test_product_instance_formatting_and_difference():
@@ -421,6 +421,31 @@ def test_product_instance_lifts_component_maps():
         )
     for a in pi.objects():
         assert pi.bang(a) == pi.pack_mor(pi.left.bang(a.data[0]), pi.right.bang(a.data[1]))
+    # morphism arguments split by payload, and the rng goes to both sides,
+    # left first: the lifted draws are the components' draws from one seed
+    rng, twin = random.Random(7), random.Random(7)
+    for a, b in itertools.product(pi.objects(), repeat=2):
+        f, g = pi.random_morphism(rng, a, b), pi.random_morphism(rng, a, b)
+        lf, rf, lg, rg = (
+            side.random_morphism(twin, a.data[i], b.data[i])
+            for _ in range(2)
+            for i, side in enumerate((pi.left, pi.right))
+        )
+        assert (f, g) == (pi.pack_mor(lf, rf), pi.pack_mor(lg, rg))
+        assert pi.tensor_mor(f, g) == pi.pack_mor(
+            pi.left.tensor_mor(lf, lg), pi.right.tensor_mor(rf, rg)
+        )
+        assert pi.native_add(f, g) == pi.pack_mor(
+            pi.left.native_add(lf, lg), pi.right.native_add(rf, rg)
+        )
+    assert rng.random() == twin.random()
+    # a None from either side is a None from the pair
+    mixed = resolve("product:finrel+z-chain", 1)
+    lo, hi = mixed.objects()[0], mixed.objects()[-1]
+    assert (lo.data[1].data, hi.data[1].data) == (-1, 1)
+    assert mixed.random_morphism(rng, hi, lo) is None
+    f = mixed.random_morphism(rng, lo, hi)
+    assert f is not None and mixed.native_add(f, f) is None
 
 
 def test_product_instance_inherits_a_broken_component(rotated_rel2):

@@ -18,7 +18,6 @@ from biprod.kernel import (
     Obj,
     check_inverse_pair,
     compose,
-    equal,
     equation,
     error_check,
     identity,
@@ -79,21 +78,21 @@ def test_compose_rejects_foreign_category():
 @settings(max_examples=100, deadline=None)
 @given(rel_mor())
 def test_identity_laws(f):
-    assert equal(compose(f, identity(f.dom)), f)
-    assert equal(compose(identity(f.cod), f), f)
+    assert compose(f, identity(f.dom)) == f
+    assert compose(identity(f.cod), f) == f
 
 
 @settings(max_examples=100, deadline=None)
 @given(rel_chain3())
 def test_compose_associative(chain3):
     f, g, h = chain3
-    assert equal(compose(h, compose(g, f)), compose(compose(h, g), f))
+    assert compose(h, compose(g, f)) == compose(compose(h, g), f)
 
 
 def test_equal_requires_matching_endpoints():
     f = REL.mor(REL.obj(0), REL.obj(1), ((),))
     g = REL.mor(REL.obj(0), REL.obj(2), ((), ()))
-    assert not equal(f, g)
+    assert f != g
 
 
 def test_equation_notes_first_difference():
@@ -120,7 +119,7 @@ def test_equation_keeps_one_side_when_they_agree():
     chk = equation("swap*swap=id", lhs, rhs)
     assert chk.ok and chk.note == ""
     # the sides equal the computed ones; the two share one record
-    assert equal(chk.lhs, lhs) and equal(chk.rhs, rhs)
+    assert chk.lhs == lhs and chk.rhs == rhs
     assert chk.lhs is chk.rhs
 
 
@@ -131,7 +130,7 @@ def test_failing_equation_keeps_both_sides():
     chk = equation("f=g", f, g)
     assert not chk.ok
     assert chk.lhs is f and chk.rhs is g
-    assert not equal(chk.lhs, chk.rhs)
+    assert chk.lhs != chk.rhs
     assert chk.note == "entry (2,1): 0 vs 1"
 
 
@@ -233,6 +232,39 @@ def test_errors_fold_into_records_only_in_the_guard():
     assert guard_calls == 1
 
 
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every bare name tree reads, also inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= _names_read(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+def test_every_import_in_the_package_is_used():
+    # no linter runs in CI, so an import a module no longer reads stays
+    # unseen; a package's __init__.py imports only to re-export
+    found = []
+    for path in sorted(Path(kernel.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_kernel_records_have_no_instance_dict():
     a = REL.obj(2)
     swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
@@ -298,13 +330,13 @@ def test_inverse_pair_certify_success():
     a = REL.obj(2)
     swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
     pair = InversePair.certify(swap, swap, context="swap")
-    assert equal(pair.fwd, swap)
+    assert pair.fwd == swap
     # the pair keeps the two composites it was certified by
     cert = pair.equations
     assert cert.name == "swap" and cert.passed
     assert [chk.label for chk in cert.details] == ["bwd*fwd=id", "fwd*bwd=id"]
-    assert equal(cert.details[0].lhs, compose(swap, swap))
-    assert equal(cert.details[0].rhs, identity(a))
+    assert cert.details[0].lhs == compose(swap, swap)
+    assert cert.details[0].rhs == identity(a)
     # and the certificate takes no part in equality
     other = InversePair.certify(swap, swap)
     assert other.equations.name != cert.name

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biprod.cli import STAGES, CheckRecord, _guard
-from biprod.construction import y_map
+from biprod.construction import t_inverse, y_map
 from biprod.errors import NoNullaryStructure, WitnessInvalid
-from biprod.instances import finrel, mat_semiring, resolve, z_chain
-from biprod.kernel import InversePair, check_inverse_pair, compose, equal
+from biprod.instances import ChainInstance, finrel, mat_semiring, resolve, z_chain
+from biprod.kernel import InversePair, check_inverse_pair, compose, identity
 from biprod.monoidal import (
     dist_coprod,
     dist_prod,
@@ -60,7 +60,7 @@ def test_tensor_functorial(ms):
     f1, f2, g1, g2 = ms
     lhs = compose(tensor(f2, g2), tensor(f1, g1))
     rhs = tensor(compose(f2, f1), compose(g2, g1))
-    assert equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_rho_is_certified_identity_for_matrices():
@@ -168,3 +168,46 @@ def test_chain_rho_certifies():
     ch = z_chain(-2, 2)
     r = ch.rho(ch.obj(1))
     assert r.fwd.dom.data == 1
+
+
+@pytest.mark.parametrize("selector", ["finrel", "mat-rat", "z-chain", "product:finrel+mat-nat"])
+def test_strict_unit_and_nullary_inverses_are_certified_identities(selector):
+    inst = resolve(selector, 1 if selector.startswith("product:") else 2)
+    for a in inst.objects():
+        r = inst.rho(a)
+        assert r.fwd == r.bwd == identity(a)
+        assert r.equations.name == f"rho({inst.format_obj(a)})" and r.equations.passed
+        if has_nullary(inst):
+            assert inst.nullary_prod_inv(a) == identity(inst.terminal)
+            assert inst.nullary_coprod_inv(a) == identity(inst.initial)
+            assert nullary_prod(a).bwd == identity(inst.terminal)
+            assert nullary_coprod(a).bwd == identity(inst.initial)
+
+
+class ShiftedChain(ChainInstance):
+    """The chain with a@b = a+b+1: distributive on the nose, but a@0 is a+1."""
+
+    def tensor_obj(self, a, b):
+        return self.obj(a.data + b.data + 1)
+
+    def prod_inv(self, a, b, c):
+        x = self.tensor_obj(a, self.product(b, c).apex)
+        return self.mor(x, x, None)
+
+    def coprod_inv(self, a, b, c):
+        x = self.tensor_obj(self.coproduct(a, b).apex, c)
+        return self.mor(x, x, None)
+
+
+def test_a_tensor_not_strictly_unital_must_state_its_rho():
+    inst = ShiftedChain(-2, 2, name="shifted-chain")
+    a, b = inst.obj(1), inst.obj(2)
+    refused = r"^instance shifted-chain: the tensor is not strict at 1; override rho$"
+    with pytest.raises(NotImplementedError, match=refused):
+        inst.rho(a)
+    # the distributors it states certify, so t_inverse gets as far as rho
+    assert dist_prod(a, b, inst.unit).equations.passed
+    with pytest.raises(NotImplementedError, match=refused):
+        t_inverse(a, b)
+    with pytest.raises(NotImplementedError, match=r"^instance shifted-chain: .*nullary_prod_inv$"):
+        inst.nullary_prod_inv(a)
