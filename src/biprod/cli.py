@@ -1,9 +1,9 @@
 """Command line driver.
 
 verify walks the stage table STAGES in order.  Each row names a stage,
-the number of objects its check takes, the bound those objects are drawn
-up to (max_size for "pair" stages, the smaller quad bound for "quad"
-ones), whether it needs terminal and initial objects, and the check.
+the number of objects its check takes (three or four are drawn up to the
+smaller quad bound, fewer up to max_size), whether it needs terminal and
+initial objects, and the check.
 One loop runs every check on every tuple of objects and appends one
 record each.  A check raises when it, or a witness it builds on, fails;
 _guard alone turns the raised CategoryError into a failed record through
@@ -182,14 +182,13 @@ def _native_agreement(run: _Run, a, b) -> CheckResult:
 class Stage(NamedTuple):
     """One row of the suite: check(run, *objects) for every arity-tuple of objects.
 
-    bound "pair" draws the objects up to max_size, "quad" up to the quad
-    bound.  A needs_nullary stage does not run on an instance without
-    terminal and initial objects.
+    A stage of arity 3 or more draws its objects up to max_quad, any other
+    up to max_size.  A needs_nullary stage does not run on an instance
+    without terminal and initial objects.
     """
 
     name: str
     arity: int
-    bound: str
     needs_nullary: bool
     check: Callable[..., CheckResult]
 
@@ -197,37 +196,37 @@ class Stage(NamedTuple):
 # The suite, in report order.  Checks look their callees up by name when
 # they run, so anything that rebinds a module attribute sees every call.
 STAGES = (
-    Stage("nullary", 0, "pair", True, lambda run: _nullary_check(run.inst)),
+    Stage("nullary", 0, True, lambda run: _nullary_check(run.inst)),
     Stage(
-        "nullary-distributors", 1, "pair", True,
+        "nullary-distributors", 1, True,
         lambda run, a: _certificates("nullary-distributors", nullary_prod(a), nullary_coprod(a)),
     ),
     Stage(
-        "product-witness", 2, "pair", False,
+        "product-witness", 2, False,
         lambda run, a, b: verify_product_witness(
             run.inst.product(a, b), run.objs, rng=run.rng
         ),
     ),
     Stage(
-        "coproduct-witness", 2, "pair", False,
+        "coproduct-witness", 2, False,
         lambda run, a, b: verify_coproduct_witness(
             run.inst.coproduct(a, b), run.objs, rng=run.rng
         ),
     ),
-    Stage("dist-prod", 3, "quad", False, lambda run, a, b, c: dist_prod(a, b, c).equations),
-    Stage("dist-coprod", 3, "quad", False, lambda run, a, b, c: dist_coprod(a, b, c).equations),
-    Stage("interchange", 4, "quad", False, lambda run, *quad: verify_interchange(*quad)),
-    Stage("t-inverse", 2, "pair", False, lambda run, a, b: t_inverse(a, b).equations),
-    Stage("intertwining", 2, "pair", True, lambda run, a, b: verify_intertwining(a, b)),
-    Stage("canonical", 2, "pair", True, lambda run, a, b: _canonical_check(a, b)),
-    Stage("biproduct", 2, "pair", True, lambda run, a, b: biproduct(a, b).equations),
+    Stage("dist-prod", 3, False, lambda run, a, b, c: dist_prod(a, b, c).equations),
+    Stage("dist-coprod", 3, False, lambda run, a, b, c: dist_coprod(a, b, c).equations),
+    Stage("interchange", 4, False, lambda run, *quad: verify_interchange(*quad)),
+    Stage("t-inverse", 2, False, lambda run, a, b: t_inverse(a, b).equations),
+    Stage("intertwining", 2, True, lambda run, a, b: verify_intertwining(a, b)),
+    Stage("canonical", 2, True, lambda run, a, b: _canonical_check(a, b)),
+    Stage("biproduct", 2, True, lambda run, a, b: biproduct(a, b).equations),
     Stage(
-        "hom-add-laws", 2, "pair", True,
+        "hom-add-laws", 2, True,
         lambda run, a, b: verify_semiadditive(_homset_sample(run, a, b)),
     ),
-    Stage("hom-add-native", 2, "pair", True, _native_agreement),
+    Stage("hom-add-native", 2, True, _native_agreement),
     Stage(
-        "bilinearity", 3, "quad", True,
+        "bilinearity", 3, True,
         lambda run, a, b, c: verify_semiadditive(
             _homset_sample(run, a, b) + _homset_sample(run, b, c)
         ),
@@ -247,7 +246,7 @@ def run_suite(config: SuiteConfig) -> Report:
     start = time.perf_counter()
     checks: list[CheckRecord] = []
     objs = inst.objects(config.max_size)
-    pools = {"pair": objs, "quad": inst.objects(config.max_quad)}
+    quad_objs = inst.objects(config.max_quad)
     run = _Run(inst, random.Random(config.seed), objs, config.samples)
     fmt = inst.format_obj
     nullary_ok = has_nullary(inst)
@@ -257,7 +256,8 @@ def run_suite(config: SuiteConfig) -> Report:
             if stage.name != "nullary-distributors":
                 checks.append(CheckRecord(stage.name, (), False, "NoNullaryStructure"))
             continue
-        for tup in itertools.product(pools[stage.bound], repeat=stage.arity):
+        pool = quad_objs if stage.arity >= 3 else objs
+        for tup in itertools.product(pool, repeat=stage.arity):
             names = tuple(fmt(x) for x in tup)
             _guard(checks, stage.name, names, lambda: stage.check(run, *tup))
     duration = (time.perf_counter() - start) * 1000.0

@@ -201,14 +201,13 @@ def verify_interchange(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> CheckResult:
     on that fails its own equations (a distributor, a pair or copair
     re-check) raises WitnessInvalid instead of giving a result.
     """
-    names = ",".join(a1.cat.format_obj(x) for x in (a1, a2, b1, b2))
     y = y_map(a1, a2, b1, b2)
     g = _star_grid(a1, a2, b1, b2)
     checks = [equation("y=star", y.fwd, g.map)]
     entries = zip(matrix_of(y.fwd, g.c_dom, g.p_cod).entries(), g.corners.entries())
     for (j, k, entry), (_, _, corner) in entries:
         checks.append(equation(f"pi{j}*y*i{k}=i{k}*pi{j}", entry, corner))
-    return CheckResult(f"interchange({names})", tuple(checks))
+    return CheckResult("interchange", tuple(checks))
 
 
 def t_map(a: Obj, b: Obj) -> Mor:
@@ -285,7 +284,6 @@ def verify_intertwining(a: Obj, b: Obj) -> CheckResult:
     the matching corners, zero maps off them.  A failed witness underneath
     (the grid, the idempotents, a zero map) raises WitnessInvalid.
     """
-    cat = a.cat
     g = _grid(a, a, b, b)
     t = g.map
     e, e_prime = idempotents(a, b)
@@ -301,7 +299,7 @@ def verify_intertwining(a: Obj, b: Obj) -> CheckResult:
     for tag, f in (("t*e", te), ("e'*t", et)):
         for j, k, entry in matrix_of(f, g.c_dom, g.p_cod).entries():
             checks.append(equation(f"{tag}[{j},{k}]", entry, want[(j, k)]))
-    return CheckResult(f"intertwining({cat.format_obj(a)},{cat.format_obj(b)})", tuple(checks))
+    return CheckResult("intertwining", tuple(checks))
 
 
 def canonical_mixed_map(a: Obj, b: Obj) -> Mor:

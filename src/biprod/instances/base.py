@@ -15,11 +15,12 @@ all of it held as the instance's own data attributes and methods:
   nullary_coprod_inv
 
 bang, cobang and the two nullary distributors are called only when
-terminal and initial are set.  rho and the nullary distributor inverses
-are identities unless an instance overrides them; each default first
-checks, by object identity, that the tensor is strict there.  parse_obj
-reads back what format_obj prints.  Enumeration and random generation
-hooks are optional; verifiers fall back gracefully when they are absent.
+terminal and initial are set.  rho and the four distributor inverses
+are identities wherever the tensor yields one object for both ends
+(_strict), and raise NotImplementedError elsewhere; monoidal's
+certificates still check them.  parse_obj reads back what format_obj
+prints.  Enumeration and random generation hooks are optional;
+verifiers fall back gracefully when they are absent.
 
 That structure is fixed at construction: a constructor sets terminal,
 initial and unit once each, and reassigning or deleting one afterwards
@@ -114,32 +115,35 @@ class Instance(Category):
         raise NotImplementedError
 
     def rho(self, a: Obj) -> InversePair:
-        if self.tensor_obj(a, self.unit) is not a:
-            raise self._no_default("rho", a)
-        eye = identity(a)
+        eye = self._strict("rho", (a,), a, self.tensor_obj(a, self.unit))
         return InversePair.certify(eye, eye, context=f"rho({self.format_obj(a)})")
 
     def prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
-        raise NotImplementedError
+        ab_ac = self.product(self.tensor_obj(a, b), self.tensor_obj(a, c)).apex
+        a_bc = self.tensor_obj(a, self.product(b, c).apex)
+        return self._strict("prod_inv", (a, b, c), ab_ac, a_bc)
 
     def coprod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
-        raise NotImplementedError
+        ab_c = self.tensor_obj(self.coproduct(a, b).apex, c)
+        ac_bc = self.coproduct(self.tensor_obj(a, c), self.tensor_obj(b, c)).apex
+        return self._strict("coprod_inv", (a, b, c), ab_c, ac_bc)
 
     def nullary_prod_inv(self, a: Obj) -> Mor:
         one = self.terminal
-        if one is None or self.tensor_obj(a, one) is not one:
-            raise self._no_default("nullary_prod_inv", a)
-        return identity(one)
+        return self._strict("nullary_prod_inv", (a,), one, one and self.tensor_obj(a, one))
 
     def nullary_coprod_inv(self, a: Obj) -> Mor:
         zero = self.initial
-        if zero is None or self.tensor_obj(zero, a) is not zero:
-            raise self._no_default("nullary_coprod_inv", a)
-        return identity(zero)
+        return self._strict("nullary_coprod_inv", (a,), zero, zero and self.tensor_obj(zero, a))
 
-    def _no_default(self, method: str, a: Obj) -> NotImplementedError:
-        why = f"the tensor is not strict at {self.format_obj(a)}"
-        return NotImplementedError(f"instance {self.name}: {why}; override {method}")
+    def _strict(self, method: str, objs: tuple[Obj, ...], x: Obj | None, y: Obj | None) -> Mor:
+        """identity(x) when the map's two ends x and y are one object; else refuse."""
+        if x is None or x is not y:
+            where = ",".join(self.format_obj(o) for o in objs)
+            raise NotImplementedError(
+                f"instance {self.name}: the tensor is not strict at {where}; override {method}"
+            )
+        return identity(x)
 
     def enumerate_homset(self, a: Obj, b: Obj) -> list[Mor] | None:
         """All morphisms a -> b, or None when there are more than ENUM_CAP."""

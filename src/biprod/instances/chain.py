@@ -2,10 +2,10 @@
 
 Product is min, coproduct is max, the tensor is addition with unit 0,
 and addition distributes over both on the nose, so every distributor,
-and rho, is an identity.  What the chain does not have is a terminal or
-initial object, and with them it loses the zero object, zero maps, and
-homset addition.  It is the standing counterexample showing the nullary
-hypotheses pull real weight.
+and rho, is Instance's identity.  What the chain does not have is a
+terminal or initial object, and with them it loses the zero object, zero
+maps, and homset addition.  It is the standing counterexample showing
+the nullary hypotheses pull real weight.
 
 lo..hi only window the enumeration; the structure maps accept any
 integer objects.
@@ -83,14 +83,6 @@ class ChainInstance(Instance):
 
     def tensor_mor(self, f: Mor, g: Mor) -> Mor:
         return self.hom(self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod))
-
-    def prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
-        x = self.obj(a.data + min(b.data, c.data))
-        return self.mor(x, x, None)
-
-    def coprod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
-        x = self.obj(max(a.data, b.data) + c.data)
-        return self.mor(x, x, None)
 
     # enumeration
 

@@ -2,8 +2,9 @@
 
 Objects are dimensions 0..max_dim, a morphism m -> n is an n x m matrix,
 composition is matrix product.  Product and coproduct are both direct
-sum, the tensor is the Kronecker product with unit dimension 1, and the
-distributors are the evident index-shuffling permutations.
+sum, and the tensor is the Kronecker product with unit dimension 1.
+Kronecker order lists (a+b)@c's basis as (a@c)+(b@c) does, so prod_inv,
+an index shuffle, is the one distributor stated here.
 
 finrel is the boolean case: a matrix over the or/and semiring is exactly
 a relation between finite sets, composed relationally.
@@ -133,7 +134,7 @@ class MatInstance(Instance):
             self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod), payload
         )
 
-    # distributors: index shuffles, handed out as their inverse permutations
+    # the left distributor: an index shuffle, handed out as its inverse permutation
 
     def prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
         an, bn, cn = a.data, b.data, c.data
@@ -146,14 +147,6 @@ class MatInstance(Instance):
                     mapping.append(an * bn + i * cn + (j - bn))
         dom = self.obj(an * bn + an * cn)
         cod = self.obj(an * (bn + cn))
-        return self.mor(dom, cod, inverse_permutation_matrix(self.sr, mapping))
-
-    def coprod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
-        an, bn, cn = a.data, b.data, c.data
-        mapping = [i * cn + j for i in range(an) for j in range(cn)]
-        mapping += [(an + i) * cn + j for i in range(bn) for j in range(cn)]
-        dom = self.obj((an + bn) * cn)
-        cod = self.obj(an * cn + bn * cn)
         return self.mor(dom, cod, inverse_permutation_matrix(self.sr, mapping))
 
     # enumeration and sampling

@@ -2,11 +2,11 @@
 
 Objects and morphisms are pairs, and every piece of structure is run in
 each component and repacked.  _lift makes a method that does that for
-bang, cobang, tensor_mor, prod_inv, coprod_inv, random_morphism and
-native_add: it splits objects by data and morphisms by payload, hands
-any other argument (the rng) to both sides, left first, and gives None
-when either side does.  _witness does it for a product or coproduct
-witness.  rho and the nullary inverses are Instance's identities.
+bang, cobang, tensor_mor, prod_inv, random_morphism and native_add: it
+splits objects by data and morphisms by payload, hands any other
+argument (the rng) to both sides, left first, and gives None when either
+side does.  _witness does it for a product or coproduct witness.  rho,
+coprod_inv and the nullary inverses are Instance's identities.
 terminal and initial are packed only when both components have them, so
 nullary structure exists exactly when both components have it, which
 makes mixed products (one component with a zero object, one without)
@@ -52,7 +52,6 @@ class ProductInstance(Instance):
     cobang = _lift("cobang")
     tensor_mor = _lift("tensor_mor")
     prod_inv = _lift("prod_inv")
-    coprod_inv = _lift("coprod_inv")
     random_morphism = _lift("random_morphism")
     native_add = _lift("native_add")
 

@@ -97,9 +97,7 @@ RATIONALS = Semiring(
 
 
 def identity_matrix(sr: Semiring, n: int) -> tuple:
-    return tuple(
-        tuple(sr.one if i == j else sr.zero for j in range(n)) for i in range(n)
-    )
+    return inverse_permutation_matrix(sr, range(n))
 
 
 def zero_matrix(sr: Semiring, rows: int, cols: int) -> tuple:

@@ -20,12 +20,12 @@ maps always exist, and the instance supplies their inverses as methods:
                         (0 the initial object)
 
 The nullary ones, with bang and cobang, exist exactly when the instance
-has terminal and initial objects (its terminal and initial attributes
-are not None); they are Instance's identities unless an instance
-overrides them, since a@1 = 1 and 0@a = 0 on the nose in every shipped
-instance.  dist_prod and dist_coprod certify both round trips once
-per instance and keep the certified isomorphism in the instance's memo
-(kernel.per_instance), so y_map reuses one certificate per object
+has terminal and initial objects (terminal and initial are not None).
+All four are Instance's identities wherever the tensor yields one object
+at both ends, as every shipped instance does except in matcat's
+prod_inv, a permutation.  dist_prod and dist_coprod certify both round
+trips once per instance and keep the certified iso in the instance's
+memo (kernel.per_instance), so y_map reuses one certificate per object
 triple.  A wrong witness stores nothing and fails loudly at every use.
 """
 from __future__ import annotations

@@ -247,7 +247,7 @@ def _verify_universal(
             m = wit.mediate(f, g)
             checks.append(equation(f"exist-{names[0]}{probe}[{wname}#{i}]", leg(0, m), f))
             checks.append(equation(f"exist-{names[1]}{probe}[{wname}#{i}]", leg(1, m), g))
-    return CheckResult(f"{kind}({cat.format_obj(wit.left)},{cat.format_obj(wit.right)})", tuple(checks))
+    return CheckResult(kind, tuple(checks))
 
 
 def draw(cat, rng: random.Random, homsets: Sequence[tuple[Obj, Obj]], samples: int):

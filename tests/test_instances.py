@@ -132,6 +132,14 @@ def test_semirings_decide_what_is_zero():
     assert MIN_PLUS.nonzero(math.inf) is False
     assert MIN_PLUS.nonzero(float("inf")) is False
     assert MIN_PLUS.nonzero(0) is True
+    # every identity entry is the semiring's own one or zero object, so
+    # matmul's and kronecker's shortcuts recognise it
+    for sr in (BOOLEANS, NATURALS, RATIONALS, MIN_PLUS):
+        for n in range(5):
+            eye = identity_matrix(sr, n)
+            assert len(eye) == n and all(len(row) == n for row in eye)
+            for i, j in itertools.product(range(n), repeat=2):
+                assert eye[i][j] is (sr.one if i == j else sr.zero)
     # the identity matrix over min-plus is a left and right unit
     f = ((3, math.inf), (0, 1), (math.inf, 2))
     assert matmul(MIN_PLUS, identity_matrix(MIN_PLUS, 3), f, inner=3, cols=2) == f

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from biprod.cli import STAGES, CheckRecord, _guard
 from biprod.construction import t_inverse, y_map
 from biprod.errors import NoNullaryStructure, WitnessInvalid
-from biprod.instances import ChainInstance, finrel, mat_semiring, resolve, z_chain
+from biprod.instances import (
+    BOOLEANS,
+    ChainInstance,
+    Instance,
+    MatInstance,
+    finrel,
+    mat_semiring,
+    resolve,
+    z_chain,
+)
 from biprod.kernel import InversePair, check_inverse_pair, compose, identity
 from biprod.monoidal import (
     dist_coprod,
@@ -182,6 +191,16 @@ def test_strict_unit_and_nullary_inverses_are_certified_identities(selector):
             assert inst.nullary_coprod_inv(a) == identity(inst.initial)
             assert nullary_prod(a).bwd == identity(inst.terminal)
             assert nullary_coprod(a).bwd == identity(inst.initial)
+    # the right distributor is Instance's identity everywhere, and on the
+    # thin z-chain the left one too
+    for a, b, c in itertools.product(inst.objects(), repeat=3):
+        ab_c = tensor_obj(inst.coproduct(a, b).apex, c)
+        assert inst.coprod_inv(a, b, c) == identity(ab_c)
+        assert dist_coprod(a, b, c).bwd == identity(ab_c)
+        if selector == "z-chain":
+            a_bc = tensor_obj(a, inst.product(b, c).apex)
+            assert inst.prod_inv(a, b, c) == identity(a_bc)
+            assert dist_prod(a, b, c).bwd == identity(a_bc)
 
 
 class ShiftedChain(ChainInstance):
@@ -190,14 +209,6 @@ class ShiftedChain(ChainInstance):
     def tensor_obj(self, a, b):
         return self.obj(a.data + b.data + 1)
 
-    def prod_inv(self, a, b, c):
-        x = self.tensor_obj(a, self.product(b, c).apex)
-        return self.mor(x, x, None)
-
-    def coprod_inv(self, a, b, c):
-        x = self.tensor_obj(self.coproduct(a, b).apex, c)
-        return self.mor(x, x, None)
-
 
 def test_a_tensor_not_strictly_unital_must_state_its_rho():
     inst = ShiftedChain(-2, 2, name="shifted-chain")
@@ -205,9 +216,87 @@ def test_a_tensor_not_strictly_unital_must_state_its_rho():
     refused = r"^instance shifted-chain: the tensor is not strict at 1; override rho$"
     with pytest.raises(NotImplementedError, match=refused):
         inst.rho(a)
-    # the distributors it states certify, so t_inverse gets as far as rho
+    # Instance's distributors certify, so t_inverse gets as far as rho
     assert dist_prod(a, b, inst.unit).equations.passed
     with pytest.raises(NotImplementedError, match=refused):
         t_inverse(a, b)
     with pytest.raises(NotImplementedError, match=r"^instance shifted-chain: .*nullary_prod_inv$"):
         inst.nullary_prod_inv(a)
+
+
+class ScaledChain(ChainInstance):
+    """The chain with a@b = a*b: for negative objects min and max trade places."""
+
+    def tensor_obj(self, a, b):
+        return self.obj(a.data * b.data)
+
+
+def test_a_tensor_not_distributive_on_the_nose_must_state_its_distributors():
+    inst = ScaledChain(-2, 2, name="scaled-chain")
+    neg, one, two = inst.obj(-1), inst.obj(1), inst.obj(2)
+    # -1*min(1,2) = -1 but min(-1,-2) = -2; max(1,2)*-1 = -2 but max(-1,-2) = -1
+    for method, objs, where in (
+        ("prod_inv", (neg, one, two), "-1,1,2"),
+        ("coprod_inv", (one, two, neg), "1,2,-1"),
+    ):
+        refused = f"^instance scaled-chain: the tensor is not strict at {where}; override {method}$"
+        with pytest.raises(NotImplementedError, match=refused):
+            getattr(inst, method)(*objs)
+    # where min and max survive the scaling, the identities are supplied
+    assert inst.prod_inv(two, one, two) == identity(two)
+    assert inst.coprod_inv(one, two, two) == identity(inst.obj(4))
+
+
+class DefaultProdInv(MatInstance):
+    """finrel stating no prod_inv: Instance's identity, though a@(b x c) is (a@b) x (a@c)."""
+
+    prod_inv = Instance.prod_inv
+
+
+def test_an_identity_where_the_objects_agree_is_still_certified():
+    inst = DefaultProdInv(BOOLEANS, 2, name="finrel")
+    # the object check passes everywhere, so the default hands out identities
+    for a, b, c in itertools.product(inst.objects(), repeat=3):
+        assert inst.prod_inv(a, b, c) == identity(tensor_obj(a, inst.product(b, c).apex))
+        if a.data <= 1 or b.data == 0 or c.data == 0:
+            assert dist_prod(a, b, c).equations.passed
+        else:
+            # with two rows of a and two factors the bases are listed in
+            # different orders: the certificate, not the object check, refuses
+            with pytest.raises(WitnessInvalid, match=r"^dist_prod\("):
+                dist_prod(a, b, c)
+
+
+# each shipped instance class, built small
+SHIPPED = {
+    "MatInstance": lambda: finrel(2),
+    "ChainInstance": lambda: z_chain(-2, 2),
+    "ProductInstance": lambda: resolve("product:finrel+z-chain", 2),
+}
+STRICT_DEFAULTS = {
+    "rho": 1, "prod_inv": 3, "coprod_inv": 3, "nullary_prod_inv": 1, "nullary_coprod_inv": 1,
+}
+
+
+@pytest.mark.parametrize("cls_name", sorted(SHIPPED))
+def test_shipped_overrides_differ_from_the_strict_default(cls_name):
+    """A shipped override of a strict default must state something the default does not.
+
+    For every one of the five methods a shipped class defines itself,
+    Instance's default raises, or gives a different map, on some objects.
+    """
+    inst = SHIPPED[cls_name]()
+    cls = type(inst)
+    assert cls.__name__ == cls_name
+
+    def differs(method, objs):
+        try:
+            default = getattr(Instance, method)(inst, *objs)
+        except NotImplementedError:
+            return True
+        return default != getattr(inst, method)(*objs)
+
+    for method, arity in STRICT_DEFAULTS.items():
+        if method in cls.__dict__:
+            tuples = itertools.product(inst.objects(), repeat=arity)
+            assert any(differs(method, objs) for objs in tuples), f"{cls_name}.{method}"
