@@ -29,6 +29,7 @@ from .errors import (
     CategoryError,
     DomainMismatch,
     InvalidBounds,
+    MissingStructure,
     NoNullaryStructure,
     ParseError,
     UnknownInstance,

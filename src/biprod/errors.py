@@ -28,6 +28,10 @@ class NoNullaryStructure(CategoryError):
     """The instance lacks a terminal or initial object (or their inverses)."""
 
 
+class MissingStructure(CategoryError, NotImplementedError):
+    """The instance does not supply a structure map the construction asks for."""
+
+
 class UnknownInstance(CategoryError):
     """Instance selector does not name a registered instance."""
 

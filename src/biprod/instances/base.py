@@ -17,10 +17,11 @@ all of it held as the instance's own data attributes and methods:
 bang, cobang and the two nullary distributors are called only when
 terminal and initial are set.  rho and the four distributor inverses
 are identities wherever the tensor yields one object for both ends
-(_strict), and raise NotImplementedError elsewhere; monoidal's
-certificates still check them.  parse_obj reads back what format_obj
-prints.  Enumeration and random generation hooks are optional;
-verifiers fall back gracefully when they are absent.
+(_strict), and raise MissingStructure elsewhere, a CategoryError that
+the command line reports as a failed record; monoidal's certificates
+still check them.  parse_obj reads back what format_obj prints.
+Enumeration and random generation hooks are optional; verifiers fall
+back gracefully when they are absent.
 
 That structure is fixed at construction: a constructor sets terminal,
 initial and unit once each, and reassigning or deleting one afterwards
@@ -31,13 +32,16 @@ own memo, made with it, so a memoized certificate never outlives the
 witnesses it was certified with, nor the instance itself.  The shipped
 instances keep their product and coproduct witnesses in that memo too,
 through kernel.per_instance; homset sums are memoized only for the
-length of one construction.verify_semiadditive call.
+length of one construction.verify_semiadditive call.  One more memo
+lives beside inst.memo: the product instance keeps its component
+composites in a dict of its own, capped at product.COMPOSITE_CAP
+entries.
 """
 from __future__ import annotations
 
 import random
 
-from ..errors import InvalidBounds, ParseError
+from ..errors import InvalidBounds, MissingStructure, ParseError
 from ..kernel import Category, InversePair, Mor, Obj, identity
 from ..structure import CoproductWitness, ProductWitness
 
@@ -140,7 +144,7 @@ class Instance(Category):
         """identity(x) when the map's two ends x and y are one object; else refuse."""
         if x is None or x is not y:
             where = ",".join(self.format_obj(o) for o in objs)
-            raise NotImplementedError(
+            raise MissingStructure(
                 f"instance {self.name}: the tensor is not strict at {where}; override {method}"
             )
         return identity(x)

@@ -11,6 +11,18 @@ terminal and initial are packed only when both components have them, so
 nullary structure exists exactly when both components have it, which
 makes mixed products (one component with a zero object, one without)
 useful counterexamples.
+
+Composition is componentwise, so each component morphism meets every
+morphism of the other side, and the product composes the same component
+pair over and over.  compose_payload therefore keeps each component
+composite in the instance's own dict _composites, keyed by the pair
+(g_i, f_i) of component morphisms, one entry per side: the composite is
+a pure function of its factors, and a compose that raises stores
+nothing.  Keying by component pair, not by product pair, keeps the dict
+small.  It holds at most COMPOSITE_CAP entries and is cleared when full,
+so composites of sampled morphisms that never recur are not kept for
+the instance's lifetime.  It is not inst.memo, whose keys are all
+kernel.per_instance keys.
 """
 from __future__ import annotations
 
@@ -20,6 +32,9 @@ from ..errors import ParseError
 from ..kernel import Mor, Obj, compose, identity, per_instance
 from ..structure import ENUM_CAP, CoproductWitness, ProductWitness
 from .base import Instance
+
+# the most component composites compose_payload keeps at once
+COMPOSITE_CAP = 4096
 
 
 def _lift(name: str):
@@ -47,6 +62,7 @@ class ProductInstance(Instance):
             lx, rx = getattr(left, attr), getattr(right, attr)
             setattr(self, attr, None if lx is None or rx is None else self.pack(lx, rx))
         self.unit = self.pack(left.unit, right.unit)
+        self._composites: dict = {}  # (g_i, f_i) -> compose(g_i, f_i)
 
     bang = _lift("bang")
     cobang = _lift("cobang")
@@ -70,9 +86,21 @@ class ProductInstance(Instance):
 
     def compose_payload(self, g: Mor, f: Mor):
         return (
-            compose(g.payload[0], f.payload[0]),
-            compose(g.payload[1], f.payload[1]),
+            self._composite(g.payload[0], f.payload[0]),
+            self._composite(g.payload[1], f.payload[1]),
         )
+
+    def _composite(self, g: Mor, f: Mor) -> Mor:
+        """compose(g, f) of two component morphisms, from _composites once computed."""
+        composites = self._composites
+        key = (g, f)
+        gf = composites.get(key)
+        if gf is None:
+            gf = compose(g, f)
+            if len(composites) >= COMPOSITE_CAP:
+                composites.clear()
+            composites[key] = gf
+        return gf
 
     def format_obj(self, a: Obj) -> str:
         return f"{self.left.format_obj(a.data[0])}|{self.right.format_obj(a.data[1])}"

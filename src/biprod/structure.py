@@ -158,11 +158,12 @@ def matrix_of(f: Mor, c: CoproductWitness, p: ProductWitness) -> Mat2:
             f"morphism {cat.format_obj(f.dom)} -> {cat.format_obj(f.cod)} does not"
             f" run {cat.format_obj(c.apex)} -> {cat.format_obj(p.apex)}"
         )
+    col1, col2 = compose(f, c.in1), compose(f, c.in2)
     return Mat2(
-        f11=compose(p.pi1, compose(f, c.in1)),
-        f12=compose(p.pi1, compose(f, c.in2)),
-        f21=compose(p.pi2, compose(f, c.in1)),
-        f22=compose(p.pi2, compose(f, c.in2)),
+        f11=compose(p.pi1, col1),
+        f12=compose(p.pi1, col2),
+        f21=compose(p.pi2, col1),
+        f22=compose(p.pi2, col2),
     )
 
 

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biprod.instances.product as product_module
 from biprod import cli
 from biprod.construction import hom_add
 from biprod.errors import DomainMismatch, UnknownInstance, WitnessInvalid
@@ -476,6 +479,110 @@ def test_product_instance_enumeration_caps():
     assert len(pi.left.enumerate_homset(two.data[0], three_two.data[0])) == 64
     assert len(pi.right.enumerate_homset(two.data[1], three_two.data[1])) == 16
     assert pi.enumerate_homset(two, three_two) is None
+
+
+def _count_component_composes(pi, monkeypatch):
+    """The (side, g, f) of every compose that reaches a component's compose_payload."""
+    reached = []
+    for side, component in enumerate((pi.left, pi.right)):
+        def counting(g, f, side=side, compose_payload=component.compose_payload):
+            reached.append((side, g, f))
+            return compose_payload(g, f)
+
+        monkeypatch.setattr(component, "compose_payload", counting)
+    return reached
+
+
+def _composable_pairs(pi):
+    """Every (g, f) of product morphisms a -> b -> c over the enumerated homsets."""
+    objs = pi.objects()
+    return [
+        (g, f)
+        for a, b, c in itertools.product(objs, repeat=3)
+        for f in pi.enumerate_homset(a, b) or ()
+        for g in pi.enumerate_homset(b, c) or ()
+    ]
+
+
+def test_product_composes_each_component_pair_once(monkeypatch):
+    pi = product_instance(finrel(2), z_chain(-2, 2))
+    reached = _count_component_composes(pi, monkeypatch)
+    f = pi.pack_mor(
+        pi.left.mor(pi.left.obj(1), pi.left.obj(2), ((True,), (False,))),
+        pi.right.hom(pi.right.obj(0), pi.right.obj(1)),
+    )
+    g = pi.pack_mor(
+        pi.left.mor(pi.left.obj(2), pi.left.obj(2), ((False, True), (True, False))),
+        identity(pi.right.obj(1)),
+    )
+    first = compose(g, f)
+    assert compose(g, f) == first
+    assert reached == [(0, g.payload[0], f.payload[0]), (1, g.payload[1], f.payload[1])]
+    assert first.payload == (
+        compose(g.payload[0], f.payload[0]), compose(g.payload[1], f.payload[1])
+    )
+
+
+def test_product_composite_memo_is_capped(monkeypatch):
+    uncapped = resolve("product:finrel+z-chain", 1)
+    pairs = _composable_pairs(uncapped)
+    want = [compose(g, f) for g, f in pairs]
+    assert len(uncapped._composites) > 4
+    monkeypatch.setattr(product_module, "COMPOSITE_CAP", 4)
+    capped = resolve("product:finrel+z-chain", 1)
+    got, sizes = [], []
+    for g, f in _composable_pairs(capped):
+        got.append(compose(g, f))
+        sizes.append(len(capped._composites))
+    # packed objects are interned per instance, so compare what they print
+    assert [repr(m) for m in got] == [repr(m) for m in want]
+    assert max(sizes) == 4
+    assert 1 in sizes  # the dict was cleared and filled again
+
+
+def test_product_composites_die_with_their_instance():
+    pi = resolve("product:finrel+z-chain", 1)
+    for g, f in _composable_pairs(pi):
+        compose(g, f)
+    assert pi._composites
+    ref = weakref.ref(pi)
+    del pi, g, f
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_composite_that_raises_is_not_memoized():
+    pi = product_instance(finrel(2), z_chain(-2, 2))
+    one = pi.pack(pi.left.obj(1), pi.right.obj(0))
+    two = pi.pack(pi.left.obj(2), pi.right.obj(1))
+    f = pi.enumerate_homset(one, two)[0]
+    compose(identity(two), f)
+    before = dict(pi._composites)
+    # the product's own check refuses first
+    with pytest.raises(DomainMismatch):
+        compose(f, f)
+    # a left side that does not line up stores nothing
+    with pytest.raises(DomainMismatch):
+        pi.compose_payload(f, f)
+    assert pi._composites == before
+    # nor does a right side that does not; its left side is one already kept
+    g = pi.pack_mor(identity(two.data[0]), identity(one.data[1]))
+    with pytest.raises(DomainMismatch):
+        pi.compose_payload(g, f)
+    assert pi._composites == before
+
+
+def test_verify_composes_each_component_pair_once(monkeypatch):
+    # a work guard: over one full verify of the suite-product benchmark's
+    # config, no (g, f) reaches a component's compose_payload twice
+    pi = resolve("product:finrel+z-chain", 1)
+    reached = _count_component_composes(pi, monkeypatch)
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: pi)
+    config = cli.SuiteConfig(instance="product:finrel+z-chain", max_size=1, max_quad=1, seed=1)
+    report = cli.run_suite(config)
+    assert (report.passed, report.failed) == (1836, 7)
+    assert reached and {side for side, _, _ in reached} == {0, 1}
+    assert len(reached) == len(set(reached))
 
 
 def test_resolve_selectors():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biprod import cli
 from biprod.cli import STAGES, CheckRecord, _guard
 from biprod.construction import t_inverse, y_map
-from biprod.errors import NoNullaryStructure, WitnessInvalid
+from biprod.errors import CategoryError, MissingStructure, NoNullaryStructure, WitnessInvalid
 from biprod.instances import (
     BOOLEANS,
     ChainInstance,
@@ -245,6 +246,23 @@ def test_a_tensor_not_distributive_on_the_nose_must_state_its_distributors():
     # where min and max survive the scaling, the identities are supplied
     assert inst.prod_inv(two, one, two) == identity(two)
     assert inst.coprod_inv(one, two, two) == identity(inst.obj(4))
+
+
+@pytest.mark.parametrize("cls, missing", [(ShiftedChain, 25), (ScaledChain, 24)])
+def test_absent_structure_is_a_failed_record(monkeypatch, cls, missing):
+    # MissingStructure is a CategoryError, so verify reports it instead of
+    # crashing, and a NotImplementedError, for callers that catch that
+    assert issubclass(MissingStructure, CategoryError)
+    assert issubclass(MissingStructure, NotImplementedError)
+    inst = cls(-2, 2, name="chain")
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: inst)
+    report = cli.run_suite(cli.SuiteConfig(instance="z-chain", max_size=2))
+    t_inverse_records = [c for c in report.checks if c.suite == "t-inverse"]
+    assert len(t_inverse_records) == 25
+    refused = re.compile(
+        r"MissingStructure \(instance chain: the tensor is not strict at -?\d; override rho\)"
+    )
+    assert sum(1 for c in t_inverse_records if c.failure and refused.fullmatch(c.failure)) == missing
 
 
 class DefaultProdInv(MatInstance):
