@@ -25,7 +25,10 @@ class WitnessInvalid(CategoryError):
 
 
 class NoNullaryStructure(CategoryError):
-    """The instance lacks a terminal or initial object (or their inverses)."""
+    """The instance lacks a terminal or initial object.
+
+    A missing inverse of a nullary distributor is a MissingStructure.
+    """
 
 
 class MissingStructure(CategoryError, NotImplementedError):

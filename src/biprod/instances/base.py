@@ -23,19 +23,21 @@ still check them.  parse_obj reads back what format_obj prints.
 Enumeration and random generation hooks are optional; verifiers fall
 back gracefully when they are absent.
 
-That structure is fixed at construction: a constructor sets terminal,
-initial and unit once each, and reassigning or deleting one afterwards
-raises AttributeError.  No instance attribute may shadow one of the
-structure methods either; a different witness takes a subclass.  What
-the construction derives from that structure lives in the instance's
-own memo, made with it, so a memoized certificate never outlives the
-witnesses it was certified with, nor the instance itself.  The shipped
-instances keep their product and coproduct witnesses in that memo too,
-through kernel.per_instance; homset sums are memoized only for the
-length of one construction.verify_semiadditive call.  One more memo
-lives beside inst.memo: the product instance keeps its component
-composites in a dict of its own, capped at product.COMPOSITE_CAP
-entries.
+An instance is fixed once built, by one rule: an attribute may be set
+once, never where the instance's class defines a callable, and never
+deleted; a breach raises AttributeError.  So terminal, initial, unit and
+each constructor's own fields (a semiring, a window, a product's
+components) keep the values they were built with, and no method can be
+shadowed on an instance, be it structure, composition, enumeration or
+formatting; a different witness takes a subclass.  What the construction
+derives from that structure lives in the instance's own memo, made with
+it, so a memoized certificate never outlives the witnesses it was
+certified with, nor the instance itself.  The shipped instances keep
+their product and coproduct witnesses in that memo too, through
+kernel.per_instance; homset sums are memoized only for the length of
+one construction.verify_semiadditive call.  One more memo lives beside
+inst.memo: the product instance keeps its component composites in a
+dict of its own, capped at product.COMPOSITE_CAP entries.
 """
 from __future__ import annotations
 
@@ -44,14 +46,6 @@ import random
 from ..errors import InvalidBounds, MissingStructure, ParseError
 from ..kernel import Category, InversePair, Mor, Obj, identity
 from ..structure import CoproductWitness, ProductWitness
-
-# the structure a constructor sets once, and the structure methods no
-# instance attribute may shadow; see the module docstring
-FIXED_STRUCTURE = frozenset({"terminal", "initial", "unit"})
-FIXED_METHODS = frozenset({
-    "product", "coproduct", "bang", "cobang", "tensor_obj", "tensor_mor", "rho",
-    "prod_inv", "coprod_inv", "nullary_prod_inv", "nullary_coprod_inv",
-})
 
 
 def read_int(text: str) -> int:
@@ -73,18 +67,16 @@ class Instance(Category):
         self.memo: dict = {}  # derived results and witnesses; see kernel.per_instance
 
     def __setattr__(self, attr: str, value) -> None:
-        self._refuse_change(attr)
+        # set once, never over a method; see the module docstring
+        if attr in self.__dict__ or callable(getattr(type(self), attr, None)):
+            raise self._fixed(attr)
         super().__setattr__(attr, value)
 
     def __delattr__(self, attr: str) -> None:
-        self._refuse_change(attr)
-        super().__delattr__(attr)
+        raise self._fixed(attr)
 
-    def _refuse_change(self, attr: str) -> None:
-        if attr in FIXED_METHODS or (attr in FIXED_STRUCTURE and attr in self.__dict__):
-            raise AttributeError(
-                f"instance {self.name}: {attr} is fixed once the instance is built"
-            )
+    def _fixed(self, attr: str) -> AttributeError:
+        return AttributeError(f"instance {self.name}: {attr} is fixed once the instance is built")
 
     def objects(self, bound: int | None = None) -> list[Obj]:
         """The object universe, optionally clipped to a smaller bound."""

@@ -482,14 +482,21 @@ def test_product_instance_enumeration_caps():
 
 
 def _count_component_composes(pi, monkeypatch):
-    """The (side, g, f) of every compose that reaches a component's compose_payload."""
+    """The (side, g, f) of every compose that reaches a component's compose_payload.
+
+    A built instance's methods cannot be shadowed, so this patches each
+    component's class and records only the calls made on the component.
+    """
     reached = []
     for side, component in enumerate((pi.left, pi.right)):
-        def counting(g, f, side=side, compose_payload=component.compose_payload):
-            reached.append((side, g, f))
-            return compose_payload(g, f)
+        cls = type(component)
 
-        monkeypatch.setattr(component, "compose_payload", counting)
+        def counting(self, g, f, side=side, component=component, inner=cls.compose_payload):
+            if self is component:
+                reached.append((side, g, f))
+            return inner(self, g, f)
+
+        monkeypatch.setattr(cls, "compose_payload", counting)
     return reached
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -70,12 +72,50 @@ def test_copair_rechecks_defining_equations():
         copair(swapped, f, g)
 
 
-def test_pair_rejects_mismatched_components():
-    p = REL.product(REL.obj(1), REL.obj(1))
-    f = REL.mor(REL.obj(1), REL.obj(1), bmat((1,),))
-    g = REL.mor(REL.obj(2), REL.obj(1), bmat((1, 0),))
-    with pytest.raises(DomainMismatch):
-        pair(p, f, g)
+def _wrong_type(witness):
+    """witness whose mediate hands back its first argument, which never ends at the apex."""
+    return dataclasses.replace(witness, mediate=lambda f, g: f)
+
+
+ONE, TWO = REL.obj(1), REL.obj(2)
+ONE_ONE = REL.mor(ONE, ONE, bmat((1,),))
+TWO_ONE = REL.mor(TWO, ONE, bmat((1, 0),))
+ONE_TWO = REL.mor(ONE, TWO, bmat((1,), (0,)))
+P11, C11 = REL.product(ONE, ONE), REL.coproduct(ONE, ONE)
+
+
+@pytest.mark.parametrize(
+    "build, witness, f, g, error, text",
+    [
+        pytest.param(
+            pair, P11, ONE_ONE, TWO_ONE, DomainMismatch,
+            "pair components start at 1 and 2", id="pair-no-shared-end",
+        ),
+        pytest.param(
+            pair, P11, ONE_ONE, ONE_TWO, DomainMismatch,
+            "pair components end at 1, 2; witness expects 1, 1", id="pair-witness-expects",
+        ),
+        pytest.param(
+            pair, _wrong_type(P11), ONE_ONE, ONE_ONE, WitnessInvalid,
+            "product mediate returned a morphism of the wrong type", id="pair-mediate-type",
+        ),
+        pytest.param(
+            copair, C11, ONE_ONE, ONE_TWO, DomainMismatch,
+            "copair components end at 1 and 2", id="copair-no-shared-end",
+        ),
+        pytest.param(
+            copair, C11, ONE_ONE, TWO_ONE, DomainMismatch,
+            "copair components start at 1, 2; witness expects 1, 1", id="copair-witness-expects",
+        ),
+        pytest.param(
+            copair, _wrong_type(C11), ONE_ONE, ONE_ONE, WitnessInvalid,
+            "coproduct mediate returned a morphism of the wrong type", id="copair-mediate-type",
+        ),
+    ],
+)
+def test_pair_rejects_mismatched_components(build, witness, f, g, error, text):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        build(witness, f, g)
 
 
 def test_times_map_is_diagonal_assembly():
