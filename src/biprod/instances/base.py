@@ -24,8 +24,9 @@ Enumeration and random generation hooks are optional; verifiers fall
 back gracefully when they are absent.
 
 An instance is fixed once built, by one rule: an attribute may be set
-once, never where the instance's class defines a callable, and never
-deleted; a breach raises AttributeError.  So terminal, initial, unit and
+once, never where the instance's class defines a callable, never under a
+dunder name (so __dict__ cannot be swapped whole), and never deleted; a
+breach raises AttributeError.  So terminal, initial, unit and
 each constructor's own fields (a semiring, a window, a product's
 components) keep the values they were built with, and no method can be
 shadowed on an instance, be it structure, composition, enumeration or
@@ -67,8 +68,9 @@ class Instance(Category):
         self.memo: dict = {}  # derived results and witnesses; see kernel.per_instance
 
     def __setattr__(self, attr: str, value) -> None:
-        # set once, never over a method; see the module docstring
-        if attr in self.__dict__ or callable(getattr(type(self), attr, None)):
+        # set once, never over a method or a dunder; see the module docstring
+        dunder = attr.startswith("__") and attr.endswith("__")
+        if dunder or attr in self.__dict__ or callable(getattr(type(self), attr, None)):
             raise self._fixed(attr)
         super().__setattr__(attr, value)
 

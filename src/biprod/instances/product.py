@@ -1,16 +1,19 @@
 """Componentwise product of two instances.
 
-Objects and morphisms are pairs, and every piece of structure is run in
-each component and repacked.  _lift makes a method that does that for
-bang, cobang, tensor_mor, prod_inv, random_morphism and native_add: it
-splits objects by data and morphisms by payload, hands any other
-argument (the rng) to both sides, left first, and gives None when either
-side does.  _witness does it for a product or coproduct witness.  rho,
-coprod_inv and the nullary inverses are Instance's identities.
-terminal and initial are packed only when both components have them, so
-nullary structure exists exactly when both components have it, which
-makes mixed products (one component with a zero object, one without)
-useful counterexamples.
+Objects and morphisms are pairs, and every piece of structure is the pair
+of the components' pieces.  One packer, _pack, turns a value from each
+component into the product's: None when either side is None, pack for
+two objects, pack_mor for two morphisms, and for two witnesses one of
+their class whose fields pack in turn and whose mediate splits its maps
+by payload.  One lift, _lift(name), runs name in each component on split
+arguments (objects by data, morphisms by payload, any other argument,
+the rng, to both sides, left first) and packs the two results: it makes
+bang, cobang, tensor_obj, tensor_mor, prod_inv, product, coproduct,
+random_morphism and native_add.  terminal, initial and unit are packed
+too, so nullary structure exists exactly when both components have it,
+which makes mixed products (one component with a zero object, one
+without) useful counterexamples.  rho, coprod_inv and the nullary
+inverses are Instance's identities.
 
 Composition is componentwise, so each component morphism meets every
 morphism of the other side, and the product composes the same component
@@ -27,10 +30,11 @@ kernel.per_instance keys.
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 
 from ..errors import ParseError
 from ..kernel import Mor, Obj, compose, identity, per_instance
-from ..structure import ENUM_CAP, CoproductWitness, ProductWitness
+from ..structure import ENUM_CAP
 from .base import Instance
 
 # the most component composites compose_payload keeps at once
@@ -40,14 +44,13 @@ COMPOSITE_CAP = 4096
 def _lift(name: str):
     """The method that runs name in each component on split arguments and packs."""
 
-    def lifted(self, *args) -> Mor | None:
-        largs, rargs = zip(*(
-            x.data if isinstance(x, Obj) else x.payload if isinstance(x, Mor) else (x, x)
-            for x in args
-        ))
-        lf = getattr(self.left, name)(*largs)
-        rf = getattr(self.right, name)(*rargs)
-        return None if lf is None or rf is None else self.pack_mor(lf, rf)
+    def lifted(self, *args):
+        largs, rargs = [], []
+        for x in args:
+            lx, rx = x.data if isinstance(x, Obj) else x.payload if isinstance(x, Mor) else (x, x)
+            largs.append(lx)
+            rargs.append(rx)
+        return self._pack(getattr(self.left, name)(*largs), getattr(self.right, name)(*rargs))
 
     lifted.__name__ = name
     return lifted
@@ -58,16 +61,17 @@ class ProductInstance(Instance):
         super().__init__(name or f"product:{left.name}+{right.name}")
         self.left = left
         self.right = right
-        for attr in ("terminal", "initial"):
-            lx, rx = getattr(left, attr), getattr(right, attr)
-            setattr(self, attr, None if lx is None or rx is None else self.pack(lx, rx))
-        self.unit = self.pack(left.unit, right.unit)
+        for attr in ("terminal", "initial", "unit"):
+            setattr(self, attr, self._pack(getattr(left, attr), getattr(right, attr)))
         self._composites: dict = {}  # (g_i, f_i) -> compose(g_i, f_i)
 
     bang = _lift("bang")
     cobang = _lift("cobang")
+    tensor_obj = _lift("tensor_obj")
     tensor_mor = _lift("tensor_mor")
     prod_inv = _lift("prod_inv")
+    product = per_instance(_lift("product"))
+    coproduct = per_instance(_lift("coproduct"))
     random_morphism = _lift("random_morphism")
     native_add = _lift("native_add")
 
@@ -78,6 +82,28 @@ class ProductInstance(Instance):
         return self.mor(
             self.pack(lf.dom, rf.dom), self.pack(lf.cod, rf.cod), (lf, rf)
         )
+
+    def _pack(self, lx, rx):
+        """The product's value of lx from the left and rx from the right; see the module."""
+        if lx is None or rx is None:
+            return None
+        if isinstance(lx, Obj):
+            return self.pack(lx, rx)
+        if isinstance(lx, Mor):
+            return self.pack_mor(lx, rx)
+
+        def mediate(f: Mor, g: Mor) -> Mor:
+            return self.pack_mor(
+                lx.mediate(f.payload[0], g.payload[0]),
+                rx.mediate(f.payload[1], g.payload[1]),
+            )
+
+        packed = {
+            fd.name: self._pack(getattr(lx, fd.name), getattr(rx, fd.name))
+            for fd in fields(lx)
+            if fd.name != "mediate"
+        }
+        return type(lx)(mediate=mediate, **packed)
 
     # category hooks
 
@@ -135,38 +161,6 @@ class ProductInstance(Instance):
             raise ParseError(f"objects of {self.name} are spelled left|right, got {text!r}")
         lt, rt = text.split("|", 1)
         return self.pack(self.left.parse_obj(lt), self.right.parse_obj(rt))
-
-    @per_instance
-    def product(self, a: Obj, b: Obj) -> ProductWitness:
-        lp, rp = self.left.product, self.right.product
-        return self._witness(ProductWitness, ("pi1", "pi2"), lp, rp, a, b)
-
-    @per_instance
-    def coproduct(self, a: Obj, b: Obj) -> CoproductWitness:
-        lc, rc = self.left.coproduct, self.right.coproduct
-        return self._witness(CoproductWitness, ("in1", "in2"), lc, rc, a, b)
-
-    def _witness(self, cls, legs: tuple[str, str], lbuild, rbuild, a: Obj, b: Obj):
-        """Pack the components' cls witnesses: apex and legs pair up, mediate splits."""
-        lw = lbuild(a.data[0], b.data[0])
-        rw = rbuild(a.data[1], b.data[1])
-
-        def mediate(f: Mor, g: Mor) -> Mor:
-            return self.pack_mor(
-                lw.mediate(f.payload[0], g.payload[0]),
-                rw.mediate(f.payload[1], g.payload[1]),
-            )
-
-        packed = [self.pack_mor(getattr(lw, n), getattr(rw, n)) for n in legs]
-        return cls(a, b, self.pack(lw.apex, rw.apex), *packed, mediate)
-
-    # tensor
-
-    def tensor_obj(self, a: Obj, b: Obj) -> Obj:
-        return self.pack(
-            self.left.tensor_obj(a.data[0], b.data[0]),
-            self.right.tensor_obj(a.data[1], b.data[1]),
-        )
 
     # enumeration
 

@@ -353,6 +353,25 @@ def test_structure_cannot_change_under_a_cached_certificate(selector):
     assert t_inverse(a, b) is ti
 
 
+@pytest.mark.parametrize("selector", sorted(MUST_BE_FIXED))
+def test_fields_cannot_be_swapped_through_a_dunder(selector):
+    # assigning __dict__ whole would re-set every field at once, under the
+    # same cached pair; every dunder is refused, not only the callable ones
+    inst = resolve(selector, 1 if selector.startswith("product:") else 2)
+    a, b = inst.objects()[-2:]
+    ti = t_inverse(a, b)
+    built = dict(vars(inst))
+    other = resolve("mat-nat", 2)
+    swapped = {**built, **{attr: getattr(other, attr, None) for attr in MUST_BE_FIXED[selector]}}
+    for attr, value in (("__dict__", swapped), ("__class__", type(other)), ("__doc__", "")):
+        fixed = re.escape(f"instance {inst.name}: {attr} is fixed once the instance is built")
+        with pytest.raises(AttributeError, match=fixed):
+            setattr(inst, attr, value)
+    assert vars(inst).keys() == built.keys()
+    assert all(vars(inst)[attr] is value for attr, value in built.items())
+    assert t_inverse(a, b) is ti
+
+
 def test_witness_methods_cannot_be_shadowed_under_a_cached_certificate(
     rotated_mediate_rel2,
 ):

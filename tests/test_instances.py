@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import biprod.instances.product as product_module
 from biprod import cli
 from biprod.construction import hom_add
-from biprod.errors import DomainMismatch, UnknownInstance, WitnessInvalid
+from biprod.errors import DomainMismatch, InvalidBounds, UnknownInstance, WitnessInvalid
 from biprod.instances import (
     BOOLEANS,
     NATURALS,
@@ -40,7 +40,7 @@ from biprod.instances.semiring import (
 )
 from biprod.kernel import compose, identity
 from biprod.monoidal import dist_prod, has_nullary
-from biprod.structure import ENUM_CAP
+from biprod.structure import ENUM_CAP, CoproductWitness, ProductWitness, draw
 
 
 def test_matmul_handles_empty_inner():
@@ -329,6 +329,8 @@ def test_mat_objects_respect_bound():
     nat = mat_semiring("mat-nat", 3)
     assert [o.data for o in nat.objects()] == [0, 1, 2, 3]
     assert [o.data for o in nat.objects(2)] == [0, 1, 2]
+    with pytest.raises(InvalidBounds, match="^max_dim must be nonnegative$"):
+        MatInstance(BOOLEANS, -1)
 
 
 def test_mat_format_mor_marks_empty():
@@ -355,6 +357,8 @@ def test_chain_objects_window():
     ch = z_chain(-5, 5)
     assert [o.data for o in ch.objects(2)] == [-2, -1, 0, 1, 2]
     assert len(ch.objects()) == 11
+    with pytest.raises(DomainMismatch, match="^empty enumeration window$"):
+        ChainInstance(1, 0)
 
 
 def test_chain_enumerate():
@@ -423,6 +427,46 @@ def test_product_instance_nullary_requires_both():
 
 
 def test_product_instance_lifts_component_maps():
+    # objects, morphisms and witnesses are the packed pairs of the
+    # components' own
+    for selector in ("product:finrel+product:mat-nat+finrel", "product:finrel+z-chain"):
+        pi = resolve(selector, 1)
+        left, right = pi.left, pi.right
+        for attr in ("terminal", "initial", "unit"):
+            lx, rx = getattr(left, attr), getattr(right, attr)
+            packed = None if lx is None or rx is None else pi.pack(lx, rx)
+            assert getattr(pi, attr) is packed
+            # z-chain has no terminal or initial object; every instance has a unit
+            assert (packed is None) is (attr != "unit" and selector.endswith("z-chain"))
+        objs = pi.objects()
+        rng, mediated = random.Random(3), 0
+        for a, b in itertools.product(objs, repeat=2):
+            (la, ra), (lb, rb) = a.data, b.data
+            tensor = pi.pack(left.tensor_obj(la, lb), right.tensor_obj(ra, rb))
+            assert pi.tensor_obj(a, b) is tensor
+            for build, cls, legs in (
+                ("product", ProductWitness, ("pi1", "pi2")),
+                ("coproduct", CoproductWitness, ("in1", "in2")),
+            ):
+                w = getattr(pi, build)(a, b)
+                lw, rw = getattr(left, build)(la, lb), getattr(right, build)(ra, rb)
+                assert type(w) is cls
+                assert (w.left, w.right) == (a, b)
+                assert w.apex is pi.pack(lw.apex, rw.apex)
+                for leg in legs:
+                    assert getattr(w, leg) == pi.pack_mor(getattr(lw, leg), getattr(rw, leg))
+                # mediate splits each pair of maps by payload and packs the
+                # components' mediates: on every pair where both homsets
+                # enumerate, on drawn pairs where one does not (mat-nat)
+                for x in objs:
+                    ends = [(x, a), (x, b)] if build == "product" else [(a, x), (b, x)]
+                    for f, g in draw(pi, rng, ends, 2)[0]:
+                        (lf, rf), (lg, rg) = f.payload, g.payload
+                        assert w.mediate(f, g) == pi.pack_mor(
+                            lw.mediate(lf, lg), rw.mediate(rf, rg)
+                        )
+                        mediated += 1
+        assert mediated > 0
     pi = resolve("product:finrel+product:mat-nat+finrel", 1)
     for a, b, c in itertools.product(pi.objects(), repeat=3):
         la, lb, lc = a.data[0], b.data[0], c.data[0]

@@ -73,6 +73,10 @@ def test_compose_rejects_foreign_category():
     g = other.mor(other.obj(1), other.obj(1), bmat((1,),))
     with pytest.raises(DomainMismatch):
         compose(g, f)
+    foreign = "^morphism endpoints belong to a different category$"
+    for dom, cod in ((other.obj(1), REL.obj(1)), (REL.obj(1), other.obj(1))):
+        with pytest.raises(DomainMismatch, match=foreign):
+            REL.mor(dom, cod, bmat((1,),))
 
 
 @settings(max_examples=100, deadline=None)

@@ -131,8 +131,12 @@ def test_mat2_validates_typing():
     two = REL.obj(2)
     i1 = identity(one)
     wrong = REL.mor(two, one, bmat((1, 0),))
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(DomainMismatch, match="^matrix columns must share a domain$"):
         Mat2(i1, i1, wrong, i1)
+    # the columns agree, the second row does not
+    tall = REL.mor(one, two, bmat((1,), (0,)))
+    with pytest.raises(DomainMismatch, match="^matrix rows must share a codomain$"):
+        Mat2(i1, i1, tall, i1)
 
 
 def test_matrix_of_reads_components():
@@ -147,6 +151,9 @@ def test_matrix_of_reads_components():
         ((0,),),
         ((2,),),
     )
+    short = NAT.mor(NAT.obj(1), two, ((5,), (0,)))
+    with pytest.raises(DomainMismatch, match="^morphism 1 -> 2 does not run 2 -> 2$"):
+        matrix_of(short, c, p)
 
 
 @st.composite
