@@ -25,12 +25,11 @@ from .semiring import (
     Semiring,
     hstack,
     identity_matrix,
-    inverse_permutation_matrix,
     kronecker,
     matmul,
     matrix_add,
     vstack,
-    zero_matrix,
+    zero_one_matrix,
 )
 
 
@@ -85,11 +84,10 @@ class MatInstance(Instance):
 
     @per_instance
     def product(self, a: Obj, b: Obj) -> ProductWitness:
-        sr = self.sr
         n, m = a.data, b.data
         apex = self.obj(n + m)
-        pi1 = self.mor(apex, a, hstack(identity_matrix(sr, n), zero_matrix(sr, n, m)))
-        pi2 = self.mor(apex, b, hstack(zero_matrix(sr, m, n), identity_matrix(sr, m)))
+        pi1 = self.mor(apex, a, zero_one_matrix(self.sr, n + m, range(n)))
+        pi2 = self.mor(apex, b, zero_one_matrix(self.sr, n + m, range(n, n + m)))
 
         def mediate(f: Mor, g: Mor) -> Mor:
             return self.mor(f.dom, apex, vstack(f.payload, g.payload))
@@ -98,11 +96,10 @@ class MatInstance(Instance):
 
     @per_instance
     def coproduct(self, a: Obj, b: Obj) -> CoproductWitness:
-        sr = self.sr
         n, m = a.data, b.data
         apex = self.obj(n + m)
-        in1 = self.mor(a, apex, vstack(identity_matrix(sr, n), zero_matrix(sr, m, n)))
-        in2 = self.mor(b, apex, vstack(zero_matrix(sr, n, m), identity_matrix(sr, m)))
+        in1 = self.mor(a, apex, zero_one_matrix(self.sr, n, [*range(n), *[None] * m]))
+        in2 = self.mor(b, apex, zero_one_matrix(self.sr, m, [*[None] * n, *range(m)]))
 
         def mediate(f: Mor, g: Mor) -> Mor:
             return self.mor(apex, f.cod, hstack(f.payload, g.payload))
@@ -147,7 +144,7 @@ class MatInstance(Instance):
                     mapping.append(an * bn + i * cn + (j - bn))
         dom = self.obj(an * bn + an * cn)
         cod = self.obj(an * (bn + cn))
-        return self.mor(dom, cod, inverse_permutation_matrix(self.sr, mapping))
+        return self.mor(dom, cod, zero_one_matrix(self.sr, len(mapping), mapping))
 
     # enumeration and sampling
 

@@ -11,9 +11,11 @@ only nonzero entries, summing each output entry's terms in ascending inner
 index from the semiring's zero; results are the dense product's, in value
 and in type.
 
-Those structural matrices (identities, injections, projections, zero maps,
-permutations) hold the semiring's own zero and one objects, so matmul and
-kronecker recognise them by identity and use only laws every semiring has:
+Those structural matrices hold the semiring's own zero and one objects:
+identities, injections, projections and permutations all come from one
+builder, zero_one_matrix, and a zero map, composed through the zero
+object, is matmul's row of sr.zero.  So matmul and kronecker recognise
+them by identity and use only laws every semiring has:
 
     0 + v = v,   1 * v = v * 1 = v,   0 * v = v * 0 = 0.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,18 +98,24 @@ RATIONALS = Semiring(
 )
 
 
+def zero_one_matrix(sr: Semiring, cols: int, picks: Iterable[int | None]) -> tuple:
+    """One row per pick: sr.one in column pick and sr.zero elsewhere, or all sr.zero for None."""
+    zero = sr.zero
+    rows = []
+    for j in picks:
+        row = [zero] * cols
+        if j is not None:
+            row[j] = sr.one
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def identity_matrix(sr: Semiring, n: int) -> tuple:
-    return inverse_permutation_matrix(sr, range(n))
-
-
-def zero_matrix(sr: Semiring, rows: int, cols: int) -> tuple:
-    return tuple(tuple(sr.zero for _ in range(cols)) for _ in range(rows))
+    return zero_one_matrix(sr, n, range(n))
 
 
 def matmul(sr: Semiring, a: tuple, b: tuple, inner: int, cols: int) -> tuple:
     """a @ b where a is len(a) x inner and b is inner x cols."""
-    if inner == 0:
-        return zero_matrix(sr, len(a), cols)
     add, mul, zero, one, nonzero = sr.add, sr.mul, sr.zero, sr.one, sr.nonzero
     # plain loops: a comprehension closing over zero, one and nonzero would
     # turn them into cell variables, which costs more than it saves on the
@@ -172,14 +180,3 @@ def kronecker(
         for i in range(a_rows)
         for k in range(b_rows)
     )
-
-
-def inverse_permutation_matrix(sr: Semiring, mapping: Sequence[int]) -> tuple:
-    """Inverse of the permutation sending basis vector j to basis vector mapping[j]."""
-    n = len(mapping)
-    rows = []
-    for j in range(n):
-        row = [sr.zero] * n
-        row[mapping[j]] = sr.one
-        rows.append(tuple(row))
-    return tuple(rows)

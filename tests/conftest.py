@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from biprod.instances import BOOLEANS, MatInstance, finrel, mat_semiring, z_chain
-from biprod.structure import ProductWitness
+from biprod.instances import BOOLEANS, RATIONALS, MatInstance, finrel, mat_semiring, z_chain
+from biprod.instances.semiring import hstack, zero_one_matrix
+from biprod.kernel import per_instance
+from biprod.structure import CoproductWitness, ProductWitness
 
 
 class RotatedProdInv(MatInstance):
@@ -33,6 +35,27 @@ class RotatedMediate(MatInstance):
         return ProductWitness(p.left, p.right, p.apex, p.pi1, p.pi2, mediate)
 
 
+class SkewedCoproduct(MatInstance):
+    """A matrix category whose coproduct lists b's basis before a's.
+
+    A valid biproduct, so every stage must pass; but a+b and a x b now
+    list their bases in different orders, so c(1,2) is a permutation, not
+    an identity matrix.
+    """
+
+    @per_instance
+    def coproduct(self, a, b):
+        n, m = a.data, b.data
+        apex = self.obj(n + m)
+        in1 = self.mor(a, apex, zero_one_matrix(self.sr, n, [*[None] * m, *range(n)]))
+        in2 = self.mor(b, apex, zero_one_matrix(self.sr, m, [*range(m), *[None] * n]))
+
+        def mediate(f, g):
+            return self.mor(apex, f.cod, hstack(g.payload, f.payload))
+
+        return CoproductWitness(a, b, apex, in1, in2, mediate)
+
+
 @pytest.fixture
 def rotated_rel2():
     return RotatedProdInv(BOOLEANS, 2, name="finrel")
@@ -41,6 +64,16 @@ def rotated_rel2():
 @pytest.fixture
 def rotated_mediate_rel2():
     return RotatedMediate(BOOLEANS, 2, name="finrel")
+
+
+@pytest.fixture
+def skewed_rel2():
+    return SkewedCoproduct(BOOLEANS, 2, name="finrel")
+
+
+@pytest.fixture
+def skewed_rat2():
+    return SkewedCoproduct(RATIONALS, 2, name="mat-rat")
 
 
 @pytest.fixture(scope="session")

@@ -27,8 +27,16 @@ from biprod.cli import (
     render_text,
     run_suite,
 )
+from biprod.construction import c_map
 from biprod.errors import InvalidBounds, NoNullaryStructure, ParseError, WitnessInvalid
-from biprod.instances import finrel, product_instance, z_chain
+from biprod.instances import (
+    BOOLEANS,
+    Instance,
+    MatInstance,
+    finrel,
+    product_instance,
+    z_chain,
+)
 from biprod.kernel import CheckResult
 from biprod.structure import ENUM_CAP
 
@@ -468,6 +476,43 @@ def test_broken_instance_reports_are_pinned(request, monkeypatch, fixture, passe
     report = run_suite(SuiteConfig(instance="finrel", max_size=2, seed=0, report="json"))
     assert (report.passed, report.failed) == (passed, failed)
     assert hashlib.sha256(render_json(report).encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "fixture, max_quad, passed", [("skewed_rel2", 2, 238), ("skewed_rat2", 1, 116)]
+)
+def test_skewed_coproduct_passes_every_stage(request, monkeypatch, fixture, max_quad, passed):
+    # a positive control: a valid biproduct whose coproduct lists its bases
+    # in another order than its product, so c must be a real permutation
+    inst = request.getfixturevalue(fixture)
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: inst)
+    report = run_suite(SuiteConfig(instance=inst.name, max_size=2, max_quad=max_quad))
+    assert [c for c in report.checks if not c.passed] == []
+    assert (report.passed, report.failed) == (passed, 0)
+    one, zero = inst.sr.one, inst.sr.zero
+    assert c_map(inst.obj(1), inst.obj(2)).fwd.payload == (
+        (zero, zero, one),
+        (one, zero, zero),
+        (zero, one, zero),
+    )
+
+
+class NoNativeAdd(MatInstance):
+    """finrel without an addition of its own: hom-add-native has nothing to compare."""
+
+    native_add = Instance.native_add
+
+
+def test_hom_add_native_passes_vacuously_without_native_add(monkeypatch):
+    # pins the vacuous pass of a zero-equation record until such a record
+    # gets a status of its own
+    inst = NoNativeAdd(BOOLEANS, 1, name="finrel")
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: inst)
+    report, equations = _counted_run(monkeypatch, SuiteConfig(instance="finrel", max_size=1))
+    native = [c for c in report.checks if c.suite == "hom-add-native"]
+    assert len(native) == 4 and all(c.passed for c in native)
+    assert equations["hom-add-native"] == 0
+    assert all(equations[stage] > 0 for stage in equations if stage != "hom-add-native")
 
 
 def test_guard_reports_failed_equation_of_raised_error(rotated_mediate_rel2):

@@ -32,11 +32,10 @@ from biprod.instances.semiring import (
     Semiring,
     hstack,
     identity_matrix,
-    inverse_permutation_matrix,
     kronecker,
     matmul,
     vstack,
-    zero_matrix,
+    zero_one_matrix,
 )
 from biprod.kernel import compose, identity
 from biprod.monoidal import dist_prod, has_nullary
@@ -46,6 +45,12 @@ from biprod.structure import ENUM_CAP, CoproductWitness, ProductWitness, draw
 def test_matmul_handles_empty_inner():
     out = matmul(NATURALS, ((), ()), (), inner=0, cols=3)
     assert out == ((0, 0, 0), (0, 0, 0))
+    # a zero map through the zero object: every entry is the semiring's own zero
+    for sr, _, _ in NAIVE_DOTS.values():
+        for rows, cols in itertools.product(range(3), repeat=2):
+            out = matmul(sr, ((),) * rows, (), inner=0, cols=cols)
+            assert len(out) == rows
+            assert all(len(row) == cols and all(v is sr.zero for v in row) for row in out)
 
 
 def test_matmul_handles_empty_result():
@@ -70,10 +75,18 @@ def test_kronecker_empty_factor():
     assert kronecker(NATURALS, (), ((1,),), 0, 0, 1, 1) == ()
 
 
-def test_inverse_permutation_matrix():
-    # the permutation sending 0->1, 1->2, 2->0
-    inv = inverse_permutation_matrix(NATURALS, [1, 2, 0])
+def test_zero_one_matrix():
+    # the inverse of the permutation sending 0->1, 1->2, 2->0
+    inv = zero_one_matrix(NATURALS, 3, [1, 2, 0])
     assert inv == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    # a projection 3 -> 2 and an injection 1 -> 3
+    assert zero_one_matrix(NATURALS, 3, range(2)) == ((1, 0, 0), (0, 1, 0))
+    assert zero_one_matrix(NATURALS, 1, [None, 0, None]) == ((0,), (1,), (0,))
+    # no picks is a 0 x c matrix; picks into no columns are empty rows
+    assert zero_one_matrix(NATURALS, 3, []) == ()
+    assert zero_one_matrix(NATURALS, 0, []) == ()
+    for n in range(4):
+        assert zero_one_matrix(NATURALS, 0, [None] * n) == ((),) * n
 
 
 def test_rational_arithmetic_is_exact():
@@ -149,6 +162,47 @@ def test_semirings_decide_what_is_zero():
     assert matmul(MIN_PLUS, f, identity_matrix(MIN_PLUS, 2), inner=2, cols=2) == f
 
 
+def assert_zero_one(sr, payload, want):
+    """payload equals want, and each entry is the semiring's own zero or one object."""
+    assert payload == want
+    for row in payload:
+        for v in row:
+            assert v is sr.zero or v is sr.one
+
+
+@pytest.mark.parametrize("kind", sorted(NAIVE_DOTS))
+def test_structural_payloads_hold_the_semirings_own_zero_and_one(kind):
+    # the shortcuts in matmul and kronecker see only these objects in the
+    # identities, legs and distributor the construction multiplies
+    sr = NAIVE_DOTS[kind][0]
+    inst = MatInstance(sr, 3)
+
+    def eye(n):
+        return tuple(tuple(sr.one if i == j else sr.zero for j in range(n)) for i in range(n))
+
+    def zeros(rows, cols):
+        return ((sr.zero,) * cols,) * rows
+
+    for a in inst.objects():
+        assert_zero_one(sr, identity(a).payload, eye(a.data))
+    for a, b in itertools.product(inst.objects(), repeat=2):
+        n, m = a.data, b.data
+        p, c = inst.product(a, b), inst.coproduct(a, b)
+        assert_zero_one(sr, p.pi1.payload, hstack(eye(n), zeros(n, m)))
+        assert_zero_one(sr, p.pi2.payload, hstack(zeros(m, n), eye(m)))
+        assert_zero_one(sr, c.in1.payload, vstack(eye(n), zeros(m, n)))
+        assert_zero_one(sr, c.in2.payload, vstack(zeros(n, m), eye(m)))
+    for a, b, c in itertools.product(inst.objects(2), repeat=3):
+        an, bn, cn = a.data, b.data, c.data
+        # basis (i, j) of a@(b+c) is basis j of b+c beside basis i of a; the
+        # domain (a@b)+(a@c) lists every (i, j) with j < b, then the rest
+        cod = [(i, j) for i in range(an) for j in range(bn + cn)]
+        dom = [(i, j) for i in range(an) for j in range(bn)]
+        dom += [(i, bn + j) for i in range(an) for j in range(cn)]
+        want = tuple(tuple(sr.one if x == y else sr.zero for y in dom) for x in cod)
+        assert_zero_one(sr, inst.prod_inv(a, b, c).payload, want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(sorted(NAIVE_DOTS)), data=st.data())
 def test_dot_skipping_zeros_equals_the_naive_sum(kind, data):
@@ -193,10 +247,10 @@ def test_matmul_with_structural_factors_equals_the_naive_product(kind, data):
     # permutations and identity and zero blocks: the factors the construction multiplies
     sr, entries, naive = NAIVE_DOTS[kind]
     k, n, m = (data.draw(st.integers(0, 3)) for _ in range(3))
-    perm = inverse_permutation_matrix(sr, data.draw(st.permutations(range(n))))
-    proj = hstack(identity_matrix(sr, k), zero_matrix(sr, k, n))  # (k+n) -> k
-    inj = vstack(identity_matrix(sr, k), zero_matrix(sr, n, k))  # k -> (k+n)
-    block = vstack(proj, hstack(zero_matrix(sr, n, k), perm))  # I_k (+) perm
+    perm = zero_one_matrix(sr, n, data.draw(st.permutations(range(n))))
+    proj = zero_one_matrix(sr, k + n, range(k))  # (k+n) -> k
+    inj = zero_one_matrix(sr, k, [*range(k), *[None] * n])  # k -> (k+n)
+    block = vstack(proj, hstack(zero_one_matrix(sr, k, [None] * n), perm))  # I_k (+) perm
     x = tuple(tuple(data.draw(entries) for _ in range(m)) for _ in range(k + n))
     y = tuple(tuple(data.draw(entries) for _ in range(k + n)) for _ in range(m))
     for a, b, inner, cols in (
@@ -206,8 +260,8 @@ def test_matmul_with_structural_factors_equals_the_naive_product(kind, data):
         (proj, block, k + n, k + n),
         (block, inj, k + n, k),
         (inj, proj, k, k + n),
-        (zero_matrix(sr, m, k + n), x, k + n, m),
-        (y, zero_matrix(sr, k + n, k), k + n, k),
+        (zero_one_matrix(sr, k + n, [None] * m), x, k + n, m),
+        (y, zero_one_matrix(sr, k, [None] * (k + n)), k + n, k),
     ):
         assert_matmul_is_naive(sr, naive, a, b, inner, cols)
 
@@ -242,7 +296,7 @@ def test_kronecker_equals_the_naive_definition(kind, shape, data):
     assert_kronecker_is_naive(sr, naive, a, b, shape)
     # the structural factors tensor_mor sees: identities and zero maps
     n = data.draw(st.integers(0, 3))
-    for s in (identity_matrix(sr, n), zero_matrix(sr, n, n)):
+    for s in (identity_matrix(sr, n), zero_one_matrix(sr, n, [None] * n)):
         assert_kronecker_is_naive(sr, naive, s, b, (n, n, b_rows, b_cols))
         assert_kronecker_is_naive(sr, naive, a, s, (a_rows, a_cols, n, n))
 
