@@ -5,18 +5,22 @@
 Run from the repository root.  The run must report correct: true with 0
 failed operations.  Every cli.stage.<stage>.records and
 cli.stage.<stage>.equations value of the run must be at least the one the
-highest-numbered BENCH_<n>.json at the root records for that workload, so
-no speedup can pass by checking fewer equations.  Exits 1 on a wrong run
-or any shortfall, 2 when there is no floor to compare against.
+highest-numbered BENCH_<n>.json at the root records for that workload,
+and its cli.vacuous_records (records that pass with no equation) at most
+that file's, so no speedup can pass by checking fewer equations or by
+turning records vacuous.  Exits 1 on a wrong run or any shortfall, 2
+when there is no floor to compare against.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
 COUNTED = re.compile(r"cli\.stage\.[^.]+\.(records|equations)")
+VACUOUS = "cli.vacuous_records"
 
 
 def newest_bench(root: Path) -> Path | None:
@@ -45,10 +49,16 @@ def main(argv: list[str]) -> int:
     got = run["metrics"]
     short = []
     for name in sorted(want):
+        bound = want[name]["value"]
         if COUNTED.fullmatch(name):
             have = got.get(name, {}).get("value", 0)
-            if have < want[name]["value"]:
-                short.append(f"{name}: {have} < {want[name]['value']}")
+            if have < bound:
+                short.append(f"{name}: {have} < {bound}")
+        elif name == VACUOUS:
+            # a run that does not report it cannot show it stayed down
+            have = got.get(name, {}).get("value", math.inf)
+            if have > bound:
+                short.append(f"{name}: {have} > {bound}")
     for problem in short:
         print(f"{workload} {problem} ({bench.name})")
     print(f"{workload} stage counts against {bench.name}: {'FAIL' if short else 'ok'}")

@@ -31,7 +31,8 @@ interleaving map of four corner objects, with both from_matrix orders
 and all their re-checks, once per instance; star_map and t_map read it,
 and every quadruple of star_map with the same tensor corners shares it.
 Sums are memoized only within one verify_semiadditive call; hom_add
-itself recomputes every sum.
+itself recomputes every sum.  Within that call the bilinearity laws
+compose each sampled map with each summand once per pair of homsets.
 
 Builders certify with CheckResult.require() and raise WitnessInvalid on
 the first failed equation; the verify_* functions return their own
@@ -372,18 +373,23 @@ def hom_add(f: Mor, g: Mor) -> Mor:
 def _linearity(
     groups: dict, pre: bool, add: Callable[[Mor, Mor], Mor]
 ) -> Iterator[EquationCheck]:
-    """h after a sum (before it, if pre) equals the sum of the composites with h."""
+    """h after a sum (before it, if pre) equals the sum of the composites with h.
+
+    Each composite of h with a summand is computed once per pair of
+    groups, as on_f[k][i], and shared by every sum it takes part in.
+    """
+    on = (lambda h, m: compose(m, h)) if pre else compose
     for (a, b), fs in groups.items():
         for (x, y), hs in groups.items():
             if (y != a) if pre else (x != b):
                 continue
             at = "->".join(a.cat.format_obj(o) for o in ((x, a, b) if pre else (a, b, y)))
+            on_f = [[on(h, f) for f in fs] for h in hs]
             for (i, f), (j, g) in itertools.product(list(enumerate(fs)), repeat=2):
                 s = add(f, g)
                 for k, h in enumerate(hs):
-                    on = (lambda m: compose(m, h)) if pre else (lambda m: compose(h, m))
                     label = f"{'pre' if pre else 'post'}-linear[{at}#{i},{j};{k}]"
-                    yield equation(label, on(s), add(on(f), on(g)))
+                    yield equation(label, on(h, s), add(on_f[k][i], on_f[k][j]))
 
 
 def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:

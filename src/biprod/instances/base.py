@@ -35,10 +35,12 @@ derives from that structure lives in the instance's own memo, made with
 it, so a memoized certificate never outlives the witnesses it was
 certified with, nor the instance itself.  The shipped instances keep
 their product and coproduct witnesses in that memo too, through
-kernel.per_instance; homset sums are memoized only for the length of
-one construction.verify_semiadditive call.  One more memo lives beside
-inst.memo: the product instance keeps its component composites in a
-dict of its own, capped at product.COMPOSITE_CAP entries.
+kernel.per_instance, as do structure.times_map and plus_map, keyed by
+their morphism pair; homset sums are memoized only for the length of
+one construction.verify_semiadditive call.  Beside inst.memo, Category
+keeps one identity per object (kernel.identity), and the product
+instance keeps its component composites in a dict of its own, capped
+at product.COMPOSITE_CAP entries.
 """
 from __future__ import annotations
 

@@ -15,13 +15,15 @@ raises WitnessInvalid on the first failed equation.  An error becomes a
 failed result one way only: CheckResult.from_error(), which the command
 line's cli._guard alone calls.  An InversePair keeps its certificate as
 equations.
-per_instance memoizes a function of an instance in that instance's memo.
+per_instance memoizes a function of an instance in that instance's memo;
+its first argument is the instance, an object of it or a morphism of it.
 
 Memoized certificates keep many of these records alive, so they are kept
 small: no record here has a per-record __dict__, Category.obj interns
-objects (equal data gives the category's one Obj), and a passing
-equation keeps its right side as both sides, freeing the computed left
-side it equals.
+objects (equal data gives the category's one Obj), identity interns one
+identity per object (so identity_payload runs once per object), and a
+passing equation keeps its right side as both sides, freeing the
+computed left side it equals.
 """
 from __future__ import annotations
 
@@ -56,6 +58,7 @@ class Category:
     def __init__(self, name: str = "category"):
         self.name = name
         self._objs: dict = {}  # data -> its one Obj; see obj
+        self._ids: dict = {}  # Obj -> its one identity; see identity
 
     # payload hooks
 
@@ -93,7 +96,12 @@ class Category:
 
 
 def identity(a: Obj) -> Mor:
-    return Mor(a, a, a.cat.identity_payload(a))
+    """The identity on a: one Mor per object, interned in its category."""
+    ids = a.cat._ids
+    one = ids.get(a)
+    if one is None:
+        one = ids[a] = Mor(a, a, a.cat.identity_payload(a))
+    return one
 
 
 def compose(g: Mor, f: Mor) -> Mor:
@@ -214,9 +222,9 @@ CacheInfo = NamedTuple("CacheInfo", [("hits", int), ("misses", int)])
 def per_instance(fn):
     """Memoize fn under (fn, args) in the memo of the instance args[0] is or lives in.
 
-    args[0] is the instance itself (a method's self, zero_object's inst)
-    or an object of it.  A call that raises stores nothing; cache_info()
-    counts over all instances.
+    args[0] is the instance itself (a method's self, zero_object's inst),
+    an object of it, or a morphism of it (the instance of f.dom).  A call
+    that raises stores nothing; cache_info() counts over all instances.
 
     Every key and result refers back to the instance, so an instance that
     has memoized anything is in a reference cycle: it is freed by the
@@ -227,7 +235,11 @@ def per_instance(fn):
 
     @functools.wraps(fn)
     def memoized(*args):
-        owner = args[0].cat if isinstance(args[0], Obj) else args[0]
+        owner = args[0]
+        if isinstance(owner, Mor):
+            owner = owner.dom
+        if isinstance(owner, Obj):
+            owner = owner.cat
         key = (fn, args)
         result = owner.memo.get(key, missing)
         counts[result is missing] += 1

@@ -10,6 +10,13 @@ its four components; Mat2 holds such a square of components.  from_matrix
 reassembles in both orders (copair of pairs, pair of copairs) and insists
 the two agree.
 
+times_map and plus_map are kernel.per_instance, keyed by their morphism
+pair in the memo of the morphisms' instance: their pair or copair
+re-check runs once per distinct pair per instance, as dist_prod's
+certificate does, and a call that raises stores nothing, so a broken
+witness fails at every use.  A direct pair or copair call re-checks
+every time.
+
 draw is the one sampling policy every check takes its morphisms from:
 every tuple across some homsets when there are at most ENUM_CAP, else
 a bounded number of seeded random ones.
@@ -30,6 +37,7 @@ from .kernel import (
     compose,
     equation,
     identity,
+    per_instance,
 )
 
 # largest homset enumerated exhaustively, by the verifiers and by enumerate_homset
@@ -108,6 +116,7 @@ def copair(c: CoproductWitness, f: Mor, g: Mor) -> Mor:
     return m
 
 
+@per_instance
 def times_map(f: Mor, g: Mor) -> Mor:
     """The product of two morphisms, acting componentwise."""
     cat = f.dom.cat
@@ -116,6 +125,7 @@ def times_map(f: Mor, g: Mor) -> Mor:
     return pair(pc, compose(f, pd.pi1), compose(g, pd.pi2))
 
 
+@per_instance
 def plus_map(f: Mor, g: Mor) -> Mor:
     """The coproduct of two morphisms, acting on each summand."""
     cat = f.dom.cat

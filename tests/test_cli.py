@@ -584,6 +584,22 @@ def test_json_report_is_reproducible():
     assert all(c["passed"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize(
+    "selector, max_size, max_quad",
+    [("product:finrel+z-chain", 1, 1), ("mat-rat", 2, 1), ("z-chain", 3, 2)],
+)
+def test_warm_memo_changes_no_report(monkeypatch, selector, max_size, max_quad):
+    # a second suite run on one instance reads every memoized map, witness
+    # and certificate back from its memo, and must report the same bytes
+    config = SuiteConfig(instance=selector, max_size=max_size, max_quad=max_quad, report="json")
+    cold = render_json(run_suite(config))
+    inst = cli.resolve(selector, max_size)
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: inst)
+    assert render_json(run_suite(config)) == cold
+    assert inst.memo
+    assert render_json(run_suite(config)) == cold
+
+
 def test_text_report_lines():
     report = run_suite(SuiteConfig(instance="z-chain", max_size=1, samples=2))
     text = render_text(report)

@@ -32,7 +32,7 @@ from biprod.construction import (
 from biprod.errors import DomainMismatch, NoNullaryStructure, WitnessInvalid
 from biprod.instances import finrel, mat_semiring, resolve, z_chain
 from biprod.kernel import check_inverse_pair, compose, identity
-from biprod.structure import Mat2, from_matrix
+from biprod.structure import Mat2, from_matrix, plus_map, times_map
 
 REL = finrel(3)
 NAT = mat_semiring("mat-nat", 3)
@@ -142,6 +142,8 @@ def test_memo_dies_with_its_instance():
     zero_map(a, b)
     c_map(a, b)
     hom_add(identity(a), zero_map(a, a))
+    times_map(identity(a), identity(b))
+    plus_map(identity(a), identity(b))
     assert inst.memo
     ref = weakref.ref(inst)
     del inst, a, b
@@ -292,7 +294,7 @@ def test_sums_are_memoized_per_call_only(monkeypatch):
     assert "hom_add" not in memoized
     assert memoized <= {
         "zero_object", "zero_map", "t_inverse", "c_map", "_diagonal", "product", "coproduct",
-        "dist_prod", "dist_coprod", "_grid",
+        "dist_prod", "dist_coprod", "_grid", "times_map", "plus_map",
     }
 
 

@@ -155,6 +155,19 @@ def test_packed_objects_are_interned():
     assert inst.parse_obj("1|0") is inst.pack(one, zero)
 
 
+@pytest.mark.parametrize("selector", ["finrel", "z-chain", "product:finrel+mat-nat"])
+def test_identities_are_interned(selector):
+    # one identity per object, built once: identity_payload runs at the first call only
+    size = 1 if selector.startswith("product:") else 2
+    inst = resolve(selector, size)
+    for x in inst.objects():
+        assert identity(x) is identity(x)
+        assert identity(x) == (x, x, inst.identity_payload(x))
+    other = resolve(selector, size)
+    x = inst.objects()[-1]
+    assert identity(other.obj(x.data)) is not identity(x)
+
+
 def test_objects_compare_by_identity():
     # interning gives equal data one Obj, so object's own eq and hash decide
     assert Obj.__eq__ is object.__eq__

@@ -126,6 +126,38 @@ def test_times_map_is_diagonal_assembly():
     assert plus_map(f, g).payload == ((2, 0), (0, 3))
 
 
+@pytest.mark.parametrize("build", [times_map, plus_map])
+def test_times_and_plus_maps_are_memoized_per_instance(build):
+    inst = finrel(2)
+    one, two = inst.obj(1), inst.obj(2)
+    f = inst.enumerate_homset(one, two)[3]
+    g = identity(two)
+    m = build(f, g)
+    assert build(f, g) is m
+    name = build.__wrapped__.__name__
+    assert [key[1] for key in inst.memo if key[0].__name__ == name] == [(f, g)]
+    # a second instance builds its own
+    other = finrel(2)
+    f2 = other.mor(other.obj(1), other.obj(2), f.payload)
+    m2 = build(f2, identity(other.obj(2)))
+    assert m2 is not m and m2.payload == m.payload
+    assert [key[1][0] for key in other.memo if key[0].__name__ == name] == [f2]
+
+
+def test_broken_witness_times_map_is_never_memoized(rotated_mediate_rel2):
+    # times_map of two maps 2 -> 2 pairs into the rotated product(2,2)
+    inst = rotated_mediate_rel2
+    two = inst.obj(2)
+    f = inst.enumerate_homset(two, two)[1]
+    texts = []
+    for _ in range(2):
+        with pytest.raises(WitnessInvalid) as err:
+            times_map(f, identity(two))
+        texts.append(str(err.value))
+    assert texts == ["pair: pi1*m=f (entry (1,2): 1 vs 0)"] * 2
+    assert not [key for key in inst.memo if key[0].__name__ == "times_map"]
+
+
 def test_mat2_validates_typing():
     one = REL.obj(1)
     two = REL.obj(2)
