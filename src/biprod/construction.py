@@ -363,7 +363,7 @@ def _diagonal(a: Obj) -> Mor:
 
 def hom_add(f: Mor, g: Mor) -> Mor:
     """Addition on a homset: split the pair (f,g) through a+a."""
-    if f.dom != g.dom or f.cod != g.cod:
+    if f.dom is not g.dom or f.cod is not g.cod:
         raise DomainMismatch("can only add parallel morphisms")
     cat = f.dom.cat
     caa = cat.coproduct(f.dom, f.dom)
@@ -381,7 +381,7 @@ def _linearity(
     on = (lambda h, m: compose(m, h)) if pre else compose
     for (a, b), fs in groups.items():
         for (x, y), hs in groups.items():
-            if (y != a) if pre else (x != b):
+            if (y is not a) if pre else (x is not b):
                 continue
             at = "->".join(a.cat.format_obj(o) for o in ((x, a, b) if pre else (a, b, y)))
             on_f = [[on(h, f) for f in fs] for h in hs]

@@ -36,11 +36,15 @@ it, so a memoized certificate never outlives the witnesses it was
 certified with, nor the instance itself.  The shipped instances keep
 their product and coproduct witnesses in that memo too, through
 kernel.per_instance, as do structure.times_map and plus_map, keyed by
-their morphism pair; homset sums are memoized only for the length of
-one construction.verify_semiadditive call.  Beside inst.memo, Category
-keeps one identity per object (kernel.identity), and the product
-instance keeps its component composites in a dict of its own, capped
-at product.COMPOSITE_CAP entries.
+their morphism pair.  The matrix and product instances memoize their
+enumerate_homset there as well, so each homset is built once per
+instance and handed out as a tuple; the chain deliberately does not,
+since its homsets hold at most one morphism and hashing the memo key
+costs more than building one again.  Homset sums are memoized only for
+the length of one construction.verify_semiadditive call.  Beside
+inst.memo, Category keeps one identity per object (kernel.identity),
+and the product instance keeps its component composites in a dict of
+its own, capped at product.COMPOSITE_CAP entries.
 """
 from __future__ import annotations
 
@@ -145,8 +149,8 @@ class Instance(Category):
             )
         return identity(x)
 
-    def enumerate_homset(self, a: Obj, b: Obj) -> list[Mor] | None:
-        """All morphisms a -> b, or None when there are more than ENUM_CAP."""
+    def enumerate_homset(self, a: Obj, b: Obj) -> tuple[Mor, ...] | None:
+        """All morphisms a -> b as a tuple, or None when there are more than ENUM_CAP."""
         return None
 
     def random_morphism(self, rng: random.Random, a: Obj, b: Obj) -> Mor | None:

@@ -86,8 +86,10 @@ class ChainInstance(Instance):
 
     # enumeration
 
-    def enumerate_homset(self, a: Obj, b: Obj) -> list[Mor]:
-        return [self.mor(a, b, None)] if a.data <= b.data else []
+    def enumerate_homset(self, a: Obj, b: Obj) -> tuple[Mor, ...]:
+        # not memoized: a homset of at most one morphism costs less to
+        # build again than its memo key costs to hash
+        return (self.mor(a, b, None),) if a.data <= b.data else ()
 
     def random_morphism(self, rng: random.Random, a: Obj, b: Obj) -> Mor | None:
         return self.mor(a, b, None) if a.data <= b.data else None

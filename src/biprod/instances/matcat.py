@@ -8,6 +8,10 @@ an index shuffle, is the one distributor stated here.
 
 finrel is the boolean case: a matrix over the or/and semiring is exactly
 a relation between finite sets, composed relationally.
+
+enumerate_homset is kernel.per_instance: each homset is built once per
+instance, kept in inst.memo for the instance's lifetime, and handed out
+as a tuple, so no caller can change what the next one receives.
 """
 from __future__ import annotations
 
@@ -148,7 +152,8 @@ class MatInstance(Instance):
 
     # enumeration and sampling
 
-    def enumerate_homset(self, a: Obj, b: Obj) -> list[Mor] | None:
+    @per_instance
+    def enumerate_homset(self, a: Obj, b: Obj) -> tuple[Mor, ...] | None:
         if self.sr.carrier is None:
             return None
         cells = a.data * b.data
@@ -161,7 +166,7 @@ class MatInstance(Instance):
                 for i in range(b.data)
             )
             out.append(self.mor(a, b, payload))
-        return out
+        return tuple(out)
 
     def random_morphism(self, rng: random.Random, a: Obj, b: Obj) -> Mor:
         payload = tuple(

@@ -13,18 +13,24 @@ random_morphism and native_add.  terminal, initial and unit are packed
 too, so nullary structure exists exactly when both components have it,
 which makes mixed products (one component with a zero object, one
 without) useful counterexamples.  rho, coprod_inv and the nullary
-inverses are Instance's identities.
+inverses are Instance's identities.  product, coproduct and tensor_obj
+are kernel.per_instance, since the construction asks for the same
+witness or tensor object over and over; so is enumerate_homset, which
+packs each homset once per instance from the components' own (the
+matrix instance memoizes its homsets too, the chain does not) and
+hands it out as a tuple.
 
 Composition is componentwise, so each component morphism meets every
 morphism of the other side, and the product composes the same component
 pair over and over.  compose_payload therefore keeps each component
 composite in the instance's own dict _composites, keyed by the pair
-(g_i, f_i) of component morphisms, one entry per side: the composite is
-a pure function of its factors, and a compose that raises stores
-nothing.  Keying by component pair, not by product pair, keeps the dict
-small.  It holds at most COMPOSITE_CAP entries and is cleared when full,
-so composites of sampled morphisms that never recur are not kept for
-the instance's lifetime.  It is not inst.memo, whose keys are all
+(g_i, f_i) of component morphisms, one entry per side, and looks up both
+sides in its own frame, with no helper call per side: the composite is a
+pure function of its factors, and a compose that raises stores nothing.
+Keying by component pair, not by product pair, keeps the dict small.  It
+holds at most COMPOSITE_CAP entries and is cleared when full, so
+composites of sampled morphisms that never recur are not kept for the
+instance's lifetime.  It is not inst.memo, whose keys are all
 kernel.per_instance keys.
 """
 from __future__ import annotations
@@ -67,7 +73,7 @@ class ProductInstance(Instance):
 
     bang = _lift("bang")
     cobang = _lift("cobang")
-    tensor_obj = _lift("tensor_obj")
+    tensor_obj = per_instance(_lift("tensor_obj"))
     tensor_mor = _lift("tensor_mor")
     prod_inv = _lift("prod_inv")
     product = per_instance(_lift("product"))
@@ -111,22 +117,21 @@ class ProductInstance(Instance):
         return (identity(a.data[0]), identity(a.data[1]))
 
     def compose_payload(self, g: Mor, f: Mor):
-        return (
-            self._composite(g.payload[0], f.payload[0]),
-            self._composite(g.payload[1], f.payload[1]),
-        )
-
-    def _composite(self, g: Mor, f: Mor) -> Mor:
-        """compose(g, f) of two component morphisms, from _composites once computed."""
         composites = self._composites
-        key = (g, f)
-        gf = composites.get(key)
-        if gf is None:
-            gf = compose(g, f)
+        (gl, gr), (fl, fr) = g.payload, f.payload
+        left = composites.get((gl, fl))
+        if left is None:
+            left = compose(gl, fl)
             if len(composites) >= COMPOSITE_CAP:
                 composites.clear()
-            composites[key] = gf
-        return gf
+            composites[gl, fl] = left
+        right = composites.get((gr, fr))
+        if right is None:
+            right = compose(gr, fr)
+            if len(composites) >= COMPOSITE_CAP:
+                composites.clear()
+            composites[gr, fr] = right
+        return left, right
 
     def format_obj(self, a: Obj) -> str:
         return f"{self.left.format_obj(a.data[0])}|{self.right.format_obj(a.data[1])}"
@@ -164,12 +169,13 @@ class ProductInstance(Instance):
 
     # enumeration
 
-    def enumerate_homset(self, a: Obj, b: Obj) -> list[Mor] | None:
+    @per_instance
+    def enumerate_homset(self, a: Obj, b: Obj) -> tuple[Mor, ...] | None:
         ls = self.left.enumerate_homset(a.data[0], b.data[0])
         rs = self.right.enumerate_homset(a.data[1], b.data[1])
         if ls is None or rs is None or len(ls) * len(rs) > ENUM_CAP:
             return None
-        return [self.pack_mor(lf, rf) for lf, rf in itertools.product(ls, rs)]
+        return tuple([self.pack_mor(lf, rf) for lf, rf in itertools.product(ls, rs)])
 
 
 def product_instance(left: Instance, right: Instance) -> ProductInstance:

@@ -3,18 +3,22 @@
 A Category subclass supplies payload-level behaviour (how identities look,
 how payloads compose, how to print things).  Objects and morphisms are
 plain frozen records.  Objects compare by identity: Category.obj interns
-them by data, so build them only with cat.obj or parse_obj, never Obj(...).
-Mor, EquationCheck and CheckResult are named tuples: immutable, without
-a per-record __dict__, and compared and hashed by their fields.  So two
-morphisms are equal exactly when their domain, codomain, and payload are
-equal; a Mor also equals the plain tuple of its fields, and no caller
-compares one with a payload.  Verification code never asserts; it
-returns CheckResult values that list every equation tried.  A failed
-equation becomes an error one way only: CheckResult.require(), which
-raises WitnessInvalid on the first failed equation.  An error becomes a
-failed result one way only: CheckResult.from_error(), which the command
-line's cli._guard alone calls.  An InversePair keeps its certificate as
-equations.
+them by data, so build them only with cat.obj or parse_obj, never
+Obj(...).  Because objects are interned, the kernel and the structure built
+on it compare endpoints with `is`; Obj keeps eq=False, so `==` on objects
+means the same thing.  Mor, EquationCheck and CheckResult are named tuples:
+immutable, without a per-record __dict__, and compared and hashed by their
+fields.  So two morphisms are equal exactly when their domain, codomain,
+and payload are equal; a Mor also equals the plain tuple of its fields,
+and no caller compares one with a payload.  The hot builders (Category.mor,
+identity, compose, equation) make their records with tuple.__new__
+directly, which gives the same record as the named tuple's constructor
+without its extra call.  Verification code never asserts; it returns
+CheckResult values that list every equation tried.  A failed equation
+becomes an error one way only: CheckResult.require(), which raises
+WitnessInvalid on the first failed equation.  An error becomes a failed
+result one way only: CheckResult.from_error(), which the command line's
+cli._guard alone calls.  An InversePair keeps its certificate as equations.
 per_instance memoizes a function of an instance in that instance's memo;
 its first argument is the instance, an object of it or a morphism of it.
 
@@ -32,6 +36,9 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from .errors import CategoryError, DomainMismatch, WitnessInvalid
+
+# builds a named-tuple record from a tuple of its fields in one step
+_new = tuple.__new__
 
 
 @dataclass(frozen=True, repr=False, eq=False, slots=True)
@@ -92,7 +99,7 @@ class Category:
     def mor(self, dom: Obj, cod: Obj, payload: Any) -> Mor:
         if dom.cat is not self or cod.cat is not self:
             raise DomainMismatch("morphism endpoints belong to a different category")
-        return Mor(dom, cod, payload)
+        return _new(Mor, (dom, cod, payload))
 
 
 def identity(a: Obj) -> Mor:
@@ -100,21 +107,25 @@ def identity(a: Obj) -> Mor:
     ids = a.cat._ids
     one = ids.get(a)
     if one is None:
-        one = ids[a] = Mor(a, a, a.cat.identity_payload(a))
+        one = ids[a] = _new(Mor, (a, a, a.cat.identity_payload(a)))
     return one
 
 
 def compose(g: Mor, f: Mor) -> Mor:
-    """g after f.  Raises DomainMismatch unless f.cod == g.dom."""
+    """g after f.  Raises DomainMismatch unless f.cod is g.dom.
+
+    Two categories never share an object, so matching ends also mean one
+    category; the cross-category test runs only on a mismatch.
+    """
     cat = f.dom.cat
-    if g.dom.cat is not cat:
-        raise DomainMismatch("cannot compose morphisms from different categories")
-    if f.cod != g.dom:
+    if f.cod is not g.dom:
+        if g.dom.cat is not cat:
+            raise DomainMismatch("cannot compose morphisms from different categories")
         raise DomainMismatch(
             f"cannot compose: first factor ends at {cat.format_obj(f.cod)}, "
             f"second starts at {cat.format_obj(g.dom)}"
         )
-    return Mor(f.dom, g.cod, cat.compose_payload(g, f))
+    return _new(Mor, (f.dom, g.cod, cat.compose_payload(g, f)))
 
 
 class EquationCheck(NamedTuple):
@@ -141,9 +152,9 @@ class CheckResult(NamedTuple):
 
     def require(self) -> "CheckResult":
         """This result if every equation holds; else raise on the first failure."""
-        fails = self.failures()
-        if fails:
-            raise WitnessInvalid(f"{self.name}: {fails[0]}", self)
+        for chk in self.details:
+            if not chk.ok:
+                raise WitnessInvalid(f"{self.name}: {chk}", self)
         return self
 
     @classmethod
@@ -167,18 +178,18 @@ class CheckResult(NamedTuple):
 
 
 def equation(label: str, lhs: Mor, rhs: Mor) -> EquationCheck:
-    cat = lhs.dom.cat
-    if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
+    if lhs.dom is not rhs.dom or lhs.cod is not rhs.cod:
+        cat = lhs.dom.cat
         note = (
             f"type mismatch: {cat.format_obj(lhs.dom)} -> {cat.format_obj(lhs.cod)}"
             f" vs {cat.format_obj(rhs.dom)} -> {cat.format_obj(rhs.cod)}"
         )
-        return EquationCheck(label, lhs, rhs, False, note)
+        return _new(EquationCheck, (label, lhs, rhs, False, note))
     if lhs.payload == rhs.payload:
         # equal sides: keep one, so the freshly computed lhs can be freed
-        return EquationCheck(label, rhs, rhs, True)
-    note = cat.first_difference(lhs, rhs) or "payloads differ"
-    return EquationCheck(label, lhs, rhs, False, note)
+        return _new(EquationCheck, (label, rhs, rhs, True, ""))
+    note = lhs.dom.cat.first_difference(lhs, rhs) or "payloads differ"
+    return _new(EquationCheck, (label, lhs, rhs, False, note))
 
 
 def error_check(label: str, message: str) -> EquationCheck:
@@ -188,7 +199,7 @@ def error_check(label: str, message: str) -> EquationCheck:
 
 def check_inverse_pair(fwd: Mor, bwd: Mor, name: str = "inverse pair") -> CheckResult:
     cat = fwd.dom.cat
-    if bwd.dom != fwd.cod or bwd.cod != fwd.dom:
+    if bwd.dom is not fwd.cod or bwd.cod is not fwd.dom:
         msg = (
             f"candidate inverse has type {cat.format_obj(bwd.dom)} -> {cat.format_obj(bwd.cod)},"
             f" expected {cat.format_obj(fwd.cod)} -> {cat.format_obj(fwd.dom)}"
@@ -236,9 +247,10 @@ def per_instance(fn):
     @functools.wraps(fn)
     def memoized(*args):
         owner = args[0]
-        if isinstance(owner, Mor):
-            owner = owner.dom
-        if isinstance(owner, Obj):
+        kind = type(owner)
+        if kind is Mor:
+            owner = owner.dom.cat
+        elif kind is Obj:
             owner = owner.cat
         key = (fn, args)
         result = owner.memo.get(key, missing)

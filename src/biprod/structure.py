@@ -19,7 +19,15 @@ every time.
 
 draw is the one sampling policy every check takes its morphisms from:
 every tuple across some homsets when there are at most ENUM_CAP, else
-a bounded number of seeded random ones.
+a bounded number of seeded random ones.  It enumerates each distinct
+homset once per call, with a plain loop; the shipped matrix and product
+instances also memoize their homsets, so a repeated draw rebuilds none.
+
+The universal-property check shares legs within one call: it keeps each
+probe's two legs by morphism and each mediate by pair, so when both of
+its loops enumerate, the existence loop reuses the maps the uniqueness
+loop built, with every equation still checked, in the same order.
+Comparisons between objects use `is`, as the kernel's do.
 """
 from __future__ import annotations
 
@@ -69,17 +77,17 @@ class CoproductWitness:
 def pair(p: ProductWitness, f: Mor, g: Mor) -> Mor:
     """Mediating morphism into p.apex, with its defining equations re-checked."""
     cat = p.apex.cat
-    if f.dom != g.dom:
+    if f.dom is not g.dom:
         raise DomainMismatch(
             f"pair components start at {cat.format_obj(f.dom)} and {cat.format_obj(g.dom)}"
         )
-    if f.cod != p.left or g.cod != p.right:
+    if f.cod is not p.left or g.cod is not p.right:
         raise DomainMismatch(
             f"pair components end at {cat.format_obj(f.cod)}, {cat.format_obj(g.cod)};"
             f" witness expects {cat.format_obj(p.left)}, {cat.format_obj(p.right)}"
         )
     m = p.mediate(f, g)
-    if m.dom != f.dom or m.cod != p.apex:
+    if m.dom is not f.dom or m.cod is not p.apex:
         raise WitnessInvalid("product mediate returned a morphism of the wrong type")
     CheckResult(
         "pair",
@@ -94,17 +102,17 @@ def pair(p: ProductWitness, f: Mor, g: Mor) -> Mor:
 def copair(c: CoproductWitness, f: Mor, g: Mor) -> Mor:
     """Mediating morphism out of c.apex, with its defining equations re-checked."""
     cat = c.apex.cat
-    if f.cod != g.cod:
+    if f.cod is not g.cod:
         raise DomainMismatch(
             f"copair components end at {cat.format_obj(f.cod)} and {cat.format_obj(g.cod)}"
         )
-    if f.dom != c.left or g.dom != c.right:
+    if f.dom is not c.left or g.dom is not c.right:
         raise DomainMismatch(
             f"copair components start at {cat.format_obj(f.dom)}, {cat.format_obj(g.dom)};"
             f" witness expects {cat.format_obj(c.left)}, {cat.format_obj(c.right)}"
         )
     m = c.mediate(f, g)
-    if m.dom != c.apex or m.cod != f.cod:
+    if m.dom is not c.apex or m.cod is not f.cod:
         raise WitnessInvalid("coproduct mediate returned a morphism of the wrong type")
     CheckResult(
         "copair",
@@ -148,9 +156,9 @@ class Mat2:
     f22: Mor
 
     def __post_init__(self) -> None:
-        if self.f11.dom != self.f21.dom or self.f12.dom != self.f22.dom:
+        if self.f11.dom is not self.f21.dom or self.f12.dom is not self.f22.dom:
             raise DomainMismatch("matrix columns must share a domain")
-        if self.f11.cod != self.f12.cod or self.f21.cod != self.f22.cod:
+        if self.f11.cod is not self.f12.cod or self.f21.cod is not self.f22.cod:
             raise DomainMismatch("matrix rows must share a codomain")
 
     def entries(self) -> Iterable[tuple[int, int, Mor]]:
@@ -162,7 +170,7 @@ class Mat2:
 
 def matrix_of(f: Mor, c: CoproductWitness, p: ProductWitness) -> Mat2:
     """Read off the four components of f: c.apex -> p.apex."""
-    if f.dom != c.apex or f.cod != p.apex:
+    if f.dom is not c.apex or f.cod is not p.apex:
         cat = f.dom.cat
         raise DomainMismatch(
             f"morphism {cat.format_obj(f.dom)} -> {cat.format_obj(f.cod)} does not"
@@ -241,23 +249,39 @@ def _verify_universal(
     def hom(w: Obj, x: Obj) -> tuple[Obj, Obj]:
         return (x, w) if dual else (w, x)
 
-    def leg(k: int, h: Mor) -> Mor:
-        return compose(h, legs[k]) if dual else compose(legs[k], h)
+    leg1, leg2 = legs
 
+    def split(h: Mor) -> tuple[Mor, Mor]:
+        if dual:
+            return compose(h, leg1), compose(h, leg2)
+        return compose(leg1, h), compose(leg2, h)
+
+    # the uniqueness loop keeps each morphism's legs and each pair's
+    # mediate; the existence loop reads them back, so when both loops
+    # enumerate, it computes none of them again.  A morphism's ends keep
+    # probes apart, so one memo serves the whole call.
+    legs_of: dict = {}
+    mediated: dict = {}
     checks = [equation(ident, wit.mediate(*legs), identity(wit.apex))]
     for w in probes:
         wname = cat.format_obj(w)
         homs, exhaustive = draw(cat, rng, [hom(w, wit.apex)], PROBE_SAMPLES)
         probe = "" if exhaustive else "-probe"
         for i, (h,) in enumerate(homs):
-            m = wit.mediate(leg(0, h), leg(1, h))
+            hl = legs_of[h] = split(h)
+            m = mediated[hl] = wit.mediate(*hl)
             checks.append(equation(f"uniq{probe}[{wname}#{i}]", m, h))
         pairs, exhaustive = draw(cat, rng, [hom(w, wit.left), hom(w, wit.right)], PROBE_SAMPLES)
         probe = "" if exhaustive else "-probe"
-        for i, (f, g) in enumerate(pairs):
-            m = wit.mediate(f, g)
-            checks.append(equation(f"exist-{names[0]}{probe}[{wname}#{i}]", leg(0, m), f))
-            checks.append(equation(f"exist-{names[1]}{probe}[{wname}#{i}]", leg(1, m), g))
+        for i, fg in enumerate(pairs):
+            m = mediated.get(fg)
+            if m is None:
+                m = wit.mediate(*fg)
+            ml = legs_of.get(m)
+            if ml is None:
+                ml = split(m)
+            checks.append(equation(f"exist-{names[0]}{probe}[{wname}#{i}]", ml[0], fg[0]))
+            checks.append(equation(f"exist-{names[1]}{probe}[{wname}#{i}]", ml[1], fg[1]))
     return CheckResult(kind, tuple(checks))
 
 
@@ -270,14 +294,20 @@ def draw(cat, rng: random.Random, homsets: Sequence[tuple[Obj, Obj]], samples: i
     from rng, homset by homset, stopping at the first that meets an empty
     homset.
     """
-    found = {hs: cat.enumerate_homset(*hs) for hs in dict.fromkeys(homsets)}
-    lists = [found[hs] for hs in homsets]
-    if all(x is not None for x in lists) and math.prod(map(len, lists)) <= ENUM_CAP:
+    found: dict = {}
+    lists = []
+    for hs in homsets:
+        if hs not in found:
+            found[hs] = cat.enumerate_homset(*hs)
+        lists.append(found[hs])
+    if None not in lists and math.prod(map(len, lists)) <= ENUM_CAP:
         return list(itertools.product(*lists)), True
     tuples = []
     for _ in range(samples):
-        tup = tuple(cat.random_morphism(rng, dom, cod) for dom, cod in homsets)
-        if any(x is None for x in tup):
+        tup = []
+        for dom, cod in homsets:
+            tup.append(cat.random_morphism(rng, dom, cod))
+        if None in tup:
             break
-        tuples.append(tup)
+        tuples.append(tuple(tup))
     return tuples, False

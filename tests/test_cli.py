@@ -478,6 +478,37 @@ def test_broken_instance_reports_are_pinned(request, monkeypatch, fixture, passe
     assert hashlib.sha256(render_json(report).encode()).hexdigest() == sha256
 
 
+def test_broken_mediate_witness_records_are_pinned(rotated_mediate_rel2, monkeypatch):
+    # each product-witness and coproduct-witness record of a broken mediate,
+    # its verdict and failure text, as captured before the witness checks
+    # shared their legs
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: rotated_mediate_rel2)
+    report = run_suite(SuiteConfig(instance="finrel", max_size=2, seed=0, report="json"))
+    witness = [
+        (c.suite, c.objects, c.passed, c.failure)
+        for c in report.checks
+        if c.suite in ("product-witness", "coproduct-witness")
+    ]
+    assert len(witness) == 18
+    assert [w for w in witness if not w[2]] == [
+        ("product-witness", ("2", "2"), False, "<pi1,pi2>=id (entry (1,1): 0 vs 1) [+770 more]"),
+    ]
+    digest = hashlib.sha256(repr(witness).encode()).hexdigest()
+    assert digest == "068f60f9dd911f602c07d159a48250df28831fcea87bd9bb29b21ffd4934bc87"
+
+
+def test_largest_product_report_is_pinned():
+    # `verify --instance product:finrel+z-chain --max-size 2 --max-quad 1
+    # --report json`, byte for byte as captured before homsets were
+    # memoized and the witness checks shared their legs: the config those
+    # two move most, and one no benchmark workload runs
+    config = SuiteConfig(instance="product:finrel+z-chain", max_size=2, max_quad=1, report="json")
+    report = run_suite(config)
+    assert (report.passed, report.failed) == (2403, 7)
+    digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+    assert digest == "2186781298157d0d82dc2a6a27c517b91aca2f650c469f7ebe8e40f337cd3cc8"
+
+
 @pytest.mark.parametrize(
     "fixture, max_quad, passed", [("skewed_rel2", 2, 238), ("skewed_rat2", 1, 116)]
 )

@@ -294,7 +294,7 @@ def test_sums_are_memoized_per_call_only(monkeypatch):
     assert "hom_add" not in memoized
     assert memoized <= {
         "zero_object", "zero_map", "t_inverse", "c_map", "_diagonal", "product", "coproduct",
-        "dist_prod", "dist_coprod", "_grid", "times_map", "plus_map",
+        "dist_prod", "dist_coprod", "_grid", "times_map", "plus_map", "enumerate_homset",
     }
 
 

@@ -417,8 +417,10 @@ def test_chain_objects_window():
 
 def test_chain_enumerate():
     ch = z_chain(-5, 5)
-    assert len(ch.enumerate_homset(ch.obj(0), ch.obj(1))) == 1
-    assert ch.enumerate_homset(ch.obj(1), ch.obj(0)) == []
+    assert ch.enumerate_homset(ch.obj(0), ch.obj(1)) == (ch.hom(ch.obj(0), ch.obj(1)),)
+    assert ch.enumerate_homset(ch.obj(1), ch.obj(0)) == ()
+    # a homset of at most one map is built again, not memoized
+    assert not ch.memo
     assert ch.random_morphism(None, ch.obj(1), ch.obj(0)) is None
 
 
@@ -577,6 +579,52 @@ def test_product_instance_enumeration_caps():
     assert len(pi.left.enumerate_homset(two.data[0], three_two.data[0])) == 64
     assert len(pi.right.enumerate_homset(two.data[1], three_two.data[1])) == 16
     assert pi.enumerate_homset(two, three_two) is None
+
+
+@pytest.mark.parametrize("selector", ["finrel", "product:finrel+z-chain"])
+def test_homsets_are_enumerated_once_per_instance(selector):
+    inst = resolve(selector, 2)
+    built = 0
+    for a, b in itertools.product(inst.objects(), repeat=2):
+        homs = inst.enumerate_homset(a, b)
+        assert inst.enumerate_homset(a, b) is homs
+        if homs is not None:
+            assert type(homs) is tuple
+            built += 1
+    assert built
+    # a second instance builds its own, with the same morphisms
+    other = resolve(selector, 2)
+    a = b = inst.objects()[-1]
+    mine = inst.enumerate_homset(a, b)
+    theirs = other.enumerate_homset(*(other.parse_obj(inst.format_obj(x)) for x in (a, b)))
+    assert len(mine) == 16
+    assert theirs is not mine
+    assert [repr(f) for f in theirs] == [repr(f) for f in mine]
+
+
+def test_sampling_a_memoized_homset_leaves_it_unchanged(monkeypatch):
+    # hom-add-laws on finrel 2 draws all 16 maps of Hom(2,2) and then
+    # rng.sample picks LAW_SAMPLE_CAP of them; the memoized tuple it drew
+    # from must come through the whole suite as it was
+    inst = finrel(2)
+    two = inst.obj(2)
+    homs = inst.enumerate_homset(two, two)
+    before = list(homs)
+    populations = []
+    sample = random.Random.sample
+
+    def spying(self, population, k, **kwargs):
+        populations.append(len(population))
+        return sample(self, population, k, **kwargs)
+
+    monkeypatch.setattr(random.Random, "sample", spying)
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: inst)
+    report = cli.run_suite(cli.SuiteConfig(instance="finrel", max_size=2))
+    assert report.failed == 0
+    assert cli.LAW_SAMPLE_CAP == 5 and len(before) == 16
+    assert 16 in populations
+    assert inst.enumerate_homset(two, two) is homs
+    assert list(homs) == before
 
 
 def _count_component_composes(pi, monkeypatch):

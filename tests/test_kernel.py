@@ -63,7 +63,8 @@ def test_compose_is_relational_composition():
 def test_compose_rejects_type_mismatch():
     f = REL.mor(REL.obj(1), REL.obj(2), bmat((1,), (0,)))
     g = REL.mor(REL.obj(3), REL.obj(1), bmat((1, 0, 0),))
-    with pytest.raises(DomainMismatch):
+    mismatch = "^cannot compose: first factor ends at 2, second starts at 3$"
+    with pytest.raises(DomainMismatch, match=mismatch):
         compose(g, f)
 
 
@@ -71,8 +72,11 @@ def test_compose_rejects_foreign_category():
     other = mat_semiring("mat-bool", 3)
     f = REL.mor(REL.obj(1), REL.obj(1), bmat((1,),))
     g = other.mor(other.obj(1), other.obj(1), bmat((1,),))
-    with pytest.raises(DomainMismatch):
-        compose(g, f)
+    h = other.mor(other.obj(2), other.obj(2), bmat((1, 0), (0, 1)))
+    # whether or not the ends' data match, the error names the categories
+    for second in (g, h):
+        with pytest.raises(DomainMismatch, match="^cannot compose morphisms from different categories$"):
+            compose(second, f)
     foreign = "^morphism endpoints belong to a different category$"
     for dom, cod in ((other.obj(1), REL.obj(1)), (REL.obj(1), other.obj(1))):
         with pytest.raises(DomainMismatch, match=foreign):
@@ -113,7 +117,12 @@ def test_equation_notes_type_mismatch():
     g = REL.mor(REL.obj(1), REL.obj(2), bmat((1,), (0,)))
     chk = equation("f=g", f, g)
     assert not chk.ok
-    assert "type mismatch" in chk.note
+    assert chk.note == "type mismatch: 1 -> 1 vs 1 -> 2"
+    assert chk.lhs is f and chk.rhs is g
+    # the same data in another category is another object
+    other = finrel(3)
+    h = other.mor(other.obj(1), other.obj(1), f.payload)
+    assert equation("f=h", f, h).note == "type mismatch: 1 -> 1 vs 1 -> 1"
 
 
 def test_equation_keeps_one_side_when_they_agree():
@@ -169,7 +178,10 @@ def test_identities_are_interned(selector):
 
 
 def test_objects_compare_by_identity():
-    # interning gives equal data one Obj, so object's own eq and hash decide
+    # interning gives equal data one Obj, so object's own eq and hash decide;
+    # the kernel and structure compare endpoints with `is`, which is sound
+    # only while Obj keeps eq=False
+    assert Obj.__dataclass_params__.eq is False
     assert Obj.__eq__ is object.__eq__
     assert Obj.__hash__ is object.__hash__
     assert REL.obj(2) == REL.obj(2)
@@ -341,6 +353,11 @@ def test_check_result_reporting():
     assert err.value.result is res
     passing = CheckResult("fine", (ok,))
     assert passing.require() is passing
+    # the first failure in order names the error, whatever follows it
+    worse = CheckResult("demo", (ok, bad, error_check("later", "too")))
+    with pytest.raises(WitnessInvalid, match=r"^demo: broken \(because\)$") as err:
+        worse.require()
+    assert err.value.result is worse
 
 
 def test_inverse_pair_certify_success():
@@ -388,3 +405,30 @@ def test_unipotent_natural_matrix_has_no_inverse():
     for w, x, y, z in candidates:
         g = nat.mor(a, a, ((w, x), (y, z)))
         assert not check_inverse_pair(f, g).passed
+
+
+def test_built_records_match_their_named_tuple_constructors():
+    # compose, Category.mor, identity and equation build their records in
+    # one step; each must be the record the named tuple's constructor makes
+    a, b = REL.obj(2), REL.obj(1)
+    swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
+    built = (compose(swap, swap), REL.mor(a, a, bmat((1, 0), (0, 1))), identity(a))
+    for f in built:
+        made = kernel.Mor(f.dom, f.cod, f.payload)
+        assert type(f) is kernel.Mor
+        assert f == made and hash(f) == hash(made)
+        assert repr(f) == repr(made) == "2->2 [1 0; 0 1]"
+        assert f._replace(payload=swap.payload) == made._replace(payload=swap.payload) == swap
+        assert tuple(f) == (f.dom, f.cod, f.payload)
+    other = REL.mor(a, a, bmat((1, 0), (1, 1)))
+    narrow = REL.mor(a, b, bmat((1, 0),))
+    checks = (equation("ok", swap, swap), equation("bad", swap, other), equation("typed", swap, narrow))
+    for chk in checks:
+        made = kernel.EquationCheck(*chk)
+        assert type(chk) is kernel.EquationCheck
+        assert chk == made and hash(chk) == hash(made)
+        assert repr(chk) == repr(made) and str(chk) == str(made)
+        assert chk._replace(label="x") == made._replace(label="x")
+    # a passing check has the constructor's default note
+    assert checks[0] == kernel.EquationCheck("ok", swap, swap, True)
+    assert str(checks[0]) == "ok"

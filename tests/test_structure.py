@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 import re
 
@@ -322,6 +323,70 @@ def test_verify_coproduct_witness_probe_path():
     )
     res = verify_coproduct_witness(fake, NAT.objects(1), rng=random.Random(0))
     assert any("-probe[" in chk.label for chk in res.failures())
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_witness_check_shares_legs_between_its_loops(monkeypatch, dual):
+    # with both loops exhaustive, the existence loop reads every mediate and
+    # every pair of legs back from the uniqueness loop: the call mediates
+    # and composes once per map into (out of) the apex, and still checks
+    # every existence equation
+    one, two = REL.obj(1), REL.obj(2)
+    wit = REL.coproduct(one, two) if dual else REL.product(one, two)
+    mediated, composed = [], []
+
+    def mediate(f, g):
+        mediated.append((f, g))
+        return wit.mediate(f, g)
+
+    compose = structure.compose
+    monkeypatch.setattr(structure, "compose", lambda g, f: composed.append(1) or compose(g, f))
+    counted = dataclasses.replace(wit, mediate=mediate)
+    probes = REL.objects(2)
+    verify = verify_coproduct_witness if dual else verify_product_witness
+
+    def size(w, x):
+        return len(REL.enumerate_homset(*((x, w) if dual else (w, x))))
+
+    res = verify(counted, probes)
+    assert res.passed
+    maps = sum(size(w, wit.apex) for w in probes)
+    pairs = sum(size(w, one) * size(w, two) for w in probes)
+    assert maps == pairs == 1 + 8 + 64
+    assert len(mediated) == 1 + maps
+    assert len(composed) == 2 * maps
+    assert len(res.details) == 1 + maps + 2 * pairs
+
+
+def test_sampled_witness_checks_draw_as_before():
+    # on mat-rat every homset is sampled; the shared legs must not change
+    # what is drawn, so the next number from the RNG is the one it was
+    # before the legs were shared
+    rat = mat_semiring("mat-rat", 2)
+    one, two = rat.obj(1), rat.obj(2)
+    for verify, wit in (
+        (verify_product_witness, rat.product(one, two)),
+        (verify_coproduct_witness, rat.coproduct(two, one)),
+    ):
+        rng = random.Random(0)
+        res = verify(wit, rat.objects(), rng=rng)
+        assert res.passed and len(res.details) == 19
+        assert all("-probe[" in chk.label for chk in res.details[1:])
+        assert rng.random() == 0.20320185246943334
+
+
+def test_broken_mediate_equations_are_pinned(rotated_mediate_rel2):
+    # every equation of a witness whose mediate rotates rows, with its
+    # verdict and failure note, as captured before the legs were shared
+    inst = rotated_mediate_rel2
+    two = inst.obj(2)
+    res = verify_product_witness(inst.product(two, two), inst.objects())
+    digest = hashlib.sha256()
+    for chk in res.details:
+        digest.update(f"{chk.label}|{chk.ok}|{chk.note}\n".encode())
+    assert (len(res.details), len(res.failures())) == (820, 771)
+    assert str(res.failures()[1]) == "uniq[1#1] (entry (3,1): 1 vs 0)"
+    assert digest.hexdigest() == "eedfb0bc018a8e1b4ce6809e449f17fb614e72e74572e46177148aa1494e316f"
 
 
 class _Homsets:
