@@ -31,8 +31,10 @@ interleaving map of four corner objects, with both from_matrix orders
 and all their re-checks, once per instance; star_map and t_map read it,
 and every quadruple of star_map with the same tensor corners shares it.
 Sums are memoized only within one verify_semiadditive call; hom_add
-itself recomputes every sum.  Within that call the bilinearity laws
-compose each sampled map with each summand once per pair of homsets.
+itself recomputes every sum.  That call numbers each morphism it sees by
+value, so each is hashed once, and keys its sums by pairs of numbers;
+the bilinearity laws compose each sampled map with each summand once per
+pair of homsets.
 
 Builders certify with CheckResult.require() and raise WitnessInvalid on
 the first failed equation; the verify_* functions return their own
@@ -371,12 +373,17 @@ def hom_add(f: Mor, g: Mor) -> Mor:
 
 
 def _linearity(
-    groups: dict, pre: bool, add: Callable[[Mor, Mor], Mor]
+    groups: dict,
+    pre: bool,
+    table: list[Mor],
+    number: Callable[[Mor], int],
+    add: Callable[[int, int], int],
 ) -> Iterator[EquationCheck]:
     """h after a sum (before it, if pre) equals the sum of the composites with h.
 
-    Each composite of h with a summand is computed once per pair of
-    groups, as on_f[k][i], and shared by every sum it takes part in.
+    groups and add work on numbers, table maps a number to its morphism.
+    Each composite of h with a summand is computed and numbered once per
+    pair of groups, as on_f[k][i], and shared by every sum it takes part in.
     """
     on = (lambda h, m: compose(m, h)) if pre else compose
     for (a, b), fs in groups.items():
@@ -384,12 +391,12 @@ def _linearity(
             if (y is not a) if pre else (x is not b):
                 continue
             at = "->".join(a.cat.format_obj(o) for o in ((x, a, b) if pre else (a, b, y)))
-            on_f = [[on(h, f) for f in fs] for h in hs]
+            on_f = [[number(on(table[h], table[f])) for f in fs] for h in hs]
             for (i, f), (j, g) in itertools.product(list(enumerate(fs)), repeat=2):
-                s = add(f, g)
+                s = table[add(f, g)]
                 for k, h in enumerate(hs):
                     label = f"{'pre' if pre else 'post'}-linear[{at}#{i},{j};{k}]"
-                    yield equation(label, on(h, s), add(on_f[k][i], on_f[k][j]))
+                    yield equation(label, on(table[h], s), table[add(on_f[k][i], on_f[k][j])])
 
 
 def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
@@ -399,37 +406,49 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
     this a proof for those objects, or a random draw to spot-check.
     Associativity runs over ordered triples within each homset;
     bilinearity runs over pairs of homsets that share an endpoint.
-    Each sum is computed once per call: the laws repeat the same sums,
-    and the memo of them is dropped when the call returns.
+
+    The laws repeat the same sums, so each is computed once per call.  The
+    call numbers every morphism it sees by value (the samples, the zero
+    maps, the sums and the composites the bilinearity laws add), so each is
+    hashed once, and keys the sums by pairs of numbers.  Equal morphisms
+    share a number and the first of them stands for all; the numbering and
+    the sums are dropped when the call returns.
     """
     mors = list(sample)
     if not mors:
         return CheckResult("semiadditive", ())
     cat = mors[0].dom.cat
-    sums: dict[tuple[Mor, Mor], Mor] = {}
+    numbers: dict[Mor, int] = {}
+    table: list[Mor] = []
+    sums: dict[tuple[int, int], int] = {}
 
-    def add(f: Mor, g: Mor) -> Mor:
-        s = sums.get((f, g))
+    def number(f: Mor) -> int:
+        n = numbers.setdefault(f, len(table))
+        if n == len(table):
+            table.append(f)
+        return n
+
+    def add(i: int, j: int) -> int:
+        s = sums.get((i, j))
         if s is None:
-            s = sums[f, g] = hom_add(f, g)
+            s = sums[i, j] = number(hom_add(table[i], table[j]))
         return s
 
-    groups: dict[tuple[Obj, Obj], list[Mor]] = {}
+    groups: dict[tuple[Obj, Obj], list[int]] = {}
     for f in mors:
-        groups.setdefault((f.dom, f.cod), []).append(f)
+        groups.setdefault((f.dom, f.cod), []).append(number(f))
     checks: list[EquationCheck] = []
     for (a, b), fs in groups.items():
         at = f"{cat.format_obj(a)}->{cat.format_obj(b)}"
-        z = zero_map(a, b)
+        z = number(zero_map(a, b))
         for i, f in enumerate(fs):
-            checks.append(equation(f"unit-r[{at}#{i}]", add(f, z), f))
-            checks.append(equation(f"unit-l[{at}#{i}]", add(z, f), f))
+            checks.append(equation(f"unit-r[{at}#{i}]", table[add(f, z)], table[f]))
+            checks.append(equation(f"unit-l[{at}#{i}]", table[add(z, f)], table[f]))
         for (i, f), (j, g) in itertools.combinations(enumerate(fs), 2):
-            checks.append(equation(f"comm[{at}#{i},{j}]", add(f, g), add(g, f)))
+            checks.append(equation(f"comm[{at}#{i},{j}]", table[add(f, g)], table[add(g, f)]))
         for (i, f), (j, g), (k, h) in itertools.product(enumerate(fs), repeat=3):
-            checks.append(
-                equation(f"assoc[{at}#{i},{j},{k}]", add(add(f, g), h), add(f, add(g, h)))
-            )
+            lhs, rhs = add(add(f, g), h), add(f, add(g, h))
+            checks.append(equation(f"assoc[{at}#{i},{j},{k}]", table[lhs], table[rhs]))
     for pre in (False, True):
-        checks.extend(_linearity(groups, pre, add))
+        checks.extend(_linearity(groups, pre, table, number, add))
     return CheckResult("semiadditive", tuple(checks))

@@ -41,7 +41,9 @@ enumerate_homset there as well, so each homset is built once per
 instance and handed out as a tuple; the chain deliberately does not,
 since its homsets hold at most one morphism and hashing the memo key
 costs more than building one again.  Homset sums are memoized only for
-the length of one construction.verify_semiadditive call.  Beside
+the length of one construction.verify_semiadditive call, keyed by the
+numbers that call gives each morphism by value, so each morphism is
+hashed once.  Beside
 inst.memo, Category keeps one identity per object (kernel.identity),
 and the product instance keeps its component composites in a dict of
 its own, capped at product.COMPOSITE_CAP entries.

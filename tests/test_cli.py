@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from biprod import cli, kernel
+from biprod import cli, construction, kernel
 from biprod.cli import (
     NULLARY_DEPENDENT,
     STAGES,
@@ -341,13 +341,29 @@ def test_sampled_stage_equations_are_pinned(monkeypatch):
     }
 
 
+def _counting_hom_add(monkeypatch):
+    """Count the sums the law stages compute, through construction.hom_add."""
+    calls = []
+    real = construction.hom_add
+
+    def counting(f, g):
+        calls.append(None)
+        return real(f, g)
+
+    monkeypatch.setattr(construction, "hom_add", counting)
+    return calls
+
+
 def test_rat_stage_equations_are_pinned(monkeypatch):
     # the benchmark's suite-rat config: its speedups (zero-skipping dot,
     # memoized sums and witnesses) must keep every equation, and their
     # Fraction payloads, as they were before them
+    added = _counting_hom_add(monkeypatch)
     rat, rat_equations, rat_digests = _digested_run(
         monkeypatch, SuiteConfig(instance="mat-rat", max_size=2, max_quad=1, seed=1)
     )
+    # the law stages compute each distinct sum once per verify_semiadditive call
+    assert len(added) == 2540
     assert _stage_runs(rat) == [
         ("nullary", 1, 0),
         ("nullary-distributors", 3, 0),
@@ -396,6 +412,25 @@ def test_rat_stage_equations_are_pinned(monkeypatch):
         "hom-add-native": "8450b4f4b07d2d11",
         "bilinearity": "9aa127218ce896c5",
     }
+
+
+def test_rat_law_stages_are_pinned_at_size_three(monkeypatch):
+    # the Baseline's mat-rat --max-size 3, with the default quad bound of 2:
+    # the law stages must keep every equation, its payloads and the number
+    # of sums they compute
+    added = _counting_hom_add(monkeypatch)
+    rat, rat_equations, rat_digests = _digested_run(
+        monkeypatch, SuiteConfig(instance="mat-rat", max_size=3)
+    )
+    assert [run for run in _stage_runs(rat) if run[0] in ("hom-add-laws", "bilinearity")] == [
+        ("hom-add-laws", 16, 0),
+        ("bilinearity", 27, 0),
+    ]
+    assert len(added) == 12437
+    assert rat_equations["hom-add-laws"] == 3320
+    assert rat_equations["bilinearity"] == 26655
+    assert rat_digests["hom-add-laws"] == "977336c70cd97405"
+    assert rat_digests["bilinearity"] == "bce44b2ad492be1b"
 
 
 def test_product_stage_equations_are_pinned(monkeypatch):

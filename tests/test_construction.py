@@ -3,8 +3,10 @@ from __future__ import annotations
 import ast
 import gc
 import itertools
+import random
 import re
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -271,6 +273,12 @@ def test_product_components_memoize_in_their_own_memos():
         assert component.product(x, y) is component.product(x, y)
 
 
+def _fresh_copy(f):
+    """A morphism equal to f in value that shares no tuple or entry with it."""
+    payload = tuple(tuple(Fraction(x.numerator, x.denominator) for x in row) for row in f.payload)
+    return f.dom.cat.mor(f.dom, f.cod, payload)
+
+
 def test_sums_are_memoized_per_call_only(monkeypatch):
     # verify_semiadditive computes each distinct sum once per call, and the
     # sums die with the call: the instance's memo keeps none of them
@@ -290,12 +298,58 @@ def test_sums_are_memoized_per_call_only(monkeypatch):
     per_call = len(added)
     assert verify_semiadditive(sample) == first
     assert len(added) == 2 * per_call
-    memoized = {key[0].__name__ for key in inst.memo}
-    assert "hom_add" not in memoized
-    assert memoized <= {
-        "zero_object", "zero_map", "t_inverse", "c_map", "_diagonal", "product", "coproduct",
-        "dist_prod", "dist_coprod", "_grid", "times_map", "plus_map", "enumerate_homset",
-    }
+    # sums are keyed by value: on mat-rat, copies of the sample built apart
+    # (fresh tuples, fresh Fractions) add no sum to those of the sample
+    rat = mat_semiring("mat-rat", 2)
+    rng = random.Random(3)
+    r1, r2 = rat.obj(1), rat.obj(2)
+    homsets = ((r1, r2), (r2, r2), (r2, r1))
+    sample = [rat.random_morphism(rng, a, b) for a, b in homsets for _ in range(2)]
+    added.clear()
+    assert verify_semiadditive(sample).passed
+    alone = len(added)
+    assert alone == len(set(added))
+    added.clear()
+    assert verify_semiadditive(sample + [_fresh_copy(f) for f in sample]).passed
+    assert len(added) == len(set(added)) == alone
+    for cat in (inst, rat):
+        memoized = {key[0].__name__ for key in cat.memo}
+        assert "hom_add" not in memoized
+        assert memoized <= {
+            "zero_object", "zero_map", "t_inverse", "c_map", "_diagonal", "product", "coproduct",
+            "dist_prod", "dist_coprod", "_grid", "times_map", "plus_map", "enumerate_homset",
+        }
+
+
+def test_semiadditive_hashes_each_numbered_morphism_once(monkeypatch):
+    # the laws key their sums by number, so a Fraction is hashed only when
+    # the morphism holding it is numbered: each sample, the zero map, each
+    # sum hom_add returns and each composite the bilinearity laws add
+    rat = mat_semiring("mat-rat", 2)
+    two = rat.obj(2)
+    rng = random.Random(5)
+    sample = [rat.random_morphism(rng, two, two) for _ in range(3)]
+    assert verify_semiadditive(sample).passed  # build the instance's memos first
+    sums = []
+
+    def counting_hom_add(f, g):
+        sums.append(None)
+        return hom_add(f, g)
+
+    hashes = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(x):
+        hashes.append(None)
+        return fraction_hash(x)
+
+    monkeypatch.setattr(construction, "hom_add", counting_hom_add)
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    assert verify_semiadditive(sample).passed
+    # one homset: 3 samples, its zero map, and 3 x 3 composites each way
+    numbered = len(sample) + 1 + len(sums) + 2 * len(sample) ** 2
+    entries = 2 * 2  # every morphism the call sees is 2 -> 2
+    assert len(hashes) <= numbered * entries
 
 
 def test_no_functools_cache_in_the_package():
