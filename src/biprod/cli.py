@@ -355,18 +355,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verify biproduct structure on finite category instances",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    v = sub.add_parser("verify", help="run the staged check suite on one instance")
-    v.add_argument("--instance", default="finrel", help="instance selector")
-    v.add_argument("--max-size", type=int, default=2, help="object bound for pair stages")
+    # verify states no defaults: an option not given is left out of the
+    # namespace, so SuiteConfig's own default applies
+    v = sub.add_parser(
+        "verify",
+        help="run the staged check suite on one instance",
+        argument_default=argparse.SUPPRESS,
+    )
+    v.add_argument("--instance", help="instance selector")
+    v.add_argument("--max-size", type=int, help="object bound for pair stages")
     v.add_argument(
         "--max-quad",
         type=int,
-        default=None,
         help="object bound for triple/quadruple stages (default: min(max-size, 2))",
     )
-    v.add_argument("--samples", type=int, default=25, help="seeded pairs per hom-add-native check")
-    v.add_argument("--seed", type=int, default=0, help="seed for every random draw")
-    v.add_argument("--report", choices=("text", "json"), default="text")
+    v.add_argument("--samples", type=int, help="seeded pairs per hom-add-native check")
+    v.add_argument("--seed", type=int, help="seed for every random draw")
+    v.add_argument("--report", choices=("text", "json"))
     s = sub.add_parser("show", help="print one constructed morphism")
     s.add_argument("expression", help="e.g. 't(1,2)', 'star(1,1,2,2)', 'zero(2,3)'")
     s.add_argument("--instance", default="finrel")
@@ -383,7 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     args = PARSER.parse_args(argv)
     try:
         if args.command == "verify":
-            config = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
+            given = (f.name for f in fields(SuiteConfig) if hasattr(args, f.name))
+            config = SuiteConfig(**{name: getattr(args, name) for name in given})
             report = run_suite(config)
             if config.report == "json":
                 sys.stdout.write(render_json(report))

@@ -5,7 +5,7 @@ from ..errors import InvalidBounds, UnknownInstance
 from .base import Instance
 from .chain import ChainInstance, z_chain
 from .matcat import MAT_SEMIRINGS, MatInstance, finrel, mat_semiring
-from .product import ProductInstance, product_instance
+from .product import ProductInstance
 from .semiring import BOOLEANS, NATURALS, RATIONALS, Semiring
 
 SELECTORS = ("finrel", "mat-bool", "mat-nat", "mat-rat", "z-chain", "product:<a>+<b>")
@@ -33,7 +33,7 @@ def resolve(selector: str, max_size: int) -> Instance:
                 f"product selector needs two parts joined by +, got {selector!r}"
             )
         lsel, rsel = rest.split("+", 1)
-        return product_instance(resolve(lsel, max_size), resolve(rsel, max_size))
+        return ProductInstance(resolve(lsel, max_size), resolve(rsel, max_size))
     raise UnknownInstance(
         f"unknown instance {selector!r}; known: {', '.join(SELECTORS)}"
     )

@@ -31,22 +31,10 @@ each constructor's own fields (a semiring, a window, a product's
 components) keep the values they were built with, and no method can be
 shadowed on an instance, be it structure, composition, enumeration or
 formatting; a different witness takes a subclass.  What the construction
-derives from that structure lives in the instance's own memo, made with
-it, so a memoized certificate never outlives the witnesses it was
-certified with, nor the instance itself.  The shipped instances keep
-their product and coproduct witnesses in that memo too, through
-kernel.per_instance, as do structure.times_map and plus_map, keyed by
-their morphism pair.  The matrix and product instances memoize their
-enumerate_homset there as well, so each homset is built once per
-instance and handed out as a tuple; the chain deliberately does not,
-since its homsets hold at most one morphism and hashing the memo key
-costs more than building one again.  Homset sums are memoized only for
-the length of one construction.verify_semiadditive call, keyed by the
-numbers that call gives each morphism by value, so each morphism is
-hashed once.  Beside
-inst.memo, Category keeps one identity per object (kernel.identity),
-and the product instance keeps its component composites in a dict of
-its own, capped at product.COMPOSITE_CAP entries.
+derives from that structure lives in the instance's own memo (made by
+Category, filled through kernel.per_instance), so a memoized certificate
+never outlives the witnesses it was certified with, nor the instance
+itself.  Each module that memoizes there says what it keeps.
 """
 from __future__ import annotations
 
@@ -70,10 +58,6 @@ class Instance(Category):
     terminal: Obj | None = None
     initial: Obj | None = None
     unit: Obj
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.memo: dict = {}  # derived results and witnesses; see kernel.per_instance
 
     def __setattr__(self, attr: str, value) -> None:
         # set once, never over a method or a dunder; see the module docstring

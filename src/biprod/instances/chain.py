@@ -8,7 +8,8 @@ maps, and homset addition.  It is the standing counterexample showing
 the nullary hypotheses pull real weight.
 
 lo..hi only window the enumeration; the structure maps accept any
-integer objects.
+integer objects.  product and coproduct are kernel.per_instance;
+enumerate_homset is not, since a homset holds at most one morphism.
 """
 from __future__ import annotations
 

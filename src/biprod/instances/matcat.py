@@ -9,9 +9,10 @@ an index shuffle, is the one distributor stated here.
 finrel is the boolean case: a matrix over the or/and semiring is exactly
 a relation between finite sets, composed relationally.
 
-enumerate_homset is kernel.per_instance: each homset is built once per
-instance, kept in inst.memo for the instance's lifetime, and handed out
-as a tuple, so no caller can change what the next one receives.
+product, coproduct and enumerate_homset are kernel.per_instance: each
+witness and homset is built once per instance and kept in inst.memo for
+the instance's lifetime; a homset is handed out as a tuple, so no
+caller can change what the next one receives.
 """
 from __future__ import annotations
 

@@ -176,7 +176,3 @@ class ProductInstance(Instance):
         if ls is None or rs is None or len(ls) * len(rs) > ENUM_CAP:
             return None
         return tuple([self.pack_mor(lf, rf) for lf, rf in itertools.product(ls, rs)])
-
-
-def product_instance(left: Instance, right: Instance) -> ProductInstance:
-    return ProductInstance(left, right)

@@ -19,8 +19,10 @@ becomes an error one way only: CheckResult.require(), which raises
 WitnessInvalid on the first failed equation.  An error becomes a failed
 result one way only: CheckResult.from_error(), which the command line's
 cli._guard alone calls.  An InversePair keeps its certificate as equations.
-per_instance memoizes a function of an instance in that instance's memo;
-its first argument is the instance, an object of it or a morphism of it.
+per_instance memoizes a function of an instance in that instance's memo,
+a dict that Category.__init__ makes beside its object and identity
+tables; its first argument is the instance, an object of it or a
+morphism of it.
 
 Memoized certificates keep many of these records alive, so they are kept
 small: no record here has a per-record __dict__, Category.obj interns
@@ -66,6 +68,7 @@ class Category:
         self.name = name
         self._objs: dict = {}  # data -> its one Obj; see obj
         self._ids: dict = {}  # Obj -> its one identity; see identity
+        self.memo: dict = {}  # (fn, args) -> fn(*args); see per_instance
 
     # payload hooks
 

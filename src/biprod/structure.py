@@ -19,9 +19,10 @@ every time.
 
 draw is the one sampling policy every check takes its morphisms from:
 every tuple across some homsets when there are at most ENUM_CAP, else
-a bounded number of seeded random ones.  It enumerates each distinct
-homset once per call, with a plain loop; the shipped matrix and product
-instances also memoize their homsets, so a repeated draw rebuilds none.
+a bounded number of seeded random ones.  It keeps no homsets of its
+own: it asks the instance for each listed homset, and the instance
+decides what to memoize (see instances.matcat, instances.product and
+instances.chain).
 
 The universal-property check shares legs within one call: it keeps each
 probe's two legs by morphism and each mediate by pair, so when both of
@@ -288,18 +289,14 @@ def _verify_universal(
 def draw(cat, rng: random.Random, homsets: Sequence[tuple[Obj, Obj]], samples: int):
     """(tuples, exhaustive): a list of morphism tuples, one entry per (dom, cod) homset.
 
-    Each distinct homset is enumerated once.  When all enumerate and there
-    are at most ENUM_CAP tuples, every one comes back in itertools.product
-    order and exhaustive is True.  Otherwise up to samples tuples are drawn
-    from rng, homset by homset, stopping at the first that meets an empty
-    homset.
+    Asks cat for every listed homset, in order, a repeated one as often as
+    it is listed; memoizing a homset is the instance's business.  When all
+    enumerate and there are at most ENUM_CAP tuples, every one comes back
+    in itertools.product order and exhaustive is True.  Otherwise up to
+    samples tuples are drawn from rng, homset by homset, stopping at the
+    first that meets an empty homset.
     """
-    found: dict = {}
-    lists = []
-    for hs in homsets:
-        if hs not in found:
-            found[hs] = cat.enumerate_homset(*hs)
-        lists.append(found[hs])
+    lists = [cat.enumerate_homset(*hs) for hs in homsets]
     if None not in lists and math.prod(map(len, lists)) <= ENUM_CAP:
         return list(itertools.product(*lists)), True
     tuples = []

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from biprod.instances import BOOLEANS, RATIONALS, MatInstance, finrel, mat_semiring, z_chain
+from biprod.instances import (
+    BOOLEANS, RATIONALS, Instance, MatInstance, finrel, mat_semiring, z_chain
+)
 from biprod.instances.semiring import hstack, zero_one_matrix
 from biprod.kernel import per_instance
-from biprod.structure import CoproductWitness, ProductWitness
+from biprod.structure import ENUM_CAP, CoproductWitness, ProductWitness
 
 
 class RotatedProdInv(MatInstance):
@@ -56,6 +59,81 @@ class SkewedCoproduct(MatInstance):
         return CoproductWitness(a, b, apex, in1, in2, mediate)
 
 
+class FinSet(Instance):
+    """Finite sets 0..max_size and functions, with the cartesian tensor.
+
+    A countermodel: products and coproducts exist, and the tensor
+    distributes over coproducts, but the terminal set 1 is not the
+    initial set 0, and the cartesian product does not distribute over
+    itself.  A function n -> m is the tuple of its n images; n x m and
+    n @ m are both the set n*m, element i*m + j standing for (i, j).
+    """
+
+    def __init__(self, max_size: int):
+        super().__init__("finset")
+        self.max_size = max_size
+        self.terminal = self.unit = self.obj(1)
+        self.initial = self.obj(0)
+
+    def identity_payload(self, a):
+        return tuple(range(a.data))
+
+    def compose_payload(self, g, f):
+        return tuple(g.payload[i] for i in f.payload)
+
+    def objects(self, bound=None):
+        top = self.max_size if bound is None else min(self.max_size, bound)
+        return [self.obj(n) for n in range(top + 1)]
+
+    @per_instance
+    def product(self, a, b):
+        n, m = a.data, b.data
+        apex = self.obj(n * m)
+        pi1 = self.mor(apex, a, tuple(k // m for k in range(n * m)))
+        pi2 = self.mor(apex, b, tuple(k % m for k in range(n * m)))
+
+        def mediate(f, g):
+            return self.mor(f.dom, apex, tuple(i * m + j for i, j in zip(f.payload, g.payload)))
+
+        return ProductWitness(a, b, apex, pi1, pi2, mediate)
+
+    @per_instance
+    def coproduct(self, a, b):
+        n, m = a.data, b.data
+        apex = self.obj(n + m)
+        in1 = self.mor(a, apex, tuple(range(n)))
+        in2 = self.mor(b, apex, tuple(range(n, n + m)))
+
+        def mediate(f, g):
+            return self.mor(apex, f.cod, f.payload + g.payload)
+
+        return CoproductWitness(a, b, apex, in1, in2, mediate)
+
+    def bang(self, x):
+        return self.mor(x, self.terminal, (0,) * x.data)
+
+    def cobang(self, x):
+        return self.mor(self.initial, x, ())
+
+    def tensor_obj(self, a, b):
+        return self.obj(a.data * b.data)
+
+    def tensor_mor(self, f, g):
+        m, m2 = g.dom.data, g.cod.data
+        images = (f.payload[k // m] * m2 + g.payload[k % m] for k in range(f.dom.data * m))
+        return self.mor(self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod), tuple(images))
+
+    def enumerate_homset(self, a, b):
+        if b.data ** a.data > ENUM_CAP:
+            return None
+        return tuple(self.mor(a, b, p) for p in itertools.product(range(b.data), repeat=a.data))
+
+    def random_morphism(self, rng, a, b):
+        if b.data == 0 and a.data > 0:
+            return None
+        return self.mor(a, b, tuple(rng.randrange(b.data) for _ in range(a.data)))
+
+
 @pytest.fixture
 def rotated_rel2():
     return RotatedProdInv(BOOLEANS, 2, name="finrel")
@@ -64,6 +142,11 @@ def rotated_rel2():
 @pytest.fixture
 def rotated_mediate_rel2():
     return RotatedMediate(BOOLEANS, 2, name="finrel")
+
+
+@pytest.fixture
+def finset2():
+    return FinSet(2)
 
 
 @pytest.fixture

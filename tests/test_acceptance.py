@@ -32,7 +32,7 @@ from biprod.construction import (
     zero_object,
 )
 from biprod.errors import NoNullaryStructure
-from biprod.instances import finrel, mat_semiring, product_instance, z_chain
+from biprod.instances import ProductInstance, finrel, mat_semiring, z_chain
 from biprod.kernel import check_inverse_pair, compose, identity
 from biprod.structure import verify_coproduct_witness, verify_product_witness
 
@@ -167,7 +167,7 @@ def test_missing_structure_fidelity():
         with pytest.raises(NoNullaryStructure):
             zero_object(ch)
         with pytest.raises(NoNullaryStructure):
-            zero_object(product_instance(finrel(2), z_chain(-2, 2)))
+            zero_object(ProductInstance(finrel(2), z_chain(-2, 2)))
 
         plain = run_suite(SuiteConfig(instance="z-chain", max_size=2, samples=2))
         paired = run_suite(

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -33,8 +34,8 @@ from biprod.instances import (
     BOOLEANS,
     Instance,
     MatInstance,
+    ProductInstance,
     finrel,
-    product_instance,
     z_chain,
 )
 from biprod.kernel import CheckResult
@@ -63,6 +64,21 @@ def test_quad_bound_defaults():
     assert SuiteConfig(max_size=4).max_quad == 2
     assert SuiteConfig(max_size=1).max_quad == 1
     assert SuiteConfig(max_size=4, max_quad=3).max_quad == 3
+
+
+def test_suite_config_is_the_only_source_of_verify_defaults(monkeypatch, capsys):
+    # verify's parser states no defaults: an option not given stays out of
+    # the namespace, so a default changed in SuiteConfig reaches main
+    assert vars(cli.PARSER.parse_args(["verify"])) == {"command": "verify"}
+
+    @dataclass(frozen=True)
+    class SevenSamples(SuiteConfig):
+        samples: int = 7
+
+    monkeypatch.setattr(cli, "SuiteConfig", SevenSamples)
+    assert main(["verify", "--max-size", "1"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == "instance=finrel max_size=1 max_quad=1 samples=7 seed=0"
 
 
 def test_full_suite_passes_on_finrel():
@@ -563,6 +579,46 @@ def test_skewed_coproduct_passes_every_stage(request, monkeypatch, fixture, max_
     )
 
 
+# (records, failed) per stage on FinSet at --max-size 2 --max-quad 2
+FINSET_TALLIES = {
+    "nullary": (1, 1),
+    "nullary-distributors": (3, 2),
+    "product-witness": (9, 0),
+    "coproduct-witness": (9, 0),
+    "dist-prod": (27, 4),
+    "dist-coprod": (27, 0),
+    "interchange": (81, 24),
+    "t-inverse": (9, 6),
+    "intertwining": (9, 9),
+    "canonical": (9, 9),
+    "biproduct": (9, 9),
+    "hom-add-laws": (9, 7),
+    "hom-add-native": (9, 0),
+    "bilinearity": (27, 27),
+}
+
+
+def test_finset_countermodel_fails_where_its_structure_is_missing(finset2, monkeypatch):
+    # a negative control: finite sets have products and coproducts, but 1
+    # is not 0 and the cartesian tensor does not distribute over products,
+    # so the suite must fail there and nowhere the structure holds.  The
+    # failures' wording is not pinned.
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: finset2)
+    report = run_suite(SuiteConfig(instance=finset2.name, max_size=2, max_quad=2))
+    failed = [c for c in report.checks if not c.passed]
+    assert failed[0].suite == "nullary" and failed[0].failure.startswith("MissingStructure")
+    dist_prod = [c.objects for c in report.checks if c.suite == "dist-prod" and not c.passed]
+    assert dist_prod == [("2", b, c) for b in "12" for c in "12"]
+    dist_coprod = [c for c in report.checks if c.suite == "dist-coprod"]
+    assert len(dist_coprod) == 27 and all(c.passed for c in dist_coprod)
+    tallies = {stage.name: [0, 0] for stage in cli.STAGES}
+    for c in report.checks:
+        tallies[c.suite][0] += 1
+        tallies[c.suite][1] += not c.passed
+    assert {name: tuple(t) for name, t in tallies.items()} == FINSET_TALLIES
+    assert (report.passed, report.failed) == (140, 98)
+
+
 class NoNativeAdd(MatInstance):
     """finrel without an addition of its own: hom-add-native has nothing to compare."""
 
@@ -907,7 +963,7 @@ def test_parse_obj():
         rel.parse_obj("abc")
     ch = z_chain(-5, 5)
     assert ch.parse_obj("-3").data == -3
-    pi = product_instance(finrel(2), z_chain(-2, 2))
+    pi = ProductInstance(finrel(2), z_chain(-2, 2))
     packed = pi.parse_obj("1|-2")
     assert packed.data == (pi.left.obj(1), pi.right.obj(-2))
     with pytest.raises(ParseError):

@@ -24,7 +24,6 @@ from biprod.instances import (
     ProductInstance,
     finrel,
     mat_semiring,
-    product_instance,
     resolve,
     z_chain,
 )
@@ -425,7 +424,7 @@ def test_chain_enumerate():
 
 
 def test_product_instance_componentwise_compose():
-    pi = product_instance(finrel(2), z_chain(-2, 2))
+    pi = ProductInstance(finrel(2), z_chain(-2, 2))
     a = pi.pack(pi.left.obj(1), pi.right.obj(0))
     b = pi.pack(pi.left.obj(2), pi.right.obj(1))
     f = pi.pack_mor(
@@ -437,7 +436,7 @@ def test_product_instance_componentwise_compose():
 
 
 def test_product_instance_formatting_and_difference():
-    pi = product_instance(finrel(2), finrel(2))
+    pi = ProductInstance(finrel(2), finrel(2))
     one = pi.pack(pi.left.obj(1), pi.right.obj(1))
     f = pi.pack_mor(
         pi.left.mor(pi.left.obj(1), pi.left.obj(1), ((True,),)),
@@ -452,8 +451,8 @@ def test_product_instance_formatting_and_difference():
 
 
 def test_product_instance_nullary_requires_both():
-    with_zero = product_instance(finrel(2), mat_semiring("mat-nat", 2))
-    without = product_instance(finrel(2), z_chain(-2, 2))
+    with_zero = ProductInstance(finrel(2), mat_semiring("mat-nat", 2))
+    without = ProductInstance(finrel(2), z_chain(-2, 2))
     assert with_zero.terminal is not None
     assert without.terminal is None
     # each piece of structure exists exactly when both components have it
@@ -560,7 +559,7 @@ def test_product_instance_lifts_component_maps():
 
 
 def test_product_instance_inherits_a_broken_component(rotated_rel2):
-    pi = product_instance(rotated_rel2, finrel(2))
+    pi = ProductInstance(rotated_rel2, finrel(2))
     one = pi.pack(pi.left.obj(1), pi.right.obj(1))
     two = pi.pack(pi.left.obj(2), pi.right.obj(2))
     with pytest.raises(WitnessInvalid, match=r"^dist_prod\(1\|1,1\|1,2\|2\): "):
@@ -568,7 +567,7 @@ def test_product_instance_inherits_a_broken_component(rotated_rel2):
 
 
 def test_product_instance_enumeration_caps():
-    pi = product_instance(finrel(3), finrel(2))
+    pi = ProductInstance(finrel(3), finrel(2))
     one = pi.pack(pi.left.obj(1), pi.right.obj(1))
     homs = pi.enumerate_homset(one, one)
     assert len(homs) == 4
@@ -658,7 +657,7 @@ def _composable_pairs(pi):
 
 
 def test_product_composes_each_component_pair_once(monkeypatch):
-    pi = product_instance(finrel(2), z_chain(-2, 2))
+    pi = ProductInstance(finrel(2), z_chain(-2, 2))
     reached = _count_component_composes(pi, monkeypatch)
     f = pi.pack_mor(
         pi.left.mor(pi.left.obj(1), pi.left.obj(2), ((True,), (False,))),
@@ -705,7 +704,7 @@ def test_product_composites_die_with_their_instance():
 
 
 def test_a_composite_that_raises_is_not_memoized():
-    pi = product_instance(finrel(2), z_chain(-2, 2))
+    pi = ProductInstance(finrel(2), z_chain(-2, 2))
     one = pi.pack(pi.left.obj(1), pi.right.obj(0))
     two = pi.pack(pi.left.obj(2), pi.right.obj(1))
     f = pi.enumerate_homset(one, two)[0]
