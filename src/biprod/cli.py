@@ -92,8 +92,11 @@ class SuiteConfig:
 class CheckRecord:
     suite: str
     objects: tuple[str, ...]
-    passed: bool
     failure: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
 
 @dataclass(frozen=True)
@@ -123,10 +126,7 @@ def _guard(checks: list[CheckRecord], suite: str, names: tuple[str, ...], thunk)
         res = thunk()
     except CategoryError as exc:
         res = CheckResult.from_error(suite, exc)
-    if not res.passed:
-        checks.append(CheckRecord(suite, names, False, _failure_text(res)))
-    else:
-        checks.append(CheckRecord(suite, names, True))
+    checks.append(CheckRecord(suite, names, None if res.passed else _failure_text(res)))
 
 
 def _certificates(name: str, *isos: InversePair) -> CheckResult:
@@ -203,15 +203,11 @@ STAGES = (
     ),
     Stage(
         "product-witness", 2, False,
-        lambda run, a, b: verify_product_witness(
-            run.inst.product(a, b), run.objs, rng=run.rng
-        ),
+        lambda run, a, b: verify_product_witness(run.inst.product(a, b), run.objs, run.rng),
     ),
     Stage(
         "coproduct-witness", 2, False,
-        lambda run, a, b: verify_coproduct_witness(
-            run.inst.coproduct(a, b), run.objs, rng=run.rng
-        ),
+        lambda run, a, b: verify_coproduct_witness(run.inst.coproduct(a, b), run.objs, run.rng),
     ),
     Stage("dist-prod", 3, False, lambda run, a, b, c: dist_prod(a, b, c).equations),
     Stage("dist-coprod", 3, False, lambda run, a, b, c: dist_coprod(a, b, c).equations),
@@ -254,7 +250,7 @@ def run_suite(config: SuiteConfig) -> Report:
         if stage.needs_nullary and not nullary_ok:
             # the nullary record stands for its distributors
             if stage.name != "nullary-distributors":
-                checks.append(CheckRecord(stage.name, (), False, "NoNullaryStructure"))
+                checks.append(CheckRecord(stage.name, (), "NoNullaryStructure"))
             continue
         pool = quad_objs if stage.arity >= 3 else objs
         for tup in itertools.product(pool, repeat=stage.arity):
@@ -285,8 +281,7 @@ def render_json(report: Report) -> str:
 def render_text(report: Report) -> str:
     cfg = report.config
     lines = [
-        f"instance={cfg.instance} max_size={cfg.max_size} "
-        f"max_quad={cfg.max_quad} samples={cfg.samples} seed={cfg.seed}"
+        " ".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg) if f.name != "report")
     ]
     for c in report.checks:
         where = f"{c.suite}({','.join(c.objects)})" if c.objects else c.suite

@@ -60,9 +60,7 @@ from .kernel import (
     identity,
     per_instance,
 )
-from .monoidal import (
-    dist_coprod, dist_prod, nullary_coprod, nullary_prod, require_nullary, tensor_obj
-)
+from .monoidal import dist_coprod, dist_prod, nullary_coprod, nullary_prod, require_nullary
 from .structure import (
     CoproductWitness,
     Mat2,
@@ -86,8 +84,6 @@ class ZeroWitness:
 
 @dataclass(frozen=True, eq=False)
 class BiproductWitness:
-    left: Obj
-    right: Obj
     apex: Obj
     in1: Mor
     in2: Mor
@@ -101,7 +97,7 @@ class BiproductWitness:
 def zero_object(inst) -> ZeroWitness:
     """Certify that (initial @ terminal) is a zero object of the instance."""
     require_nullary(inst)
-    z = tensor_obj(inst.initial, inst.terminal)
+    z = inst.tensor_obj(inst.initial, inst.terminal)
     to_terminal = nullary_prod(inst.initial)
     from_initial = nullary_coprod(inst.terminal)
     one_to_zero = compose(from_initial.bwd, to_terminal.bwd)
@@ -155,6 +151,7 @@ def _grid(x11: Obj, x12: Obj, x21: Obj, x22: Obj) -> _Grid:
 
 
 def _star_grid(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> _Grid:
+    tensor_obj = a1.cat.tensor_obj
     return _grid(
         tensor_obj(a1, b1), tensor_obj(a1, b2), tensor_obj(a2, b1), tensor_obj(a2, b2)
     )
@@ -352,7 +349,7 @@ def biproduct(a: Obj, b: Obj) -> BiproductWitness:
             equation("pr2*in2=id", compose(pr2, cab.in2), identity(b)),
         ),
     )
-    return BiproductWitness(a, b, cab.apex, cab.in1, cab.in2, pr1, pr2, c, res.require())
+    return BiproductWitness(cab.apex, cab.in1, cab.in2, pr1, pr2, c, res.require())
 
 
 @per_instance

@@ -8,7 +8,7 @@ from .matcat import MAT_SEMIRINGS, MatInstance, finrel, mat_semiring
 from .product import ProductInstance
 from .semiring import BOOLEANS, NATURALS, RATIONALS, Semiring
 
-SELECTORS = ("finrel", "mat-bool", "mat-nat", "mat-rat", "z-chain", "product:<a>+<b>")
+SELECTORS = ("finrel", *MAT_SEMIRINGS, "z-chain", "product:<a>+<b>")
 
 
 def resolve(selector: str, max_size: int) -> Instance:

@@ -20,8 +20,10 @@ are identities wherever the tensor yields one object for both ends
 (_strict), and raise MissingStructure elsewhere, a CategoryError that
 the command line reports as a failed record; monoidal's certificates
 still check them.  parse_obj reads back what format_obj prints.
-Enumeration and random generation hooks are optional; verifiers fall
-back gracefully when they are absent.
+enumerate_homset is optional: without it every homset is drawn from
+random_morphism, which is not.  Its default raises MissingStructure, so
+a check that needs a draw fails instead of passing on no equations; an
+instance whose homsets can be empty returns None for those.
 
 An instance is fixed once built, by one rule: an attribute may be set
 once, never where the instance's class defines a callable, never under a
@@ -141,7 +143,7 @@ class Instance(Category):
 
     def random_morphism(self, rng: random.Random, a: Obj, b: Obj) -> Mor | None:
         """A random morphism a -> b, or None when the homset is empty."""
-        return None
+        raise MissingStructure(f"instance {self.name}: no sampler; override random_morphism")
 
     def native_add(self, f: Mor, g: Mor) -> Mor | None:
         """The instance's own notion of adding parallel morphisms, if any."""

@@ -96,5 +96,5 @@ class ChainInstance(Instance):
         return self.mor(a, b, None) if a.data <= b.data else None
 
 
-def z_chain(lo: int = -5, hi: int = 5) -> ChainInstance:
+def z_chain(lo: int, hi: int) -> ChainInstance:
     return ChainInstance(lo, hi)

@@ -39,8 +39,8 @@ from .semiring import (
 
 
 class MatInstance(Instance):
-    def __init__(self, sr: Semiring, max_dim: int, name: str | None = None):
-        super().__init__(name or f"mat-{sr.name}")
+    def __init__(self, sr: Semiring, max_dim: int, name: str):
+        super().__init__(name)
         if max_dim < 0:
             raise InvalidBounds("max_dim must be nonnegative")
         self.sr = sr
@@ -179,7 +179,7 @@ class MatInstance(Instance):
         return self.mor(f.dom, f.cod, matrix_add(self.sr, f.payload, g.payload))
 
 
-def finrel(max_size: int = 3) -> MatInstance:
+def finrel(max_size: int) -> MatInstance:
     """Finite sets and relations, realised as boolean matrices."""
     return MatInstance(BOOLEANS, max_size, name="finrel")
 
@@ -191,5 +191,5 @@ MAT_SEMIRINGS = {
 }
 
 
-def mat_semiring(name: str, max_dim: int = 3) -> MatInstance:
+def mat_semiring(name: str, max_dim: int) -> MatInstance:
     return MatInstance(MAT_SEMIRINGS[name], max_dim, name=name)

@@ -225,8 +225,8 @@ class InversePair:
     equations: CheckResult = field(compare=False, repr=False)
 
     @classmethod
-    def certify(cls, fwd: Mor, bwd: Mor, context: str = "") -> "InversePair":
-        result = check_inverse_pair(fwd, bwd, name=context or "inverse pair")
+    def certify(cls, fwd: Mor, bwd: Mor, context: str) -> "InversePair":
+        result = check_inverse_pair(fwd, bwd, name=context)
         return cls(fwd, bwd, result.require())
 
 

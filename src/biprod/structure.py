@@ -205,9 +205,7 @@ def from_matrix(m: Mat2, c: CoproductWitness | None = None, p: ProductWitness | 
 
 
 def verify_product_witness(
-    p: ProductWitness,
-    probes: Iterable[Obj],
-    rng: random.Random | None = None,
+    p: ProductWitness, probes: Iterable[Obj], rng: random.Random
 ) -> CheckResult:
     """Check p against the universal property, probing from the given objects.
 
@@ -219,9 +217,7 @@ def verify_product_witness(
 
 
 def verify_coproduct_witness(
-    c: CoproductWitness,
-    probes: Iterable[Obj],
-    rng: random.Random | None = None,
+    c: CoproductWitness, probes: Iterable[Obj], rng: random.Random
 ) -> CheckResult:
     """Dual of verify_product_witness: probe morphisms out of the apex."""
     return _verify_universal(c, True, probes, rng)
@@ -231,7 +227,7 @@ def _verify_universal(
     wit: ProductWitness | CoproductWitness,
     dual: bool,
     probes: Iterable[Obj],
-    rng: random.Random | None,
+    rng: random.Random,
 ) -> CheckResult:
     """One body for both universal properties.
 
@@ -239,7 +235,6 @@ def _verify_universal(
     into it) and composes the legs on the other side.
     """
     cat = wit.apex.cat
-    rng = rng or random.Random(0)
     if dual:
         kind, names, legs = "coproduct", ("in1", "in2"), (wit.in1, wit.in2)
         ident = "[in1,in2]=id"

@@ -161,9 +161,10 @@ def test_missing_structure_fidelity():
         ch = z_chain(-5, 5)
         objs = ch.objects()
         assert len(objs) == 11
+        rng = random.Random(0)
         for a, b in itertools.product(objs, repeat=2):
-            assert verify_product_witness(ch.product(a, b), objs).passed
-            assert verify_coproduct_witness(ch.coproduct(a, b), objs).passed
+            assert verify_product_witness(ch.product(a, b), objs, rng).passed
+            assert verify_coproduct_witness(ch.coproduct(a, b), objs, rng).passed
         with pytest.raises(NoNullaryStructure):
             zero_object(ch)
         with pytest.raises(NoNullaryStructure):

@@ -34,6 +34,7 @@ from biprod.instances import (
     BOOLEANS,
     Instance,
     MatInstance,
+    RATIONALS,
     ProductInstance,
     finrel,
     z_chain,
@@ -173,188 +174,10 @@ def _counted_run(monkeypatch, config, digests=None):
         _guard(checks, suite, names, counted)
 
     monkeypatch.setattr(cli, "_guard", counting_guard)
-    return run_suite(config), equations
-
-
-def test_stage_record_counts(monkeypatch):
-    rel, rel_equations = _counted_run(
-        monkeypatch, SuiteConfig(instance="finrel", max_size=2, samples=2)
-    )
-    assert _stage_runs(rel) == [
-        ("nullary", 1, 0),
-        ("nullary-distributors", 3, 0),
-        ("product-witness", 9, 0),
-        ("coproduct-witness", 9, 0),
-        ("dist-prod", 27, 0),
-        ("dist-coprod", 27, 0),
-        ("interchange", 81, 0),
-        ("t-inverse", 9, 0),
-        ("intertwining", 9, 0),
-        ("canonical", 9, 0),
-        ("biproduct", 9, 0),
-        ("hom-add-laws", 9, 0),
-        ("hom-add-native", 9, 0),
-        ("bilinearity", 27, 0),
-    ]
-    assert rel_equations == {
-        "nullary": 4,
-        "nullary-distributors": 12,
-        "product-witness": 1506,
-        "coproduct-witness": 1506,
-        "dist-prod": 54,
-        "dist-coprod": 54,
-        "interchange": 405,
-        "t-inverse": 27,
-        "intertwining": 81,
-        "canonical": 9,
-        "biproduct": 45,
-        "hom-add-laws": 597,
-        "hom-add-native": 297,
-        "bilinearity": 7172,
-    }
-    # without nullary structure: no nullary-distributors records, and one
-    # failed stand-in per nullary stage, the dependents after t-inverse
-    chain, chain_equations = _counted_run(
-        monkeypatch, SuiteConfig(instance="z-chain", max_size=2, samples=2)
-    )
-    assert _stage_runs(chain) == [
-        ("nullary", 1, 1),
-        ("product-witness", 25, 0),
-        ("coproduct-witness", 25, 0),
-        ("dist-prod", 125, 0),
-        ("dist-coprod", 125, 0),
-        ("interchange", 625, 0),
-        ("t-inverse", 25, 0),
-        ("intertwining", 1, 1),
-        ("canonical", 1, 1),
-        ("biproduct", 1, 1),
-        ("hom-add-laws", 1, 1),
-        ("hom-add-native", 1, 1),
-        ("bilinearity", 1, 1),
-    ]
-    # the stand-in records run no check, so they stand for no equations
-    assert chain_equations == {
-        "product-witness": 190,
-        "coproduct-witness": 190,
-        "dist-prod": 250,
-        "dist-coprod": 250,
-        "interchange": 3125,
-        "t-inverse": 75,
-    }
-
-
-def _digested_run(monkeypatch, config):
-    hashes = {}
-    report, equations = _counted_run(monkeypatch, config, hashes)
-    return report, equations, {suite: h.hexdigest()[:16] for suite, h in hashes.items()}
-
-
-def test_sampled_stage_equations_are_pinned(monkeypatch):
-    # mat-nat homsets never enumerate: witness probes and seeded native pairs
-    nat, nat_equations, nat_digests = _digested_run(
-        monkeypatch,
-        SuiteConfig(instance="mat-nat", max_size=2, max_quad=1, samples=3, seed=5),
-    )
-    assert _stage_runs(nat) == [
-        ("nullary", 1, 0),
-        ("nullary-distributors", 3, 0),
-        ("product-witness", 9, 0),
-        ("coproduct-witness", 9, 0),
-        ("dist-prod", 8, 0),
-        ("dist-coprod", 8, 0),
-        ("interchange", 16, 0),
-        ("t-inverse", 9, 0),
-        ("intertwining", 9, 0),
-        ("canonical", 9, 0),
-        ("biproduct", 9, 0),
-        ("hom-add-laws", 9, 0),
-        ("hom-add-native", 9, 0),
-        ("bilinearity", 8, 0),
-    ]
-    assert nat_equations == {
-        "nullary": 4,
-        "nullary-distributors": 12,
-        "product-witness": 171,
-        "coproduct-witness": 171,
-        "dist-prod": 16,
-        "dist-coprod": 16,
-        "interchange": 80,
-        "t-inverse": 27,
-        "intertwining": 81,
-        "canonical": 9,
-        "biproduct": 45,
-        "hom-add-laws": 2055,
-        "hom-add-native": 27,
-        "bilinearity": 10870,
-    }
-    assert nat_digests == {
-        "nullary": "5c663e35c8158543",
-        "nullary-distributors": "a5bbb31270dee041",
-        "product-witness": "d39ffcc47f8cddb1",
-        "coproduct-witness": "3b727c69d757c3d6",
-        "dist-prod": "a2c53f47915e1bc8",
-        "dist-coprod": "0378c99d5c83afd1",
-        "interchange": "7ab56d963aa3dc38",
-        "t-inverse": "b9d5681ce8f62fe3",
-        "intertwining": "ce7c582d5a4e6c32",
-        "canonical": "a30cf6b052211b91",
-        "biproduct": "5a87774f90cef915",
-        "hom-add-laws": "01e7dcb8ab788381",
-        "hom-add-native": "52ae72215f630508",
-        "bilinearity": "e651545dc84e3e94",
-    }
-    # mat-bool 2 -> 2 has 16 morphisms: the law scans take rng.sample of them
-    boolean, bool_equations, bool_digests = _digested_run(
-        monkeypatch, SuiteConfig(instance="mat-bool", max_size=2)
-    )
-    assert _stage_runs(boolean) == [
-        ("nullary", 1, 0),
-        ("nullary-distributors", 3, 0),
-        ("product-witness", 9, 0),
-        ("coproduct-witness", 9, 0),
-        ("dist-prod", 27, 0),
-        ("dist-coprod", 27, 0),
-        ("interchange", 81, 0),
-        ("t-inverse", 9, 0),
-        ("intertwining", 9, 0),
-        ("canonical", 9, 0),
-        ("biproduct", 9, 0),
-        ("hom-add-laws", 9, 0),
-        ("hom-add-native", 9, 0),
-        ("bilinearity", 27, 0),
-    ]
-    assert bool_equations == {
-        "nullary": 4,
-        "nullary-distributors": 12,
-        "product-witness": 1506,
-        "coproduct-witness": 1506,
-        "dist-prod": 54,
-        "dist-coprod": 54,
-        "interchange": 405,
-        "t-inverse": 27,
-        "intertwining": 81,
-        "canonical": 9,
-        "biproduct": 45,
-        "hom-add-laws": 597,
-        "hom-add-native": 297,
-        "bilinearity": 7172,
-    }
-    assert bool_digests == {
-        "nullary": "5c663e35c8158543",
-        "nullary-distributors": "a5bbb31270dee041",
-        "product-witness": "c945628146cf9a80",
-        "coproduct-witness": "1fa94a206a13cf28",
-        "dist-prod": "df403c1fe940011f",
-        "dist-coprod": "6475e728a9573887",
-        "interchange": "33f9c27d5ad58601",
-        "t-inverse": "4b928ac3e794dda3",
-        "intertwining": "31d1f15a607a24d7",
-        "canonical": "5eae476de3c46d5a",
-        "biproduct": "3fcee4638380a85d",
-        "hom-add-laws": "01f43c37f017658c",
-        "hom-add-native": "2f70027fd814a473",
-        "bilinearity": "4de346d8ce2d586d",
-    }
+    report = run_suite(config)
+    for suite, h in (digests or {}).items():
+        digests[suite] = h.hexdigest()[:16]
+    return report, equations
 
 
 def _counting_hom_add(monkeypatch):
@@ -370,140 +193,143 @@ def _counting_hom_add(monkeypatch):
     return calls
 
 
-def test_rat_stage_equations_are_pinned(monkeypatch):
+# finrel and mat-bool are one boolean semiring, and at size 2 every homset
+# enumerates, so --samples changes nothing: both configs give these rows
+BOOLEAN_2_PINS = {
+    "nullary": (1, 0, 4, "5c663e35c8158543"),
+    "nullary-distributors": (3, 0, 12, "a5bbb31270dee041"),
+    "product-witness": (9, 0, 1506, "c945628146cf9a80"),
+    "coproduct-witness": (9, 0, 1506, "1fa94a206a13cf28"),
+    "dist-prod": (27, 0, 54, "df403c1fe940011f"),
+    "dist-coprod": (27, 0, 54, "6475e728a9573887"),
+    "interchange": (81, 0, 405, "33f9c27d5ad58601"),
+    "t-inverse": (9, 0, 27, "4b928ac3e794dda3"),
+    "intertwining": (9, 0, 81, "31d1f15a607a24d7"),
+    "canonical": (9, 0, 9, "5eae476de3c46d5a"),
+    "biproduct": (9, 0, 45, "3fcee4638380a85d"),
+    "hom-add-laws": (9, 0, 597, "01f43c37f017658c"),
+    "hom-add-native": (9, 0, 297, "2f70027fd814a473"),
+    "bilinearity": (27, 0, 7172, "4de346d8ce2d586d"),
+}
+
+
+# (config, sums the law stages compute or None where unpinned, {stage:
+# (records, failed records, equations, digest)}), stages in report order.
+# The digest is _counted_run's; a stand-in record runs no check, so it
+# stands for no equations and has no digest.
+STAGE_PINS = {
+    "finrel 2 --samples 2": (
+        SuiteConfig(instance="finrel", max_size=2, samples=2), None, BOOLEAN_2_PINS),
+    # without nullary structure: no nullary-distributors records, and one
+    # failed stand-in per nullary stage, the dependents after t-inverse
+    "z-chain 2 --samples 2": (SuiteConfig(instance="z-chain", max_size=2, samples=2), None, {
+        "nullary": (1, 1, None, None),
+        "product-witness": (25, 0, 190, "cd2fc46ae13fa20c"),
+        "coproduct-witness": (25, 0, 190, "7ec41249c65b2a2f"),
+        "dist-prod": (125, 0, 250, "19160344d2a71502"),
+        "dist-coprod": (125, 0, 250, "19160344d2a71502"),
+        "interchange": (625, 0, 3125, "0aeb14ef252b4ce4"),
+        "t-inverse": (25, 0, 75, "b1759fdbc57b8c8c"),
+        "intertwining": (1, 1, None, None),
+        "canonical": (1, 1, None, None),
+        "biproduct": (1, 1, None, None),
+        "hom-add-laws": (1, 1, None, None),
+        "hom-add-native": (1, 1, None, None),
+        "bilinearity": (1, 1, None, None),
+    }),
+    # mat-nat homsets never enumerate: witness probes and seeded native pairs
+    "mat-nat 2/1 --samples 3 --seed 5": (
+        SuiteConfig(instance="mat-nat", max_size=2, max_quad=1, samples=3, seed=5), None, {
+        "nullary": (1, 0, 4, "5c663e35c8158543"),
+        "nullary-distributors": (3, 0, 12, "a5bbb31270dee041"),
+        "product-witness": (9, 0, 171, "d39ffcc47f8cddb1"),
+        "coproduct-witness": (9, 0, 171, "3b727c69d757c3d6"),
+        "dist-prod": (8, 0, 16, "a2c53f47915e1bc8"),
+        "dist-coprod": (8, 0, 16, "0378c99d5c83afd1"),
+        "interchange": (16, 0, 80, "7ab56d963aa3dc38"),
+        "t-inverse": (9, 0, 27, "b9d5681ce8f62fe3"),
+        "intertwining": (9, 0, 81, "ce7c582d5a4e6c32"),
+        "canonical": (9, 0, 9, "a30cf6b052211b91"),
+        "biproduct": (9, 0, 45, "5a87774f90cef915"),
+        "hom-add-laws": (9, 0, 2055, "01e7dcb8ab788381"),
+        "hom-add-native": (9, 0, 27, "52ae72215f630508"),
+        "bilinearity": (8, 0, 10870, "e651545dc84e3e94"),
+    }),
+    # mat-bool 2 -> 2 has 16 morphisms: the law scans take rng.sample of them
+    "mat-bool 2": (SuiteConfig(instance="mat-bool", max_size=2), None, BOOLEAN_2_PINS),
     # the benchmark's suite-rat config: its speedups (zero-skipping dot,
     # memoized sums and witnesses) must keep every equation, and their
-    # Fraction payloads, as they were before them
-    added = _counting_hom_add(monkeypatch)
-    rat, rat_equations, rat_digests = _digested_run(
-        monkeypatch, SuiteConfig(instance="mat-rat", max_size=2, max_quad=1, seed=1)
-    )
-    # the law stages compute each distinct sum once per verify_semiadditive call
-    assert len(added) == 2540
-    assert _stage_runs(rat) == [
-        ("nullary", 1, 0),
-        ("nullary-distributors", 3, 0),
-        ("product-witness", 9, 0),
-        ("coproduct-witness", 9, 0),
-        ("dist-prod", 8, 0),
-        ("dist-coprod", 8, 0),
-        ("interchange", 16, 0),
-        ("t-inverse", 9, 0),
-        ("intertwining", 9, 0),
-        ("canonical", 9, 0),
-        ("biproduct", 9, 0),
-        ("hom-add-laws", 9, 0),
-        ("hom-add-native", 9, 0),
-        ("bilinearity", 8, 0),
-    ]
-    assert rat_equations == {
-        "nullary": 4,
-        "nullary-distributors": 12,
-        "product-witness": 171,
-        "coproduct-witness": 171,
-        "dist-prod": 16,
-        "dist-coprod": 16,
-        "interchange": 80,
-        "t-inverse": 27,
-        "intertwining": 81,
-        "canonical": 9,
-        "biproduct": 45,
-        "hom-add-laws": 2055,
-        "hom-add-native": 225,
-        "bilinearity": 10870,
-    }
-    assert rat_digests == {
-        "nullary": "5c663e35c8158543",
-        "nullary-distributors": "a5bbb31270dee041",
-        "product-witness": "49b4c53fcccc57e5",
-        "coproduct-witness": "98f2aa80df589f7a",
-        "dist-prod": "8b0dcaabd1f87193",
-        "dist-coprod": "9300f0d3e1bb52a2",
-        "interchange": "ed7ad73baab65c80",
-        "t-inverse": "7901463d397328ea",
-        "intertwining": "99e087a28f1e631c",
-        "canonical": "31e5f2ba2b68d5b1",
-        "biproduct": "4539172632c5af0b",
-        "hom-add-laws": "f0ba64e065cd9f2e",
-        "hom-add-native": "8450b4f4b07d2d11",
-        "bilinearity": "9aa127218ce896c5",
-    }
-
-
-def test_rat_law_stages_are_pinned_at_size_three(monkeypatch):
-    # the Baseline's mat-rat --max-size 3, with the default quad bound of 2:
-    # the law stages must keep every equation, its payloads and the number
-    # of sums they compute
-    added = _counting_hom_add(monkeypatch)
-    rat, rat_equations, rat_digests = _digested_run(
-        monkeypatch, SuiteConfig(instance="mat-rat", max_size=3)
-    )
-    assert [run for run in _stage_runs(rat) if run[0] in ("hom-add-laws", "bilinearity")] == [
-        ("hom-add-laws", 16, 0),
-        ("bilinearity", 27, 0),
-    ]
-    assert len(added) == 12437
-    assert rat_equations["hom-add-laws"] == 3320
-    assert rat_equations["bilinearity"] == 26655
-    assert rat_digests["hom-add-laws"] == "977336c70cd97405"
-    assert rat_digests["bilinearity"] == "bce44b2ad492be1b"
-
-
-def test_product_stage_equations_are_pinned(monkeypatch):
+    # Fraction payloads, as they were before them; the law stages compute
+    # each distinct sum once per verify_semiadditive call
+    "mat-rat 2/1 --seed 1": (
+        SuiteConfig(instance="mat-rat", max_size=2, max_quad=1, seed=1), 2540, {
+        "nullary": (1, 0, 4, "5c663e35c8158543"),
+        "nullary-distributors": (3, 0, 12, "a5bbb31270dee041"),
+        "product-witness": (9, 0, 171, "49b4c53fcccc57e5"),
+        "coproduct-witness": (9, 0, 171, "98f2aa80df589f7a"),
+        "dist-prod": (8, 0, 16, "8b0dcaabd1f87193"),
+        "dist-coprod": (8, 0, 16, "9300f0d3e1bb52a2"),
+        "interchange": (16, 0, 80, "ed7ad73baab65c80"),
+        "t-inverse": (9, 0, 27, "7901463d397328ea"),
+        "intertwining": (9, 0, 81, "99e087a28f1e631c"),
+        "canonical": (9, 0, 9, "31e5f2ba2b68d5b1"),
+        "biproduct": (9, 0, 45, "4539172632c5af0b"),
+        "hom-add-laws": (9, 0, 2055, "f0ba64e065cd9f2e"),
+        "hom-add-native": (9, 0, 225, "8450b4f4b07d2d11"),
+        "bilinearity": (8, 0, 10870, "9aa127218ce896c5"),
+    }),
+    # the Baseline's mat-rat --max-size 3, with the default quad bound of 2
+    "mat-rat 3": (SuiteConfig(instance="mat-rat", max_size=3), 12437, {
+        "nullary": (1, 0, 4, "5c663e35c8158543"),
+        "nullary-distributors": (4, 0, 16, "358c876ecc402273"),
+        "product-witness": (16, 0, 400, "8a9452f31b817f7a"),
+        "coproduct-witness": (16, 0, 400, "bf386ad0f7b03602"),
+        "dist-prod": (27, 0, 54, "cd4011b66c0ecc6a"),
+        "dist-coprod": (27, 0, 54, "941c0545b2cfe28e"),
+        "interchange": (81, 0, 405, "f1b4b2be2594e3ac"),
+        "t-inverse": (16, 0, 48, "9fd12441ce85e82f"),
+        "intertwining": (16, 0, 144, "5371eb085dee022f"),
+        "canonical": (16, 0, 16, "31c4e3c31029a888"),
+        "biproduct": (16, 0, 80, "618bce8abb97f759"),
+        "hom-add-laws": (16, 0, 3320, "977336c70cd97405"),
+        "hom-add-native": (16, 0, 400, "9954638ade1bed66"),
+        "bilinearity": (27, 0, 26655, "bce44b2ad492be1b"),
+    }),
     # a product instance with nullary structure on both sides: every
     # structure map, witness and distributor is a lifted pair of the
     # components' own, and must check the same equations as before
-    pi, pi_equations, pi_digests = _digested_run(
-        monkeypatch, SuiteConfig(instance="product:finrel+mat-nat", max_size=1, max_quad=1)
-    )
-    assert _stage_runs(pi) == [
-        ("nullary", 1, 0),
-        ("nullary-distributors", 4, 0),
-        ("product-witness", 16, 0),
-        ("coproduct-witness", 16, 0),
-        ("dist-prod", 64, 0),
-        ("dist-coprod", 64, 0),
-        ("interchange", 256, 0),
-        ("t-inverse", 16, 0),
-        ("intertwining", 16, 0),
-        ("canonical", 16, 0),
-        ("biproduct", 16, 0),
-        ("hom-add-laws", 16, 0),
-        ("hom-add-native", 16, 0),
-        ("bilinearity", 64, 0),
-    ]
-    assert pi_equations == {
-        "nullary": 4,
-        "nullary-distributors": 16,
-        "product-witness": 400,
-        "coproduct-witness": 400,
-        "dist-prod": 128,
-        "dist-coprod": 128,
-        "interchange": 1280,
-        "t-inverse": 48,
-        "intertwining": 144,
-        "canonical": 16,
-        "biproduct": 80,
-        "hom-add-laws": 3320,
-        "hom-add-native": 400,
-        "bilinearity": 53660,
-    }
-    assert pi_digests == {
-        "nullary": "9ddb6a96163126d3",
-        "nullary-distributors": "450ba4c65dd29efc",
-        "product-witness": "876ae172d9cf5758",
-        "coproduct-witness": "1af7393ba4ebda4e",
-        "dist-prod": "98ccca71c169e6cf",
-        "dist-coprod": "48ce6eb8d2634bf3",
-        "interchange": "96e42e568c762fa9",
-        "t-inverse": "4cfda13c363cd0d0",
-        "intertwining": "d049992865e4abed",
-        "canonical": "323a7e8aca40b7bf",
-        "biproduct": "c0bbdb63e7c94146",
-        "hom-add-laws": "079980ace72d0b95",
-        "hom-add-native": "ebf6d628f3e840bd",
-        "bilinearity": "381e2cf91c33a3a6",
-    }
+    "product:finrel+mat-nat 1/1": (
+        SuiteConfig(instance="product:finrel+mat-nat", max_size=1, max_quad=1), None, {
+        "nullary": (1, 0, 4, "9ddb6a96163126d3"),
+        "nullary-distributors": (4, 0, 16, "450ba4c65dd29efc"),
+        "product-witness": (16, 0, 400, "876ae172d9cf5758"),
+        "coproduct-witness": (16, 0, 400, "1af7393ba4ebda4e"),
+        "dist-prod": (64, 0, 128, "98ccca71c169e6cf"),
+        "dist-coprod": (64, 0, 128, "48ce6eb8d2634bf3"),
+        "interchange": (256, 0, 1280, "96e42e568c762fa9"),
+        "t-inverse": (16, 0, 48, "4cfda13c363cd0d0"),
+        "intertwining": (16, 0, 144, "d049992865e4abed"),
+        "canonical": (16, 0, 16, "323a7e8aca40b7bf"),
+        "biproduct": (16, 0, 80, "c0bbdb63e7c94146"),
+        "hom-add-laws": (16, 0, 3320, "079980ace72d0b95"),
+        "hom-add-native": (16, 0, 400, "ebf6d628f3e840bd"),
+        "bilinearity": (64, 0, 53660, "381e2cf91c33a3a6"),
+    }),
+}
+
+
+@pytest.mark.parametrize("key", list(STAGE_PINS))
+def test_stage_pins(monkeypatch, key):
+    config, sums, pins = STAGE_PINS[key]
+    added = _counting_hom_add(monkeypatch)
+    digests = {}
+    report, equations = _counted_run(monkeypatch, config, digests)
+    assert [
+        (stage, (records, failed, equations.get(stage), digests.get(stage)))
+        for stage, records, failed in _stage_runs(report)
+    ] == list(pins.items())
+    if sums is not None:
+        assert len(added) == sums
 
 
 @pytest.mark.parametrize(
@@ -637,6 +463,51 @@ def test_hom_add_native_passes_vacuously_without_native_add(monkeypatch):
     assert all(equations[stage] > 0 for stage in equations if stage != "hom-add-native")
 
 
+class NoSampler(MatInstance):
+    """mat-rat without a sampler: none of its homsets enumerates, so every draw needs one."""
+
+    random_morphism = Instance.random_morphism
+
+
+def test_an_instance_without_a_sampler_fails_where_it_must_draw(monkeypatch):
+    # each record that draws a morphism fails on the missing sampler, and no
+    # record passes on zero equations
+    inst = NoSampler(RATIONALS, 2, name="mat-rat")
+    monkeypatch.setattr(cli, "resolve", lambda selector, max_size: inst)
+    sizes = {}
+
+    def sized_guard(checks, suite, names, thunk):
+        def sized():
+            res = thunk()
+            sizes[len(checks)] = len(res.details)
+            return res
+
+        _guard(checks, suite, names, sized)
+
+    monkeypatch.setattr(cli, "_guard", sized_guard)
+    report = run_suite(SuiteConfig(instance="mat-rat", max_size=2, max_quad=1))
+    assert _stage_runs(report) == [
+        ("nullary", 1, 0),
+        ("nullary-distributors", 3, 0),
+        ("product-witness", 9, 9),
+        ("coproduct-witness", 9, 9),
+        ("dist-prod", 8, 0),
+        ("dist-coprod", 8, 0),
+        ("interchange", 16, 0),
+        ("t-inverse", 9, 0),
+        ("intertwining", 9, 0),
+        ("canonical", 9, 0),
+        ("biproduct", 9, 0),
+        ("hom-add-laws", 9, 9),
+        ("hom-add-native", 9, 9),
+        ("bilinearity", 8, 8),
+    ]
+    assert {c.failure for c in report.checks if not c.passed} == {
+        "MissingStructure (instance mat-rat: no sampler; override random_morphism)"
+    }
+    assert all(sizes.get(i) for i, c in enumerate(report.checks) if c.passed)
+
+
 def test_guard_reports_failed_equation_of_raised_error(rotated_mediate_rel2):
     inst = rotated_mediate_rel2
     [stage] = [s for s in STAGES if s.name == "t-inverse"]
@@ -689,7 +560,7 @@ def test_dist_prod_record_reports_its_certificate(monkeypatch):
     objs = (inst.obj(1), inst.obj(2), inst.obj(1))
     checks = []
     _guard(checks, stage.name, ("1", "2", "1"), lambda: stage.check(None, *objs))
-    assert checks == [CheckRecord("dist-prod", ("1", "2", "1"), True)]
+    assert checks == [CheckRecord("dist-prod", ("1", "2", "1"))]
     assert len(calls) == 1
 
 

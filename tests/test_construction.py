@@ -190,7 +190,7 @@ def test_grid_is_memoized():
 
 def test_star_grid_is_keyed_by_its_corners():
     # on the chain the tensor is addition, so both quads have corners 0, 1, 1, 2
-    chain = z_chain()
+    chain = z_chain(-5, 5)
     first = construction._star_grid(*map(chain.obj, (0, 1, 0, 1)))
     second = construction._star_grid(*map(chain.obj, (1, 2, -1, 0)))
     assert first is second

@@ -174,7 +174,7 @@ def test_structural_payloads_hold_the_semirings_own_zero_and_one(kind):
     # the shortcuts in matmul and kronecker see only these objects in the
     # identities, legs and distributor the construction multiplies
     sr = NAIVE_DOTS[kind][0]
-    inst = MatInstance(sr, 3)
+    inst = MatInstance(sr, 3, name=f"mat-{kind}")
 
     def eye(n):
         return tuple(tuple(sr.one if i == j else sr.zero for j in range(n)) for i in range(n))
@@ -323,7 +323,7 @@ def test_only_the_semirings_own_zero_and_one_take_the_shortcuts(kind):
 def test_every_stage_passes_over_min_plus(monkeypatch):
     # the construction never relies on Python truthiness: over a semiring
     # whose zero is truthy, every stage passes and hom_add is the entrywise min
-    inst = MatInstance(MIN_PLUS, 2)
+    inst = MatInstance(MIN_PLUS, 2, name="mat-min-plus")
     monkeypatch.setattr(cli, "resolve", lambda selector, max_size: inst)
     report = cli.run_suite(cli.SuiteConfig(instance="mat-min-plus", max_size=2, samples=5))
     assert [c for c in report.checks if not c.passed] == []
@@ -383,7 +383,7 @@ def test_mat_objects_respect_bound():
     assert [o.data for o in nat.objects()] == [0, 1, 2, 3]
     assert [o.data for o in nat.objects(2)] == [0, 1, 2]
     with pytest.raises(InvalidBounds, match="^max_dim must be nonnegative$"):
-        MatInstance(BOOLEANS, -1)
+        MatInstance(BOOLEANS, -1, name="mat-bool")
 
 
 def test_mat_format_mor_marks_empty():

@@ -245,25 +245,27 @@ def test_from_matrix_detects_assembly_disagreement():
 
 
 def test_verify_product_witness_exhaustive():
-    res = verify_product_witness(REL.product(REL.obj(1), REL.obj(2)), REL.objects(2))
+    p = REL.product(REL.obj(1), REL.obj(2))
+    res = verify_product_witness(p, REL.objects(2), random.Random(0))
     assert res.passed
     # enumerable homsets get real uniqueness loops, not just probes
     assert any(chk.label.startswith("uniq[") for chk in res.details)
 
 
 def test_verify_coproduct_witness_exhaustive():
-    res = verify_coproduct_witness(REL.coproduct(REL.obj(1), REL.obj(2)), REL.objects(2))
+    c = REL.coproduct(REL.obj(1), REL.obj(2))
+    res = verify_coproduct_witness(c, REL.objects(2), random.Random(0))
     assert res.passed
 
 
 def test_verify_product_witness_rejects_fake():
-    res = verify_product_witness(_fake_product(), [REL.obj(1)])
+    res = verify_product_witness(_fake_product(), [REL.obj(1)], random.Random(0))
     assert not res.passed
     assert any("uniq" in chk.label for chk in res.failures())
 
 
 def test_verify_coproduct_witness_rejects_fake():
-    res = verify_coproduct_witness(_fake_coproduct(), [REL.obj(1)])
+    res = verify_coproduct_witness(_fake_coproduct(), [REL.obj(1)], random.Random(0))
     assert not res.passed
 
 
@@ -348,7 +350,7 @@ def test_witness_check_shares_legs_between_its_loops(monkeypatch, dual):
     def size(w, x):
         return len(REL.enumerate_homset(*((x, w) if dual else (w, x))))
 
-    res = verify(counted, probes)
+    res = verify(counted, probes, random.Random(0))
     assert res.passed
     maps = sum(size(w, wit.apex) for w in probes)
     pairs = sum(size(w, one) * size(w, two) for w in probes)
@@ -380,7 +382,7 @@ def test_broken_mediate_equations_are_pinned(rotated_mediate_rel2):
     # verdict and failure note, as captured before the legs were shared
     inst = rotated_mediate_rel2
     two = inst.obj(2)
-    res = verify_product_witness(inst.product(two, two), inst.objects())
+    res = verify_product_witness(inst.product(two, two), inst.objects(), random.Random(0))
     digest = hashlib.sha256()
     for chk in res.details:
         digest.update(f"{chk.label}|{chk.ok}|{chk.note}\n".encode())
