@@ -31,7 +31,6 @@ import random
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 from .construction import (
@@ -62,8 +61,7 @@ LAW_SAMPLE_CAP = 5
 # largest object bound either command accepts
 MAX_SIZE = 16
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class _SuiteFields(NamedTuple):
     instance: str = "finrel"
     max_size: int = 2
     max_quad: int | None = None
@@ -71,14 +69,21 @@ class SuiteConfig:
     seed: int = 0
     report: str = "text"
 
-    def __post_init__(self) -> None:
+
+class SuiteConfig(_SuiteFields):
+    """The options of one verify run, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SuiteConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_size < 1 or self.max_size > MAX_SIZE:
             raise InvalidBounds(f"max size must be between 1 and {MAX_SIZE}")
         top = min(4, self.max_size)
         if self.max_quad is None:
             # triple and quadruple stages grow as fourth powers, so they get
             # their own, smaller default bound
-            object.__setattr__(self, "max_quad", min(self.max_size, 2))
+            self = self._replace(max_quad=min(self.max_size, 2))
         elif not 1 <= self.max_quad <= top:
             raise InvalidBounds(f"quad bound must be between 1 and min(4, max size) = {top}")
         # drawing more pairs than the exhaustive cap adds no coverage
@@ -86,10 +91,10 @@ class SuiteConfig:
             raise InvalidBounds(f"samples must be between 1 and {ENUM_CAP}")
         if self.report not in ("text", "json"):
             raise InvalidBounds(f"unknown report format {self.report!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     suite: str
     objects: tuple[str, ...]
     failure: str | None = None
@@ -99,8 +104,7 @@ class CheckRecord:
         return self.failure is None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     config: SuiteConfig
     checks: tuple[CheckRecord, ...]
     duration_ms: float
@@ -262,7 +266,7 @@ def run_suite(config: SuiteConfig) -> Report:
 
 def render_json(report: Report) -> str:
     payload = {
-        "config": asdict(report.config),
+        "config": report.config._asdict(),
         "checks": [
             {
                 "suite": c.suite,
@@ -281,7 +285,7 @@ def render_json(report: Report) -> str:
 def render_text(report: Report) -> str:
     cfg = report.config
     lines = [
-        " ".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg) if f.name != "report")
+        " ".join(f"{name}={getattr(cfg, name)}" for name in cfg._fields if name != "report")
     ]
     for c in report.checks:
         where = f"{c.suite}({','.join(c.objects)})" if c.objects else c.suite
@@ -383,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     args = PARSER.parse_args(argv)
     try:
         if args.command == "verify":
-            given = (f.name for f in fields(SuiteConfig) if hasattr(args, f.name))
+            given = (name for name in SuiteConfig._fields if hasattr(args, name))
             config = SuiteConfig(**{name: getattr(args, name) for name in given})
             report = run_suite(config)
             if config.report == "json":

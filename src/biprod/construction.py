@@ -45,13 +45,13 @@ failed record.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainMismatch
 from .kernel import (
     CheckResult,
     EquationCheck,
+    Frozen,
     InversePair,
     Mor,
     Obj,
@@ -74,23 +74,32 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroWitness:
-    obj: Obj
-    to_terminal: InversePair
-    from_initial: InversePair
-    one_to_zero: Mor
+class ZeroWitness(Frozen):
+    __slots__ = ("obj", "to_terminal", "from_initial", "one_to_zero")
+
+    def __init__(
+        self, obj: Obj, to_terminal: InversePair, from_initial: InversePair, one_to_zero: Mor
+    ) -> None:
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "to_terminal", to_terminal)
+        object.__setattr__(self, "from_initial", from_initial)
+        object.__setattr__(self, "one_to_zero", one_to_zero)
 
 
-@dataclass(frozen=True, eq=False)
-class BiproductWitness:
-    apex: Obj
-    in1: Mor
-    in2: Mor
-    pr1: Mor
-    pr2: Mor
-    mixed_iso: InversePair
-    equations: CheckResult
+class BiproductWitness(Frozen):
+    __slots__ = ("apex", "in1", "in2", "pr1", "pr2", "mixed_iso", "equations")
+
+    def __init__(
+        self, apex: Obj, in1: Mor, in2: Mor, pr1: Mor, pr2: Mor,
+        mixed_iso: InversePair, equations: CheckResult,
+    ) -> None:
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "in1", in1)
+        object.__setattr__(self, "in2", in2)
+        object.__setattr__(self, "pr1", pr1)
+        object.__setattr__(self, "pr2", pr2)
+        object.__setattr__(self, "mixed_iso", mixed_iso)
+        object.__setattr__(self, "equations", equations)
 
 
 @per_instance
@@ -117,8 +126,7 @@ def zero_map(a: Obj, b: Obj) -> Mor:
     return compose(inst.cobang(b), compose(zw.one_to_zero, inst.bang(a)))
 
 
-@dataclass(frozen=True, eq=False)
-class _Grid:
+class _Grid(Frozen):
     """The interleaving square with corners x11..x22, certified once.
 
     The domain is (x11 x x12) + (x21 x x22), the codomain is
@@ -126,10 +134,15 @@ class _Grid:
     in_k . pi_j, and map is the morphism with those components.
     """
 
-    c_dom: CoproductWitness
-    p_cod: ProductWitness
-    corners: Mat2
-    map: Mor
+    __slots__ = ("c_dom", "p_cod", "corners", "map")
+
+    def __init__(
+        self, c_dom: CoproductWitness, p_cod: ProductWitness, corners: Mat2, map: Mor
+    ) -> None:
+        object.__setattr__(self, "c_dom", c_dom)
+        object.__setattr__(self, "p_cod", p_cod)
+        object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "map", map)
 
 
 @per_instance
@@ -193,6 +206,10 @@ def y_map(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> InversePair:
     return InversePair.certify(fwd, bwd, context=f"y({names})")
 
 
+# one label per Mat2 entry (j, k); a Mat2 iterates its entries in this order
+_INTERCHANGE_LABELS = tuple(f"pi{j}*y*i{k}=i{k}*pi{j}" for j in (1, 2) for k in (1, 2))
+
+
 def verify_interchange(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> CheckResult:
     """Check that the distributivity route equals the entrywise interleaving.
 
@@ -204,9 +221,9 @@ def verify_interchange(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> CheckResult:
     y = y_map(a1, a2, b1, b2)
     g = _star_grid(a1, a2, b1, b2)
     checks = [equation("y=star", y.fwd, g.map)]
-    entries = zip(matrix_of(y.fwd, g.c_dom, g.p_cod).entries(), g.corners.entries())
-    for (j, k, entry), (_, _, corner) in entries:
-        checks.append(equation(f"pi{j}*y*i{k}=i{k}*pi{j}", entry, corner))
+    m = matrix_of(y.fwd, g.c_dom, g.p_cod)
+    for label, entry, corner in zip(_INTERCHANGE_LABELS, m, g.corners):
+        checks.append(equation(label, entry, corner))
     return CheckResult("interchange", tuple(checks))
 
 

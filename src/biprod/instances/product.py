@@ -1,24 +1,28 @@
 """Componentwise product of two instances.
 
-Objects and morphisms are pairs, and every piece of structure is the pair
-of the components' pieces.  One packer, _pack, turns a value from each
-component into the product's: None when either side is None, pack for
-two objects, pack_mor for two morphisms, and for two witnesses one of
-their class whose fields pack in turn and whose mediate splits its maps
-by payload.  One lift, _lift(name), runs name in each component on split
-arguments (objects by data, morphisms by payload, any other argument,
-the rng, to both sides, left first) and packs the two results: it makes
-bang, cobang, tensor_obj, tensor_mor, prod_inv, product, coproduct,
-random_morphism and native_add.  terminal, initial and unit are packed
-too, so nullary structure exists exactly when both components have it,
-which makes mixed products (one component with a zero object, one
-without) useful counterexamples.  rho, coprod_inv and the nullary
-inverses are Instance's identities.  product, coproduct and tensor_obj
-are kernel.per_instance, since the construction asks for the same
-witness or tensor object over and over; so is enumerate_homset, which
-packs each homset once per instance from the components' own (the
-matrix instance memoizes its homsets too, the chain does not) and
-hands it out as a tuple.
+Objects and morphisms are pairs, and every piece of structure is the
+pair of the components' pieces.  One packer, _pack, turns a value from
+each component into the product's: None when either side is None, pack
+for two objects, pack_mor for two morphisms, and for two witnesses one
+of their class whose fields, named by the class's __slots__, pack in
+turn and whose mediate splits its maps by payload.  A packed mediate
+builds its result on the ends it already holds, the shared end of its
+arguments and the packed apex, when both component results end there;
+only a component result with other ends goes through pack_mor, so pair
+and copair still refuse it.  One lift, _lift(name), runs name in each
+component on split arguments (objects by data, morphisms by payload, any
+other argument, the rng, to both sides, left first) and packs the two
+results: it makes bang, cobang, tensor_obj, tensor_mor, prod_inv,
+product, coproduct, random_morphism and native_add.  terminal, initial
+and unit are packed too, so nullary structure exists exactly when both
+components have it, which makes mixed products (one component with a
+zero object, one without) useful counterexamples.  rho, coprod_inv and
+the nullary inverses are Instance's identities.  product, coproduct and
+tensor_obj are kernel.per_instance, since the construction asks for the
+same witness or tensor object over and over; so is enumerate_homset,
+which packs each homset once per instance from the components' own (the
+matrix instance memoizes its homsets too, the chain does not) and hands
+it out as a tuple.
 
 Composition is componentwise, so each component morphism meets every
 morphism of the other side, and the product composes the same component
@@ -36,11 +40,10 @@ kernel.per_instance keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import fields
 
 from ..errors import ParseError
 from ..kernel import Mor, Obj, compose, identity, per_instance
-from ..structure import ENUM_CAP
+from ..structure import ENUM_CAP, ProductWitness
 from .base import Instance
 
 # the most component composites compose_payload keeps at once
@@ -98,17 +101,25 @@ class ProductInstance(Instance):
         if isinstance(lx, Mor):
             return self.pack_mor(lx, rx)
 
-        def mediate(f: Mor, g: Mor) -> Mor:
-            return self.pack_mor(
-                lx.mediate(f.payload[0], g.payload[0]),
-                rx.mediate(f.payload[1], g.payload[1]),
-            )
-
         packed = {
-            fd.name: self._pack(getattr(lx, fd.name), getattr(rx, fd.name))
-            for fd in fields(lx)
-            if fd.name != "mediate"
+            name: self._pack(getattr(lx, name), getattr(rx, name))
+            for name in lx.__slots__
+            if name != "mediate"
         }
+        apex = packed["apex"]
+        into_apex = isinstance(lx, ProductWitness)
+
+        def mediate(f: Mor, g: Mor) -> Mor:
+            lm = lx.mediate(f.payload[0], g.payload[0])
+            rm = rx.mediate(f.payload[1], g.payload[1])
+            # a product's mediate runs f.dom -> apex, a coproduct's apex -> f.cod:
+            # when both components end there, those packed ends are the result's
+            dom, cod = (f.dom, apex) if into_apex else (apex, f.cod)
+            (ld, rd), (lc, rc) = dom.data, cod.data
+            if lm.dom is ld and rm.dom is rd and lm.cod is lc and rm.cod is rc:
+                return self.mor(dom, cod, (lm, rm))
+            return self.pack_mor(lm, rm)
+
         return type(lx)(mediate=mediate, **packed)
 
     # category hooks

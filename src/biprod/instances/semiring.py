@@ -30,13 +30,13 @@ carrier's own type.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
+from ..kernel import Frozen
 
-@dataclass(frozen=True, eq=False)
-class Semiring:
+
+class Semiring(Frozen):
     """A commutative semiring (add, mul, zero, one) on Python values.
 
     matmul and kronecker apply its laws 0 + v = v, 1 * v = v and
@@ -45,24 +45,35 @@ class Semiring:
     equals zero.  nonzero defaults to comparing with zero; a carrier whose
     only falsy value is its zero (bool, int, Fraction) may pass the faster
     bool.  zero need not be falsy: in the tropical semiring zero is inf
-    and one is 0.
+    and one is 0.  carrier is the finite tuple of all elements, or None
+    when there are infinitely many.
     """
 
-    name: str
-    zero: Any
-    one: Any
-    add: Callable[[Any, Any], Any]
-    mul: Callable[[Any, Any], Any]
-    sample: Callable[[random.Random], Any]
-    # finite list of all elements, or None when there are infinitely many
-    carrier: tuple | None = None
-    render: Callable[[Any], str] = str
-    nonzero: Callable[[Any], bool] | None = None
+    __slots__ = ("name", "zero", "one", "add", "mul", "sample", "carrier", "render", "nonzero")
 
-    def __post_init__(self) -> None:
-        if self.nonzero is None:
-            zero = self.zero
-            object.__setattr__(self, "nonzero", lambda v: v != zero)
+    def __init__(
+        self,
+        name: str,
+        zero: Any,
+        one: Any,
+        add: Callable[[Any, Any], Any],
+        mul: Callable[[Any, Any], Any],
+        sample: Callable[[random.Random], Any],
+        carrier: tuple | None = None,
+        render: Callable[[Any], str] = str,
+        nonzero: Callable[[Any], bool] | None = None,
+    ) -> None:
+        if nonzero is None:
+            nonzero = lambda v: v != zero
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
+        object.__setattr__(self, "add", add)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "sample", sample)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "render", render)
+        object.__setattr__(self, "nonzero", nonzero)
 
 
 BOOLEANS = Semiring(

@@ -1,28 +1,31 @@
 """Core vocabulary: objects, morphisms, composition, and equation checking.
 
 A Category subclass supplies payload-level behaviour (how identities look,
-how payloads compose, how to print things).  Objects and morphisms are
-plain frozen records.  Objects compare by identity: Category.obj interns
-them by data, so build them only with cat.obj or parse_obj, never
-Obj(...).  Because objects are interned, the kernel and the structure built
-on it compare endpoints with `is`; Obj keeps eq=False, so `==` on objects
-means the same thing.  Mor, EquationCheck and CheckResult are named tuples:
-immutable, without a per-record __dict__, and compared and hashed by their
-fields.  So two morphisms are equal exactly when their domain, codomain,
-and payload are equal; a Mor also equals the plain tuple of its fields,
-and no caller compares one with a payload.  The hot builders (Category.mor,
-identity, compose, equation) make their records with tuple.__new__
-directly, which gives the same record as the named tuple's constructor
-without its extra call.  Verification code never asserts; it returns
-CheckResult values that list every equation tried.  A failed equation
-becomes an error one way only: CheckResult.require(), which raises
-WitnessInvalid on the first failed equation.  An error becomes a failed
-result one way only: CheckResult.from_error(), which the command line's
-cli._guard alone calls.  An InversePair keeps its certificate as equations.
-per_instance memoizes a function of an instance in that instance's memo,
-a dict that Category.__init__ makes beside its object and identity
-tables; its first argument is the instance, an object of it or a
-morphism of it.
+how payloads compose, how to print things).  Every record is immutable
+and has no per-record __dict__.  A record compared by value is a named
+tuple; one compared by identity, or by only some of its fields, is a
+Frozen class, whose fields are its __slots__, set once in __init__.
+Objects are Frozen and compare by identity: Category.obj interns them by
+data, so build them only with cat.obj or parse_obj, never Obj(...).
+Because objects are interned, the kernel and the structure built on it
+compare endpoints with `is`; Obj keeps object's own eq and hash, so `==`
+on objects means the same thing.  Mor, EquationCheck and CheckResult are
+named tuples, compared and hashed by their fields.  So two morphisms are
+equal exactly when their domain, codomain, and payload are equal; a Mor
+also equals the plain tuple of its fields, and no caller compares one
+with a payload.  The hot builders (Category.mor, identity, compose,
+equation) make their records with tuple.__new__ directly, which gives the
+same record as the named tuple's constructor without its extra call.
+Verification code never asserts; it returns CheckResult values that list
+every equation tried.  A failed equation becomes an error one way only:
+CheckResult.require(), which raises WitnessInvalid on the first failed
+equation.  An error becomes a failed result one way only:
+CheckResult.from_error(), which the command line's cli._guard alone
+calls.  An InversePair keeps its certificate as equations, which take no
+part in its equality.  per_instance memoizes a function of an instance
+in that instance's memo, a dict that Category.__init__ makes beside its
+object and identity tables; its first argument is the instance, an
+object of it or a morphism of it.
 
 Memoized certificates keep many of these records alive, so they are kept
 small: no record here has a per-record __dict__, Category.obj interns
@@ -34,7 +37,6 @@ computed left side it equals.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from .errors import CategoryError, DomainMismatch, WitnessInvalid
@@ -43,10 +45,33 @@ from .errors import CategoryError, DomainMismatch, WitnessInvalid
 _new = tuple.__new__
 
 
-@dataclass(frozen=True, repr=False, eq=False, slots=True)
-class Obj:
-    cat: "Category"
-    data: Any
+class Frozen:
+    """Base of the slotted records: no field is assigned or deleted after __init__.
+
+    A subclass names its fields in __slots__ and sets each once in
+    __init__ with object.__setattr__.  It compares and hashes by identity
+    unless it defines __eq__ and __hash__.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Obj(Frozen):
+    __slots__ = ("cat", "data")
+
+    def __init__(self, cat: "Category", data: Any) -> None:
+        object.__setattr__(self, "cat", cat)
+        object.__setattr__(self, "data", data)
 
     def __repr__(self) -> str:
         return self.cat.format_obj(self)
@@ -215,14 +240,27 @@ def check_inverse_pair(fwd: Mor, bwd: Mor, name: str = "inverse pair") -> CheckR
     return CheckResult(name, details)
 
 
-@dataclass(frozen=True, slots=True)
-class InversePair:
-    """A certified isomorphism: both composites were checked at build time."""
+class InversePair(Frozen):
+    """A certified isomorphism: both composites were checked at build time.
 
-    fwd: Mor
-    bwd: Mor
-    # the passing check of both composites; takes no part in equality
-    equations: CheckResult = field(compare=False, repr=False)
+    equations is the passing check of both composites.  It is the
+    certificate, not the iso, so equality and hashing read fwd and bwd only.
+    """
+
+    __slots__ = ("fwd", "bwd", "equations")
+
+    def __init__(self, fwd: Mor, bwd: Mor, equations: CheckResult) -> None:
+        object.__setattr__(self, "fwd", fwd)
+        object.__setattr__(self, "bwd", bwd)
+        object.__setattr__(self, "equations", equations)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.fwd == other.fwd and self.bwd == other.bwd
+
+    def __hash__(self) -> int:
+        return hash((self.fwd, self.bwd))
 
     @classmethod
     def certify(cls, fwd: Mor, bwd: Mor, context: str) -> "InversePair":

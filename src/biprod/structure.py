@@ -35,12 +35,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DomainMismatch, WitnessInvalid
 from .kernel import (
     CheckResult,
+    Frozen,
     Mor,
     Obj,
     compose,
@@ -55,24 +55,34 @@ ENUM_CAP = 512
 PROBE_SAMPLES = 2
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class ProductWitness:
-    left: Obj
-    right: Obj
-    apex: Obj
-    pi1: Mor
-    pi2: Mor
-    mediate: Callable[[Mor, Mor], Mor]
+class ProductWitness(Frozen):
+    __slots__ = ("left", "right", "apex", "pi1", "pi2", "mediate")
+
+    def __init__(
+        self, left: Obj, right: Obj, apex: Obj, pi1: Mor, pi2: Mor,
+        mediate: Callable[[Mor, Mor], Mor],
+    ) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "pi1", pi1)
+        object.__setattr__(self, "pi2", pi2)
+        object.__setattr__(self, "mediate", mediate)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class CoproductWitness:
-    left: Obj
-    right: Obj
-    apex: Obj
-    in1: Mor
-    in2: Mor
-    mediate: Callable[[Mor, Mor], Mor]
+class CoproductWitness(Frozen):
+    __slots__ = ("left", "right", "apex", "in1", "in2", "mediate")
+
+    def __init__(
+        self, left: Obj, right: Obj, apex: Obj, in1: Mor, in2: Mor,
+        mediate: Callable[[Mor, Mor], Mor],
+    ) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "in1", in1)
+        object.__setattr__(self, "in2", in2)
+        object.__setattr__(self, "mediate", mediate)
 
 
 def pair(p: ProductWitness, f: Mor, g: Mor) -> Mor:
@@ -143,24 +153,29 @@ def plus_map(f: Mor, g: Mor) -> Mor:
     return copair(cd, compose(cc.in1, f), compose(cc.in2, g))
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2:
-    """Components of a morphism from a binary coproduct into a binary product.
-
-    Entry (j, k) goes from the k-th summand to the j-th factor, so the
-    first index picks the row and the second the column.
-    """
-
+class _Mat2Fields(NamedTuple):
     f11: Mor
     f12: Mor
     f21: Mor
     f22: Mor
 
-    def __post_init__(self) -> None:
-        if self.f11.dom is not self.f21.dom or self.f12.dom is not self.f22.dom:
+
+class Mat2(_Mat2Fields):
+    """Components of a morphism from a binary coproduct into a binary product.
+
+    Entry (j, k) goes from the k-th summand to the j-th factor, so the
+    first index picks the row and the second the column.  Building one
+    checks that each column shares a domain and each row a codomain.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, f11: Mor, f12: Mor, f21: Mor, f22: Mor) -> "Mat2":
+        if f11.dom is not f21.dom or f12.dom is not f22.dom:
             raise DomainMismatch("matrix columns must share a domain")
-        if self.f11.cod is not self.f12.cod or self.f21.cod is not self.f22.cod:
+        if f11.cod is not f12.cod or f21.cod is not f22.cod:
             raise DomainMismatch("matrix rows must share a codomain")
+        return super().__new__(cls, f11, f12, f21, f22)
 
     def entries(self) -> Iterable[tuple[int, int, Mor]]:
         yield 1, 1, self.f11

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -72,9 +71,11 @@ def test_suite_config_is_the_only_source_of_verify_defaults(monkeypatch, capsys)
     # the namespace, so a default changed in SuiteConfig reaches main
     assert vars(cli.PARSER.parse_args(["verify"])) == {"command": "verify"}
 
-    @dataclass(frozen=True)
     class SevenSamples(SuiteConfig):
-        samples: int = 7
+        __slots__ = ()
+
+        def __new__(cls, samples=7, **given):
+            return super().__new__(cls, samples=samples, **given)
 
     monkeypatch.setattr(cli, "SuiteConfig", SevenSamples)
     assert main(["verify", "--max-size", "1"]) == 0
@@ -663,6 +664,35 @@ def test_benchmark_tracer_attaches():
     assert set(caches) == {"zero_object", "zero_map", "t_inverse", "c_map", "_diagonal"}
     assert all(hits + misses > 0 for hits, misses in caches.values())
     assert out["snapshot"]["spans"]["instances.product.pack_mor"][0] > 0
+
+
+START_UP = textwrap.dedent(
+    """
+    import sys
+    before = set(sys.modules)
+    import biprod.cli
+    from biprod.instances import SELECTORS, resolve
+    for selector in SELECTORS:
+        resolve(selector.replace("<a>+<b>", "finrel+z-chain"), 2)
+    print(*sorted(set(sys.modules) - before))
+    """
+)
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # each costs a cold start milliseconds before any check runs; only the
+    # modules the import and the resolves add count, so one that the
+    # interpreter's start-up preloads cannot fail this
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", START_UP],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert {"biprod.cli", "biprod.instances.product"} <= added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_json_report_is_the_same_across_hash_seeds():

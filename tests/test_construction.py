@@ -409,6 +409,26 @@ def test_structure_cannot_change_under_a_cached_certificate(selector):
     assert t_inverse(a, b) is ti
 
 
+def test_records_are_fixed_and_have_no_instance_dict():
+    # the witnesses, the grid, the square of components, the command line's
+    # records and a semiring all refuse assignment and deletion
+    a = REL.obj(1)
+    grid = construction._grid(a, a, a, a)
+    config = cli.SuiteConfig()
+    record = cli.CheckRecord("nullary", ())
+    records = (
+        REL.product(a, a), REL.coproduct(a, a), zero_object(REL), biproduct(a, a),
+        grid, grid.corners, config, record, cli.Report(config, (record,), 0.0), REL.sr,
+    )
+    for rec in records:
+        assert not hasattr(rec, "__dict__"), type(rec).__name__
+        for attr in getattr(rec, "_fields", None) or rec.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(rec, attr, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, attr)
+
+
 @pytest.mark.parametrize("selector", sorted(MUST_BE_FIXED))
 def test_fields_cannot_be_swapped_through_a_dunder(selector):
     # assigning __dict__ whole would re-set every field at once, under the

@@ -38,7 +38,7 @@ from biprod.instances.semiring import (
 )
 from biprod.kernel import compose, identity
 from biprod.monoidal import dist_prod, has_nullary
-from biprod.structure import ENUM_CAP, CoproductWitness, ProductWitness, draw
+from biprod.structure import ENUM_CAP, CoproductWitness, ProductWitness, copair, draw, pair
 
 
 def test_matmul_handles_empty_inner():
@@ -144,6 +144,7 @@ def test_semirings_decide_what_is_zero():
     for sr in (BOOLEANS, NATURALS, RATIONALS):
         assert sr.nonzero is bool
     # the default compares with zero, not with Python truthiness
+    assert (MIN_PLUS.carrier, MIN_PLUS.render) == (None, str)
     assert MIN_PLUS.nonzero(math.inf) is False
     assert MIN_PLUS.nonzero(float("inf")) is False
     assert MIN_PLUS.nonzero(0) is True
@@ -564,6 +565,34 @@ def test_product_instance_inherits_a_broken_component(rotated_rel2):
     two = pi.pack(pi.left.obj(2), pi.right.obj(2))
     with pytest.raises(WitnessInvalid, match=r"^dist_prod\(1\|1,1\|1,2\|2\): "):
         dist_prod(one, one, two)
+
+
+class FirstArgumentMediates(MatInstance):
+    """finrel whose mediates hand back their first argument, which never ends at the apex."""
+
+    def product(self, a, b):
+        p = super().product(a, b)
+        return ProductWitness(p.left, p.right, p.apex, p.pi1, p.pi2, lambda f, g: f)
+
+    def coproduct(self, a, b):
+        c = super().coproduct(a, b)
+        return CoproductWitness(c.left, c.right, c.apex, c.in1, c.in2, lambda f, g: f)
+
+
+@pytest.mark.parametrize("broken", [0, 1])
+def test_product_instance_refuses_a_component_mediate_with_wrong_ends(broken):
+    # a packed mediate keeps its own interned ends only where both component
+    # results end there; a result with other ends is packed on those, so
+    # pair and copair see the wrong type and refuse it
+    parts = [finrel(2), finrel(2)]
+    parts[broken] = FirstArgumentMediates(BOOLEANS, 2, name="finrel")
+    pi = ProductInstance(*parts)
+    one = pi.pack(pi.left.obj(1), pi.right.obj(1))
+    f = identity(one)
+    with pytest.raises(WitnessInvalid, match="^product mediate returned a morphism of the wrong"):
+        pair(pi.product(one, one), f, f)
+    with pytest.raises(WitnessInvalid, match="^coproduct mediate returned a morphism of the wrong"):
+        copair(pi.coproduct(one, one), f, f)
 
 
 def test_product_instance_enumeration_caps():

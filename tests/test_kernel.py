@@ -180,8 +180,7 @@ def test_identities_are_interned(selector):
 def test_objects_compare_by_identity():
     # interning gives equal data one Obj, so object's own eq and hash decide;
     # the kernel and structure compare endpoints with `is`, which is sound
-    # only while Obj keeps eq=False
-    assert Obj.__dataclass_params__.eq is False
+    # only while Obj keeps object's own eq and hash
     assert Obj.__eq__ is object.__eq__
     assert Obj.__hash__ is object.__hash__
     assert REL.obj(2) == REL.obj(2)
@@ -309,9 +308,27 @@ def test_kernel_records_are_immutable():
     swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
     chk = equation("swap=swap", swap, swap)
     res = CheckResult("demo", (chk,))
-    for record, attr, value in ((swap, "payload", ()), (chk, "ok", False), (res, "name", "x")):
+    pair = InversePair.certify(swap, swap, context="swap")
+    for record, attr, value in (
+        (a, "data", 3), (swap, "payload", ()), (chk, "ok", False), (res, "name", "x"),
+        (pair, "fwd", swap),
+    ):
         with pytest.raises(AttributeError):
             setattr(record, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(record, attr)
+
+
+def test_inverse_pairs_compare_by_their_maps_alone():
+    # the certificate records how an iso was checked, not which iso it is
+    a = REL.obj(2)
+    swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
+    one = InversePair.certify(swap, swap, context="one")
+    other = InversePair.certify(swap, swap, context="other")
+    assert one.equations != other.equations
+    assert one == other and hash(one) == hash(other)
+    assert not one != other
+    assert InversePair.certify(identity(a), identity(a), context="one") != one
 
 
 def test_morphisms_compare_and_hash_by_fields():
