@@ -33,8 +33,8 @@ and every quadruple of star_map with the same tensor corners shares it.
 Sums are memoized only within one verify_semiadditive call; hom_add
 itself recomputes every sum.  That call numbers each morphism it sees by
 value, so each is hashed once, and keys its sums by pairs of numbers;
-the bilinearity laws compose each sampled map with each summand once per
-pair of homsets.
+the bilinearity laws key their composites by pairs of numbers too, so
+each distinct composite is computed once per call.
 
 Builders certify with CheckResult.require() and raise WitnessInvalid on
 the first failed equation; the verify_* functions return their own
@@ -396,21 +396,30 @@ def _linearity(
     """h after a sum (before it, if pre) equals the sum of the composites with h.
 
     groups and add work on numbers, table maps a number to its morphism.
-    Each composite of h with a summand is computed and numbered once per
-    pair of groups, as on_f[k][i], and shared by every sum it takes part in.
+    Each composite of h with a morphism is computed once per call, keyed
+    by their pair of numbers as the sums are, and shared by every equation
+    it takes part in: on_f[k][i] numbers h_k with the summand f_i.
     """
-    on = (lambda h, m: compose(m, h)) if pre else compose
+    composites: dict[tuple[int, int], Mor] = {}
+
+    def on(h: int, m: int) -> Mor:
+        c = composites.get((h, m))
+        if c is None:
+            g, f = (table[m], table[h]) if pre else (table[h], table[m])
+            c = composites[h, m] = compose(g, f)
+        return c
+
     for (a, b), fs in groups.items():
         for (x, y), hs in groups.items():
             if (y is not a) if pre else (x is not b):
                 continue
             at = "->".join(a.cat.format_obj(o) for o in ((x, a, b) if pre else (a, b, y)))
-            on_f = [[number(on(table[h], table[f])) for f in fs] for h in hs]
+            on_f = [[number(on(h, f)) for f in fs] for h in hs]
             for (i, f), (j, g) in itertools.product(list(enumerate(fs)), repeat=2):
-                s = table[add(f, g)]
+                s = add(f, g)
                 for k, h in enumerate(hs):
                     label = f"{'pre' if pre else 'post'}-linear[{at}#{i},{j};{k}]"
-                    yield equation(label, on(table[h], s), table[add(on_f[k][i], on_f[k][j])])
+                    yield equation(label, on(h, s), table[add(on_f[k][i], on_f[k][j])])
 
 
 def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
@@ -424,9 +433,10 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
     The laws repeat the same sums, so each is computed once per call.  The
     call numbers every morphism it sees by value (the samples, the zero
     maps, the sums and the composites the bilinearity laws add), so each is
-    hashed once, and keys the sums by pairs of numbers.  Equal morphisms
-    share a number and the first of them stands for all; the numbering and
-    the sums are dropped when the call returns.
+    hashed once, and keys the sums and the bilinearity composites by pairs
+    of numbers.  Equal morphisms share a number and the first of them
+    stands for all; the numbering, the sums and the composites are dropped
+    when the call returns.
     """
     mors = list(sample)
     if not mors:

@@ -5,6 +5,9 @@ morphism with r-dimensional codomain and c-dimensional domain carries an
 r-tuple of c-tuples.  Dimension zero is taken seriously: a 0 x c matrix
 is the empty tuple and an r x 0 matrix is r empty rows.
 
+The rationals are normalised (num, den) pairs of ints, den > 0 and gcd 1,
+so tuple equality is value equality and payloads hash and compare in C.
+
 matmul is row-sparse (Gustavson, ACM TOMS 4(3), 1978): the structural
 matrices the construction multiplies are nearly all zeros, so it multiplies
 only nonzero entries, summing each output entry's terms in ascending inner
@@ -19,7 +22,11 @@ them by identity and use only laws every semiring has:
 
     0 + v = v,   1 * v = v * 1 = v,   0 * v = v * 0 = 0.
 
-An entry that *is* sr.zero is skipped, and one that *is* sr.one kept,
+matmul first reads its left factor as a selection: when every row's
+entries equal zero but for at most one, and that one *is* sr.one, row r
+of the product is the row of b that the one picks, or a row of sr.zero,
+with no arithmetic at all.  Otherwise it runs the general loop, where an
+entry that *is* sr.zero is skipped, and one that *is* sr.one kept,
 without calling sr.nonzero; a factor that *is* sr.one gives the other
 factor without sr.mul; a sum that still *is* sr.zero takes its first term
 without sr.add.  Every other entry, even one equal to zero or one, goes
@@ -30,7 +37,7 @@ carrier's own type.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Iterable
 
 from ..kernel import Frozen
@@ -42,11 +49,13 @@ class Semiring(Frozen):
     matmul and kronecker apply its laws 0 + v = v, 1 * v = v and
     0 * v = 0 to the zero and one objects themselves, and skip an entry
     when nonzero(entry) is False, which must hold exactly when the entry
-    equals zero.  nonzero defaults to comparing with zero; a carrier whose
-    only falsy value is its zero (bool, int, Fraction) may pass the faster
-    bool.  zero need not be falsy: in the tropical semiring zero is inf
-    and one is 0.  carrier is the finite tuple of all elements, or None
-    when there are infinitely many.
+    equals zero.  nonzero defaults to comparing with zero in Python; a
+    carrier whose only falsy value is its zero (bool, int) may pass the
+    faster bool, and one of other built-in values (the rationals' int
+    pairs) may pass zero.__ne__, which compares in C.  zero need not be
+    falsy: in the tropical semiring zero is inf and one is 0.  carrier is
+    the finite tuple of all elements, or None when there are infinitely
+    many.
     """
 
     __slots__ = ("name", "zero", "one", "add", "mul", "sample", "carrier", "render", "nonzero")
@@ -98,14 +107,24 @@ NATURALS = Semiring(
     nonzero=bool,
 )
 
+
+def _rational(num: int, den: int) -> tuple[int, int]:
+    """num/den, den > 0, as the normalised pair: gcd 1 and a positive denominator."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+_RAT_ZERO = (0, 1)
+
 RATIONALS = Semiring(
     name="rat",
-    zero=Fraction(0),
-    one=Fraction(1),
-    add=lambda x, y: x + y,
-    mul=lambda x, y: x * y,
-    sample=lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
-    nonzero=bool,
+    zero=_RAT_ZERO,
+    one=(1, 1),
+    add=lambda x, y: _rational(x[0] * y[1] + y[0] * x[1], x[1] * y[1]),
+    mul=lambda x, y: _rational(x[0] * y[0], x[1] * y[1]),
+    sample=lambda rng: _rational(rng.randint(-5, 5), rng.randint(1, 5)),
+    render=lambda v: str(v[0]) if v[1] == 1 else f"{v[0]}/{v[1]}",
+    nonzero=_RAT_ZERO.__ne__,
 )
 
 
@@ -128,6 +147,21 @@ def identity_matrix(sr: Semiring, n: int) -> tuple:
 def matmul(sr: Semiring, a: tuple, b: tuple, inner: int, cols: int) -> tuple:
     """a @ b where a is len(a) x inner and b is inner x cols."""
     add, mul, zero, one, nonzero = sr.add, sr.mul, sr.zero, sr.one, sr.nonzero
+    # a selection first: count(zero) counts the entries the general loop
+    # skips, those equal to zero, and only sr.one itself may pick a row of
+    # b, as an equal one (min-plus's 0.0) would change the product's types
+    out = []
+    zero_row = (zero,) * cols
+    for row in a:
+        zeros = row.count(zero)
+        if zeros == inner:
+            out.append(zero_row)
+        elif zeros == inner - 1 and one in row and row[k := row.index(one)] is one:
+            out.append(b[k])
+        else:
+            break
+    else:
+        return tuple(out)
     # plain loops: a comprehension closing over zero, one and nonzero would
     # turn them into cell variables, which costs more than it saves on the
     # tiny products most calls make (before Python 3.12 inlines comprehensions)

@@ -148,7 +148,7 @@ def test_homset_addition():
                 h = inst.random_morphism(rng, b, c)
                 w = inst.random_morphism(rng, z, a)
                 total = hom_add(f, g)
-                assert total.payload == _entrywise(lambda x, y: x + y, f, g)
+                assert total.payload == _entrywise(inst.sr.add, f, g)
                 assert total == hom_add(g, f)
                 assert hom_add(total, k) == hom_add(f, hom_add(g, k))
                 assert hom_add(f, zero_map(a, b)) == f
@@ -185,8 +185,9 @@ def test_missing_structure_fidelity():
 
 
 def _gauss_inverse(matrix: tuple, n: int) -> tuple:
+    """The inverse of an n x n matrix of (num, den) rationals, by Fraction arithmetic."""
     aug = [
-        list(row) + [Fraction(int(i == j)) for j in range(n)]
+        [Fraction(*x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
         for i, row in enumerate(matrix)
     ]
     for col in range(n):
@@ -198,7 +199,7 @@ def _gauss_inverse(matrix: tuple, n: int) -> tuple:
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple((x.numerator, x.denominator) for x in row[n:]) for row in aug)
 
 
 def test_field_inverse_cross_check():

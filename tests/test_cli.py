@@ -157,7 +157,9 @@ def _counted_run(monkeypatch, config, digests=None):
     """Run the suite, counting the equations each stage's records stand for.
 
     When given a dict, digests gets per stage the first 16 hex digits of a
-    sha256 over every equation's label and compared payloads, in order.
+    sha256 over every equation's label and compared sides, in order.  A
+    side is hashed as its category's format_mor text, so the digest pins
+    the values an equation compared, not how the semiring holds them.
     """
     equations = {}
 
@@ -168,7 +170,9 @@ def _counted_run(monkeypatch, config, digests=None):
             if digests is not None:
                 h = digests.setdefault(suite, hashlib.sha256())
                 for chk in res.details:
-                    sides = (getattr(chk.lhs, "payload", None), getattr(chk.rhs, "payload", None))
+                    sides = (
+                        None if f is None else f.dom.cat.format_mor(f) for f in (chk.lhs, chk.rhs)
+                    )
                     h.update(repr((chk.label, *sides)).encode())
             return res
 
@@ -197,20 +201,20 @@ def _counting_hom_add(monkeypatch):
 # finrel and mat-bool are one boolean semiring, and at size 2 every homset
 # enumerates, so --samples changes nothing: both configs give these rows
 BOOLEAN_2_PINS = {
-    "nullary": (1, 0, 4, "5c663e35c8158543"),
-    "nullary-distributors": (3, 0, 12, "a5bbb31270dee041"),
-    "product-witness": (9, 0, 1506, "c945628146cf9a80"),
-    "coproduct-witness": (9, 0, 1506, "1fa94a206a13cf28"),
-    "dist-prod": (27, 0, 54, "df403c1fe940011f"),
-    "dist-coprod": (27, 0, 54, "6475e728a9573887"),
-    "interchange": (81, 0, 405, "33f9c27d5ad58601"),
-    "t-inverse": (9, 0, 27, "4b928ac3e794dda3"),
-    "intertwining": (9, 0, 81, "31d1f15a607a24d7"),
-    "canonical": (9, 0, 9, "5eae476de3c46d5a"),
-    "biproduct": (9, 0, 45, "3fcee4638380a85d"),
-    "hom-add-laws": (9, 0, 597, "01f43c37f017658c"),
-    "hom-add-native": (9, 0, 297, "2f70027fd814a473"),
-    "bilinearity": (27, 0, 7172, "4de346d8ce2d586d"),
+    "nullary": (1, 0, 4, "2508e1dc0888e6b0"),
+    "nullary-distributors": (3, 0, 12, "0940e1c923e45d4c"),
+    "product-witness": (9, 0, 1506, "45fcc8875e4aca8b"),
+    "coproduct-witness": (9, 0, 1506, "d10508588a34eb43"),
+    "dist-prod": (27, 0, 54, "c098ff0bca5ca9d9"),
+    "dist-coprod": (27, 0, 54, "9802071e76a8c814"),
+    "interchange": (81, 0, 405, "148eae0c8fccca2c"),
+    "t-inverse": (9, 0, 27, "a65a786f7ab7ea5e"),
+    "intertwining": (9, 0, 81, "5d28cb0b256a896f"),
+    "canonical": (9, 0, 9, "37742d8db496bbb1"),
+    "biproduct": (9, 0, 45, "5895162233e623eb"),
+    "hom-add-laws": (9, 0, 597, "84ca550a4a1936a0"),
+    "hom-add-native": (9, 0, 297, "ef0d57611b54fe5a"),
+    "bilinearity": (27, 0, 7172, "4fa444773e6312df"),
 }
 
 
@@ -225,12 +229,12 @@ STAGE_PINS = {
     # failed stand-in per nullary stage, the dependents after t-inverse
     "z-chain 2 --samples 2": (SuiteConfig(instance="z-chain", max_size=2, samples=2), None, {
         "nullary": (1, 1, None, None),
-        "product-witness": (25, 0, 190, "cd2fc46ae13fa20c"),
-        "coproduct-witness": (25, 0, 190, "7ec41249c65b2a2f"),
-        "dist-prod": (125, 0, 250, "19160344d2a71502"),
-        "dist-coprod": (125, 0, 250, "19160344d2a71502"),
-        "interchange": (625, 0, 3125, "0aeb14ef252b4ce4"),
-        "t-inverse": (25, 0, 75, "b1759fdbc57b8c8c"),
+        "product-witness": (25, 0, 190, "26aa20aaddbd1e19"),
+        "coproduct-witness": (25, 0, 190, "93aefd0f0cf360bc"),
+        "dist-prod": (125, 0, 250, "dd679b49c426431b"),
+        "dist-coprod": (125, 0, 250, "4363e1e52f9fa36c"),
+        "interchange": (625, 0, 3125, "484993e10d3a20de"),
+        "t-inverse": (25, 0, 75, "d7e520f0ae371c93"),
         "intertwining": (1, 1, None, None),
         "canonical": (1, 1, None, None),
         "biproduct": (1, 1, None, None),
@@ -241,80 +245,80 @@ STAGE_PINS = {
     # mat-nat homsets never enumerate: witness probes and seeded native pairs
     "mat-nat 2/1 --samples 3 --seed 5": (
         SuiteConfig(instance="mat-nat", max_size=2, max_quad=1, samples=3, seed=5), None, {
-        "nullary": (1, 0, 4, "5c663e35c8158543"),
-        "nullary-distributors": (3, 0, 12, "a5bbb31270dee041"),
-        "product-witness": (9, 0, 171, "d39ffcc47f8cddb1"),
-        "coproduct-witness": (9, 0, 171, "3b727c69d757c3d6"),
-        "dist-prod": (8, 0, 16, "a2c53f47915e1bc8"),
-        "dist-coprod": (8, 0, 16, "0378c99d5c83afd1"),
-        "interchange": (16, 0, 80, "7ab56d963aa3dc38"),
-        "t-inverse": (9, 0, 27, "b9d5681ce8f62fe3"),
-        "intertwining": (9, 0, 81, "ce7c582d5a4e6c32"),
-        "canonical": (9, 0, 9, "a30cf6b052211b91"),
-        "biproduct": (9, 0, 45, "5a87774f90cef915"),
-        "hom-add-laws": (9, 0, 2055, "01e7dcb8ab788381"),
-        "hom-add-native": (9, 0, 27, "52ae72215f630508"),
-        "bilinearity": (8, 0, 10870, "e651545dc84e3e94"),
+        "nullary": (1, 0, 4, "2508e1dc0888e6b0"),
+        "nullary-distributors": (3, 0, 12, "0940e1c923e45d4c"),
+        "product-witness": (9, 0, 171, "8b84db5acf27dff4"),
+        "coproduct-witness": (9, 0, 171, "402b0bf0c0e60235"),
+        "dist-prod": (8, 0, 16, "2b04e857a645e0bb"),
+        "dist-coprod": (8, 0, 16, "17fa9b9b37315123"),
+        "interchange": (16, 0, 80, "d80c9ec3a0ea41e8"),
+        "t-inverse": (9, 0, 27, "a65a786f7ab7ea5e"),
+        "intertwining": (9, 0, 81, "5d28cb0b256a896f"),
+        "canonical": (9, 0, 9, "37742d8db496bbb1"),
+        "biproduct": (9, 0, 45, "5895162233e623eb"),
+        "hom-add-laws": (9, 0, 2055, "dd4480f1a02a089c"),
+        "hom-add-native": (9, 0, 27, "ba81a8098aff2c25"),
+        "bilinearity": (8, 0, 10870, "8db5354610e31e50"),
     }),
     # mat-bool 2 -> 2 has 16 morphisms: the law scans take rng.sample of them
     "mat-bool 2": (SuiteConfig(instance="mat-bool", max_size=2), None, BOOLEAN_2_PINS),
     # the benchmark's suite-rat config: its speedups (zero-skipping dot,
-    # memoized sums and witnesses) must keep every equation, and their
-    # Fraction payloads, as they were before them; the law stages compute
-    # each distinct sum once per verify_semiadditive call
+    # memoized sums and witnesses, integer-pair rationals) must keep every
+    # equation, and the values it compares, as they were before them; the
+    # law stages compute each distinct sum once per verify_semiadditive call
     "mat-rat 2/1 --seed 1": (
         SuiteConfig(instance="mat-rat", max_size=2, max_quad=1, seed=1), 2540, {
-        "nullary": (1, 0, 4, "5c663e35c8158543"),
-        "nullary-distributors": (3, 0, 12, "a5bbb31270dee041"),
-        "product-witness": (9, 0, 171, "49b4c53fcccc57e5"),
-        "coproduct-witness": (9, 0, 171, "98f2aa80df589f7a"),
-        "dist-prod": (8, 0, 16, "8b0dcaabd1f87193"),
-        "dist-coprod": (8, 0, 16, "9300f0d3e1bb52a2"),
-        "interchange": (16, 0, 80, "ed7ad73baab65c80"),
-        "t-inverse": (9, 0, 27, "7901463d397328ea"),
-        "intertwining": (9, 0, 81, "99e087a28f1e631c"),
-        "canonical": (9, 0, 9, "31e5f2ba2b68d5b1"),
-        "biproduct": (9, 0, 45, "4539172632c5af0b"),
-        "hom-add-laws": (9, 0, 2055, "f0ba64e065cd9f2e"),
-        "hom-add-native": (9, 0, 225, "8450b4f4b07d2d11"),
-        "bilinearity": (8, 0, 10870, "9aa127218ce896c5"),
+        "nullary": (1, 0, 4, "2508e1dc0888e6b0"),
+        "nullary-distributors": (3, 0, 12, "0940e1c923e45d4c"),
+        "product-witness": (9, 0, 171, "40ed84eb40205a4c"),
+        "coproduct-witness": (9, 0, 171, "6231f45dd1284e2b"),
+        "dist-prod": (8, 0, 16, "2b04e857a645e0bb"),
+        "dist-coprod": (8, 0, 16, "17fa9b9b37315123"),
+        "interchange": (16, 0, 80, "d80c9ec3a0ea41e8"),
+        "t-inverse": (9, 0, 27, "a65a786f7ab7ea5e"),
+        "intertwining": (9, 0, 81, "5d28cb0b256a896f"),
+        "canonical": (9, 0, 9, "37742d8db496bbb1"),
+        "biproduct": (9, 0, 45, "5895162233e623eb"),
+        "hom-add-laws": (9, 0, 2055, "e04532f0dff6452a"),
+        "hom-add-native": (9, 0, 225, "cfb7b31c11a7d66c"),
+        "bilinearity": (8, 0, 10870, "46986e8811894b06"),
     }),
     # the Baseline's mat-rat --max-size 3, with the default quad bound of 2
     "mat-rat 3": (SuiteConfig(instance="mat-rat", max_size=3), 12437, {
-        "nullary": (1, 0, 4, "5c663e35c8158543"),
-        "nullary-distributors": (4, 0, 16, "358c876ecc402273"),
-        "product-witness": (16, 0, 400, "8a9452f31b817f7a"),
-        "coproduct-witness": (16, 0, 400, "bf386ad0f7b03602"),
-        "dist-prod": (27, 0, 54, "cd4011b66c0ecc6a"),
-        "dist-coprod": (27, 0, 54, "941c0545b2cfe28e"),
-        "interchange": (81, 0, 405, "f1b4b2be2594e3ac"),
-        "t-inverse": (16, 0, 48, "9fd12441ce85e82f"),
-        "intertwining": (16, 0, 144, "5371eb085dee022f"),
-        "canonical": (16, 0, 16, "31c4e3c31029a888"),
-        "biproduct": (16, 0, 80, "618bce8abb97f759"),
-        "hom-add-laws": (16, 0, 3320, "977336c70cd97405"),
-        "hom-add-native": (16, 0, 400, "9954638ade1bed66"),
-        "bilinearity": (27, 0, 26655, "bce44b2ad492be1b"),
+        "nullary": (1, 0, 4, "2508e1dc0888e6b0"),
+        "nullary-distributors": (4, 0, 16, "d028e9e5e99424c9"),
+        "product-witness": (16, 0, 400, "05cbabcdc1d927c5"),
+        "coproduct-witness": (16, 0, 400, "e10610c770374de4"),
+        "dist-prod": (27, 0, 54, "c098ff0bca5ca9d9"),
+        "dist-coprod": (27, 0, 54, "9802071e76a8c814"),
+        "interchange": (81, 0, 405, "148eae0c8fccca2c"),
+        "t-inverse": (16, 0, 48, "b41d443891f10e3a"),
+        "intertwining": (16, 0, 144, "3e8cf92d25c5d675"),
+        "canonical": (16, 0, 16, "9b5a01be22a071ce"),
+        "biproduct": (16, 0, 80, "32c67d4858008690"),
+        "hom-add-laws": (16, 0, 3320, "940835227f283b8f"),
+        "hom-add-native": (16, 0, 400, "3c4c25608b5ff254"),
+        "bilinearity": (27, 0, 26655, "9a1d11b55354c40d"),
     }),
     # a product instance with nullary structure on both sides: every
     # structure map, witness and distributor is a lifted pair of the
     # components' own, and must check the same equations as before
     "product:finrel+mat-nat 1/1": (
         SuiteConfig(instance="product:finrel+mat-nat", max_size=1, max_quad=1), None, {
-        "nullary": (1, 0, 4, "9ddb6a96163126d3"),
-        "nullary-distributors": (4, 0, 16, "450ba4c65dd29efc"),
-        "product-witness": (16, 0, 400, "876ae172d9cf5758"),
-        "coproduct-witness": (16, 0, 400, "1af7393ba4ebda4e"),
-        "dist-prod": (64, 0, 128, "98ccca71c169e6cf"),
-        "dist-coprod": (64, 0, 128, "48ce6eb8d2634bf3"),
-        "interchange": (256, 0, 1280, "96e42e568c762fa9"),
-        "t-inverse": (16, 0, 48, "4cfda13c363cd0d0"),
-        "intertwining": (16, 0, 144, "d049992865e4abed"),
-        "canonical": (16, 0, 16, "323a7e8aca40b7bf"),
-        "biproduct": (16, 0, 80, "c0bbdb63e7c94146"),
-        "hom-add-laws": (16, 0, 3320, "079980ace72d0b95"),
-        "hom-add-native": (16, 0, 400, "ebf6d628f3e840bd"),
-        "bilinearity": (64, 0, 53660, "381e2cf91c33a3a6"),
+        "nullary": (1, 0, 4, "e26464bb550fb5da"),
+        "nullary-distributors": (4, 0, 16, "782c2fa58a4a3217"),
+        "product-witness": (16, 0, 400, "90496acf3fe2e027"),
+        "coproduct-witness": (16, 0, 400, "230f2186c1a060ca"),
+        "dist-prod": (64, 0, 128, "be98087e1e4c7d38"),
+        "dist-coprod": (64, 0, 128, "50dd62acb55a5953"),
+        "interchange": (256, 0, 1280, "236dd3728ce8ba23"),
+        "t-inverse": (16, 0, 48, "bbfa3a112fc008cd"),
+        "intertwining": (16, 0, 144, "25ed7b9d192a391c"),
+        "canonical": (16, 0, 16, "4cbd040c97520822"),
+        "biproduct": (16, 0, 80, "14e42230c93dbfcf"),
+        "hom-add-laws": (16, 0, 3320, "a15075a88b55cd68"),
+        "hom-add-native": (16, 0, 400, "186a7b59128eb4a5"),
+        "bilinearity": (64, 0, 53660, "7015544514c8b2cb"),
     }),
 }
 
@@ -679,8 +683,9 @@ START_UP = textwrap.dedent(
 )
 
 
-def test_start_up_loads_neither_dataclasses_nor_inspect():
-    # each costs a cold start milliseconds before any check runs; only the
+def test_start_up_loads_neither_dataclasses_nor_fractions():
+    # each costs a cold start milliseconds before any check runs: dataclasses
+    # brings inspect, and fractions brings decimal and numbers; only the
     # modules the import and the resolves add count, so one that the
     # interpreter's start-up preloads cannot fail this
     root = Path(__file__).resolve().parents[1]
@@ -692,7 +697,7 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert {"biprod.cli", "biprod.instances.product"} <= added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
 
 
 def test_json_report_is_the_same_across_hash_seeds():

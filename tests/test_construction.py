@@ -6,7 +6,6 @@ import itertools
 import random
 import re
 import weakref
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,7 +32,7 @@ from biprod.construction import (
 )
 from biprod.errors import DomainMismatch, NoNullaryStructure, WitnessInvalid
 from biprod.instances import finrel, mat_semiring, resolve, z_chain
-from biprod.kernel import check_inverse_pair, compose, identity
+from biprod.kernel import Mor, check_inverse_pair, compose, identity
 from biprod.structure import Mat2, from_matrix, plus_map, times_map
 
 REL = finrel(3)
@@ -275,7 +274,7 @@ def test_product_components_memoize_in_their_own_memos():
 
 def _fresh_copy(f):
     """A morphism equal to f in value that shares no tuple or entry with it."""
-    payload = tuple(tuple(Fraction(x.numerator, x.denominator) for x in row) for row in f.payload)
+    payload = tuple(tuple((num, den) for num, den in row) for row in f.payload)
     return f.dom.cat.mor(f.dom, f.cod, payload)
 
 
@@ -299,7 +298,7 @@ def test_sums_are_memoized_per_call_only(monkeypatch):
     assert verify_semiadditive(sample) == first
     assert len(added) == 2 * per_call
     # sums are keyed by value: on mat-rat, copies of the sample built apart
-    # (fresh tuples, fresh Fractions) add no sum to those of the sample
+    # (fresh rows, fresh (num, den) entries) add no sum to those of the sample
     rat = mat_semiring("mat-rat", 2)
     rng = random.Random(3)
     r1, r2 = rat.obj(1), rat.obj(2)
@@ -322,9 +321,9 @@ def test_sums_are_memoized_per_call_only(monkeypatch):
 
 
 def test_semiadditive_hashes_each_numbered_morphism_once(monkeypatch):
-    # the laws key their sums by number, so a Fraction is hashed only when
-    # the morphism holding it is numbered: each sample, the zero map, each
-    # sum hom_add returns and each composite the bilinearity laws add
+    # the laws key their sums and composites by number, so a morphism is
+    # hashed only when it is numbered: each sample, the zero map, each sum
+    # hom_add returns and each composite the bilinearity laws add
     rat = mat_semiring("mat-rat", 2)
     two = rat.obj(2)
     rng = random.Random(5)
@@ -337,19 +336,41 @@ def test_semiadditive_hashes_each_numbered_morphism_once(monkeypatch):
         return hom_add(f, g)
 
     hashes = []
-    fraction_hash = Fraction.__hash__
 
-    def counting_hash(x):
+    def counting_hash(f):
         hashes.append(None)
-        return fraction_hash(x)
+        return tuple.__hash__(f)
 
     monkeypatch.setattr(construction, "hom_add", counting_hom_add)
-    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    monkeypatch.setattr(Mor, "__hash__", counting_hash)
     assert verify_semiadditive(sample).passed
     # one homset: 3 samples, its zero map, and 3 x 3 composites each way
-    numbered = len(sample) + 1 + len(sums) + 2 * len(sample) ** 2
-    entries = 2 * 2  # every morphism the call sees is 2 -> 2
-    assert len(hashes) <= numbered * entries
+    assert len(hashes) == len(sample) + 1 + len(sums) + 2 * len(sample) ** 2
+
+
+def test_semiadditive_composes_each_distinct_pair_once(monkeypatch):
+    # the bilinearity laws key their composites by the numbers of the two
+    # morphisms: a sample that repeats its morphisms checks more equations
+    # but composes nothing more, and the sums it repeats add no compose
+    rat = mat_semiring("mat-rat", 2)
+    one, two = rat.obj(1), rat.obj(2)
+    rng = random.Random(11)
+    sample = [rat.random_morphism(rng, a, b) for a, b in ((one, two), (two, two), (two, one))]
+    assert verify_semiadditive(sample).passed  # build the instance's memos first
+    composed = []
+
+    def counting_compose(g, f):
+        composed.append(None)
+        return compose(g, f)
+
+    monkeypatch.setattr(construction, "compose", counting_compose)
+    once = verify_semiadditive(sample)
+    per_call = len(composed)
+    composed.clear()
+    twice = verify_semiadditive(sample + sample)
+    assert once.passed and twice.passed
+    assert len(twice.details) > len(once.details)
+    assert len(composed) == per_call
 
 
 def test_no_functools_cache_in_the_package():

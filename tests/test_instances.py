@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
@@ -89,11 +90,41 @@ def test_zero_one_matrix():
 
 
 def test_rational_arithmetic_is_exact():
-    assert RATIONALS.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    # a rational is its normalised (num, den) pair
+    assert RATIONALS.add((1, 3), (1, 6)) == (1, 2)
+    assert RATIONALS.mul((-2, 3), (3, 4)) == (-1, 2)
+    assert RATIONALS.add((1, 2), (-1, 2)) == RATIONALS.zero == (0, 1)
+    assert [RATIONALS.render(v) for v in ((0, 1), (5, 1), (-3, 2))] == ["0", "5", "-3/2"]
     # a 1 x n by n x 1 product is a dot product
-    half, third = ((Fraction(1, 2),),), ((Fraction(1, 3),),)
-    assert matmul(RATIONALS, half, third, inner=1, cols=1) == ((Fraction(1, 6),),)
-    assert matmul(RATIONALS, ((),), (), inner=0, cols=1) == ((Fraction(0),),)
+    half, third = (((1, 2),),), (((1, 3),),)
+    assert matmul(RATIONALS, half, third, inner=1, cols=1) == (((1, 6),),)
+    assert matmul(RATIONALS, ((),), (), inner=0, cols=1) == (((0, 1),),)
+
+
+def as_pair(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+FRACTIONS = st.fractions(-50, 50, max_denominator=50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=FRACTIONS, y=FRACTIONS, scale=st.integers(1, 6), seed=st.integers(0, 2**32))
+def test_rationals_agree_with_fractions(x, y, scale, seed):
+    # add and mul give Fraction's value, normalised as Fraction normalises
+    # (gcd 1, positive denominator), also from pairs that are not normalised
+    px, py = as_pair(x), as_pair(y)
+    for a, b in ((px, py), ((px[0] * scale, px[1] * scale), py)):
+        assert RATIONALS.add(a, b) == as_pair(x + y)
+        assert RATIONALS.mul(a, b) == as_pair(x * y)
+        assert RATIONALS.add(b, a) == as_pair(x + y)
+    assert RATIONALS.render(px) == str(x)
+    assert RATIONALS.nonzero(px) is (x != 0)
+    # the sampler draws as Fraction(randint(-5, 5), randint(1, 5)) did, so
+    # every seeded report is unchanged
+    rng, old = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        assert RATIONALS.sample(rng) == as_pair(Fraction(old.randint(-5, 5), old.randint(1, 5)))
 
 
 # The tropical semiring (min, +) on the naturals and infinity: its zero, inf,
@@ -111,25 +142,33 @@ MIN_PLUS = Semiring(
 # Mostly zeros and ones, as in the structural matrices the construction
 # multiplies.  The semiring's own zero and one objects take matmul's and
 # kronecker's identity shortcuts; equal values that are other objects (a
-# fresh Fraction, float("inf"), 0.0) must take the general path.  Python
-# interns the int and bool zeros and ones, so nat and bool have no others.
+# fresh (0, 1) or (1, 1) pair, float("inf"), 0.0) must take the general
+# path.  Python interns the int and bool zeros and ones, so nat and bool
+# have no others.  Per semiring, the values equal to its zero and those
+# equal to its one:
+ZERO_LIKE = {
+    "nat": st.just(0),
+    "rat": st.one_of(st.just(RATIONALS.zero), st.tuples(st.just(0), st.just(1))),
+    "bool": st.just(False),
+    "min-plus": st.one_of(st.just(math.inf), st.just(float("inf"))),
+}
+ONE_LIKE = {
+    "nat": st.just(1),
+    "rat": st.one_of(st.just(RATIONALS.one), st.tuples(st.just(1), st.just(1))),
+    "bool": st.just(True),
+    "min-plus": st.one_of(st.just(0), st.just(0.0)),
+}
 NAT_ENTRIES = st.one_of(st.just(0), st.just(0), st.just(1), st.integers(0, 5))
 RAT_ENTRIES = st.one_of(
-    st.just(RATIONALS.zero),
-    st.builds(Fraction, st.just(0)),
-    st.just(RATIONALS.one),
-    st.builds(Fraction, st.just(1)),
-    st.fractions(-5, 5, max_denominator=5),
+    ZERO_LIKE["rat"], ONE_LIKE["rat"], st.fractions(-5, 5, max_denominator=5).map(as_pair)
 )
-MIN_PLUS_ENTRIES = st.one_of(
-    st.just(math.inf), st.just(float("inf")), st.just(0), st.just(0.0), st.integers(0, 5)
-)
+MIN_PLUS_ENTRIES = st.one_of(ZERO_LIKE["min-plus"], ONE_LIKE["min-plus"], st.integers(0, 5))
 NAIVE_DOTS = {
     "nat": (NATURALS, NAT_ENTRIES, lambda xs, ys: sum(x * y for x, y in zip(xs, ys))),
     "rat": (
         RATIONALS,
         RAT_ENTRIES,
-        lambda xs, ys: sum((x * y for x, y in zip(xs, ys)), Fraction(0)),
+        lambda xs, ys: functools.reduce(RATIONALS.add, map(RATIONALS.mul, xs, ys), (0, 1)),
     ),
     "bool": (BOOLEANS, st.booleans(), lambda xs, ys: any(x and y for x, y in zip(xs, ys))),
     "min-plus": (
@@ -141,8 +180,10 @@ NAIVE_DOTS = {
 
 
 def test_semirings_decide_what_is_zero():
-    for sr in (BOOLEANS, NATURALS, RATIONALS):
+    for sr in (BOOLEANS, NATURALS):
         assert sr.nonzero is bool
+    # the rationals compare with their zero in C, with no Python frame
+    assert RATIONALS.nonzero == RATIONALS.zero.__ne__
     # the default compares with zero, not with Python truthiness
     assert (MIN_PLUS.carrier, MIN_PLUS.render) == (None, str)
     assert MIN_PLUS.nonzero(math.inf) is False
@@ -266,6 +307,28 @@ def test_matmul_with_structural_factors_equals_the_naive_product(kind, data):
         assert_matmul_is_naive(sr, naive, a, b, inner, cols)
 
 
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(NAIVE_DOTS)), data=st.data())
+def test_matmul_with_a_selecting_left_factor_equals_the_naive_product(kind, data):
+    # each row of a equals zero but for at most one entry, which equals one
+    sr, entries, naive = NAIVE_DOTS[kind]
+    rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    pick = st.none() | st.integers(0, inner - 1) if inner else st.none()
+    picks = [data.draw(pick) for _ in range(rows)]
+    a = []
+    for k in picks:
+        row = [data.draw(ZERO_LIKE[kind]) for _ in range(inner)]
+        if k is not None:
+            row[k] = data.draw(ONE_LIKE[kind])
+        a.append(tuple(row))
+    b = tuple(tuple(data.draw(entries) for _ in range(cols)) for _ in range(inner))
+    assert_matmul_is_naive(sr, naive, tuple(a), b, inner, cols)
+    # where the one is the semiring's own, the row is b's, with no arithmetic
+    got = matmul(sr, tuple(a), b, inner=inner, cols=cols)
+    if all(k is None or row[k] is sr.one for k, row in zip(picks, a)):
+        assert all(k is None or got_row is b[k] for k, got_row in zip(picks, got))
+
+
 def assert_kronecker_is_naive(sr, naive, a, b, shape):
     """kronecker(sr, a, b, *shape) equals its definition, entry by entry and in type."""
     a_rows, a_cols, b_rows, b_cols = shape
@@ -305,7 +368,7 @@ def test_kronecker_equals_the_naive_definition(kind, shape, data):
 # equal to zero or one that are other objects, then a value equal to neither
 OTHER_ENTRIES = {
     "nat": (2,),
-    "rat": (Fraction(0), Fraction(1), Fraction(-3, 2)),
+    "rat": (tuple([0, 1]), tuple([1, 1]), (-3, 2)),
     "bool": (),
     "min-plus": (float("inf"), 0.0, 2),
 }
@@ -314,6 +377,7 @@ OTHER_ENTRIES = {
 @pytest.mark.parametrize("kind", sorted(NAIVE_DOTS))
 def test_only_the_semirings_own_zero_and_one_take_the_shortcuts(kind):
     sr, _, naive = NAIVE_DOTS[kind]
+    assert not any(v is sr.zero or v is sr.one for v in OTHER_ENTRIES[kind])
     values = (sr.zero, sr.one, *OTHER_ENTRIES[kind])
     for x, y in itertools.product(values, repeat=2):
         assert_kronecker_is_naive(sr, naive, ((x,),), ((y,),), (1, 1, 1, 1))
