@@ -233,13 +233,6 @@ STAGES = (
     ),
 )
 
-# Stages that use the zero object.  Without terminal and initial objects
-# each of these, and "nullary" itself, reports one NoNullaryStructure
-# record instead of running; nullary-distributors reports none.
-NULLARY_DEPENDENT = tuple(
-    s.name for s in STAGES if s.needs_nullary and not s.name.startswith("nullary")
-)
-
 
 def run_suite(config: SuiteConfig) -> Report:
     inst = resolve(config.instance, config.max_size)
@@ -248,7 +241,8 @@ def run_suite(config: SuiteConfig) -> Report:
     objs = inst.objects(config.max_size)
     quad_objs = inst.objects(config.max_quad)
     run = _Run(inst, random.Random(config.seed), objs, config.samples)
-    fmt = inst.format_obj
+    # each object is named once per run; quad_objs is within objs
+    name = {x: inst.format_obj(x) for x in objs}
     nullary_ok = has_nullary(inst)
     for stage in STAGES:
         if stage.needs_nullary and not nullary_ok:
@@ -258,7 +252,7 @@ def run_suite(config: SuiteConfig) -> Report:
             continue
         pool = quad_objs if stage.arity >= 3 else objs
         for tup in itertools.product(pool, repeat=stage.arity):
-            names = tuple(fmt(x) for x in tup)
+            names = tuple(name[x] for x in tup)
             _guard(checks, stage.name, names, lambda: stage.check(run, *tup))
     duration = (time.perf_counter() - start) * 1000.0
     return Report(config, tuple(checks), duration)

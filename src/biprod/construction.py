@@ -61,45 +61,15 @@ from .kernel import (
     per_instance,
 )
 from .monoidal import dist_coprod, dist_prod, nullary_coprod, nullary_prod, require_nullary
-from .structure import (
-    CoproductWitness,
-    Mat2,
-    ProductWitness,
-    copair,
-    from_matrix,
-    matrix_of,
-    pair,
-    plus_map,
-    times_map,
-)
+from .structure import Mat2, copair, from_matrix, matrix_of, pair, plus_map, times_map
 
 
 class ZeroWitness(Frozen):
     __slots__ = ("obj", "to_terminal", "from_initial", "one_to_zero")
 
-    def __init__(
-        self, obj: Obj, to_terminal: InversePair, from_initial: InversePair, one_to_zero: Mor
-    ) -> None:
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "to_terminal", to_terminal)
-        object.__setattr__(self, "from_initial", from_initial)
-        object.__setattr__(self, "one_to_zero", one_to_zero)
-
 
 class BiproductWitness(Frozen):
     __slots__ = ("apex", "in1", "in2", "pr1", "pr2", "mixed_iso", "equations")
-
-    def __init__(
-        self, apex: Obj, in1: Mor, in2: Mor, pr1: Mor, pr2: Mor,
-        mixed_iso: InversePair, equations: CheckResult,
-    ) -> None:
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "in1", in1)
-        object.__setattr__(self, "in2", in2)
-        object.__setattr__(self, "pr1", pr1)
-        object.__setattr__(self, "pr2", pr2)
-        object.__setattr__(self, "mixed_iso", mixed_iso)
-        object.__setattr__(self, "equations", equations)
 
 
 @per_instance
@@ -135,14 +105,6 @@ class _Grid(Frozen):
     """
 
     __slots__ = ("c_dom", "p_cod", "corners", "map")
-
-    def __init__(
-        self, c_dom: CoproductWitness, p_cod: ProductWitness, corners: Mat2, map: Mor
-    ) -> None:
-        object.__setattr__(self, "c_dom", c_dom)
-        object.__setattr__(self, "p_cod", p_cod)
-        object.__setattr__(self, "corners", corners)
-        object.__setattr__(self, "map", map)
 
 
 @per_instance

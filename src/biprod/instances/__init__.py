@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from ..errors import InvalidBounds, UnknownInstance
 from .base import Instance
-from .chain import ChainInstance, z_chain
+from .chain import ChainInstance
 from .matcat import MAT_SEMIRINGS, MatInstance, finrel, mat_semiring
 from .product import ProductInstance
 from .semiring import BOOLEANS, NATURALS, RATIONALS, Semiring
@@ -25,7 +25,7 @@ def resolve(selector: str, max_size: int) -> Instance:
     if selector in MAT_SEMIRINGS:
         return mat_semiring(selector, max_size)
     if selector == "z-chain":
-        return z_chain(-max_size, max_size)
+        return ChainInstance(-max_size, max_size)
     if selector.startswith("product:"):
         rest = selector[len("product:"):]
         if "+" not in rest:

@@ -22,8 +22,8 @@ from .base import Instance, read_int
 
 
 class ChainInstance(Instance):
-    def __init__(self, lo: int, hi: int, name: str = "z-chain"):
-        super().__init__(name)
+    def __init__(self, lo: int, hi: int):
+        super().__init__("z-chain")
         if lo > hi:
             raise DomainMismatch("empty enumeration window")
         self.lo = lo
@@ -94,7 +94,3 @@ class ChainInstance(Instance):
 
     def random_morphism(self, rng: random.Random, a: Obj, b: Obj) -> Mor | None:
         return self.mor(a, b, None) if a.data <= b.data else None
-
-
-def z_chain(lo: int, hi: int) -> ChainInstance:
-    return ChainInstance(lo, hi)

@@ -66,8 +66,8 @@ def _lift(name: str):
 
 
 class ProductInstance(Instance):
-    def __init__(self, left: Instance, right: Instance, name: str | None = None):
-        super().__init__(name or f"product:{left.name}+{right.name}")
+    def __init__(self, left: Instance, right: Instance):
+        super().__init__(f"product:{left.name}+{right.name}")
         self.left = left
         self.right = right
         for attr in ("terminal", "initial", "unit"):

@@ -74,15 +74,7 @@ class Semiring(Frozen):
     ) -> None:
         if nonzero is None:
             nonzero = lambda v: v != zero
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "one", one)
-        object.__setattr__(self, "add", add)
-        object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "sample", sample)
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "render", render)
-        object.__setattr__(self, "nonzero", nonzero)
+        super().__init__(name, zero, one, add, mul, sample, carrier, render, nonzero)
 
 
 BOOLEANS = Semiring(

@@ -4,7 +4,8 @@ A Category subclass supplies payload-level behaviour (how identities look,
 how payloads compose, how to print things).  Every record is immutable
 and has no per-record __dict__.  A record compared by value is a named
 tuple; one compared by identity, or by only some of its fields, is a
-Frozen class, whose fields are its __slots__, set once in __init__.
+Frozen class, whose fields are its __slots__, each set once by Frozen's
+one __init__, by position in __slots__ order or by keyword.
 Objects are Frozen and compare by identity: Category.obj interns them by
 data, so build them only with cat.obj or parse_obj, never Obj(...).
 Because objects are interned, the kernel and the structure built on it
@@ -48,12 +49,27 @@ _new = tuple.__new__
 class Frozen:
     """Base of the slotted records: no field is assigned or deleted after __init__.
 
-    A subclass names its fields in __slots__ and sets each once in
-    __init__ with object.__setattr__.  It compares and hashes by identity
-    unless it defines __eq__ and __hash__.
+    A subclass names its fields in __slots__; __init__ takes each of them
+    exactly once, by position in __slots__ order or by keyword, and
+    raises TypeError before setting any field otherwise.  It compares and
+    hashes by identity unless it defines __eq__ and __hash__.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self.__slots__
+        if kwargs:
+            # the fields after the positional ones, in order, out of the keywords
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        # a field missing shortens args; an unknown or repeated one stays in kwargs
+        if len(args) != len(fields) or kwargs:
+            raise TypeError(
+                f"{type(self).__name__} takes each of its fields"
+                f" {', '.join(fields)} exactly once"
+            )
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -68,10 +84,6 @@ class Frozen:
 
 class Obj(Frozen):
     __slots__ = ("cat", "data")
-
-    def __init__(self, cat: "Category", data: Any) -> None:
-        object.__setattr__(self, "cat", cat)
-        object.__setattr__(self, "data", data)
 
     def __repr__(self) -> str:
         return self.cat.format_obj(self)
@@ -89,7 +101,7 @@ class Mor(NamedTuple):
 class Category:
     """Hooks a concrete category implements, plus object/morphism builders."""
 
-    def __init__(self, name: str = "category"):
+    def __init__(self, name: str):
         self.name = name
         self._objs: dict = {}  # data -> its one Obj; see obj
         self._ids: dict = {}  # Obj -> its one identity; see identity
@@ -248,11 +260,6 @@ class InversePair(Frozen):
     """
 
     __slots__ = ("fwd", "bwd", "equations")
-
-    def __init__(self, fwd: Mor, bwd: Mor, equations: CheckResult) -> None:
-        object.__setattr__(self, "fwd", fwd)
-        object.__setattr__(self, "bwd", bwd)
-        object.__setattr__(self, "equations", equations)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainMismatch, WitnessInvalid
 from .kernel import (
@@ -58,31 +58,9 @@ PROBE_SAMPLES = 2
 class ProductWitness(Frozen):
     __slots__ = ("left", "right", "apex", "pi1", "pi2", "mediate")
 
-    def __init__(
-        self, left: Obj, right: Obj, apex: Obj, pi1: Mor, pi2: Mor,
-        mediate: Callable[[Mor, Mor], Mor],
-    ) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "pi1", pi1)
-        object.__setattr__(self, "pi2", pi2)
-        object.__setattr__(self, "mediate", mediate)
-
 
 class CoproductWitness(Frozen):
     __slots__ = ("left", "right", "apex", "in1", "in2", "mediate")
-
-    def __init__(
-        self, left: Obj, right: Obj, apex: Obj, in1: Mor, in2: Mor,
-        mediate: Callable[[Mor, Mor], Mor],
-    ) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "in1", in1)
-        object.__setattr__(self, "in2", in2)
-        object.__setattr__(self, "mediate", mediate)
 
 
 def pair(p: ProductWitness, f: Mor, g: Mor) -> Mor:

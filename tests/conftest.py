@@ -6,7 +6,7 @@ import random
 import pytest
 
 from biprod.instances import (
-    BOOLEANS, RATIONALS, Instance, MatInstance, finrel, mat_semiring, z_chain
+    BOOLEANS, RATIONALS, ChainInstance, Instance, MatInstance, finrel, mat_semiring
 )
 from biprod.instances.semiring import hstack, zero_one_matrix
 from biprod.kernel import per_instance
@@ -134,6 +134,29 @@ class FinSet(Instance):
         return self.mor(a, b, tuple(rng.randrange(b.data) for _ in range(a.data)))
 
 
+def assert_built_from_its_fields(rec):
+    """rec's class rebuilds rec by position and by keyword, and refuses any other call.
+
+    Each field must be given exactly once: too few, too many, an unknown
+    keyword, or one field both by position and by keyword raises
+    TypeError naming the class.
+    """
+    cls, fields = type(rec), rec.__slots__
+    values = [getattr(rec, name) for name in fields]
+    for built in (cls(*values), cls(**dict(zip(fields, values)))):
+        assert type(built) is cls
+        assert all(getattr(built, name) is value for name, value in zip(fields, values))
+    last = {fields[-1]: values[-1]}
+    for args, kwargs in (
+        (values[:-1], {}),
+        ([*values, None], {}),
+        (values[:-1], {**last, "extra": None}),
+        (values[:-1], {**last, fields[0]: values[0]}),
+    ):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes each of its fields "):
+            cls(*args, **kwargs)
+
+
 @pytest.fixture
 def rotated_rel2():
     return RotatedProdInv(BOOLEANS, 2, name="finrel")
@@ -186,7 +209,7 @@ def rat():
 
 @pytest.fixture(scope="session")
 def chain():
-    return z_chain(-5, 5)
+    return ChainInstance(-5, 5)
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ import pytest
 
 from biprod import cli, construction, kernel
 from biprod.cli import (
-    NULLARY_DEPENDENT,
     STAGES,
     CheckRecord,
     SuiteConfig,
@@ -31,12 +30,12 @@ from biprod.construction import c_map
 from biprod.errors import InvalidBounds, NoNullaryStructure, ParseError, WitnessInvalid
 from biprod.instances import (
     BOOLEANS,
+    ChainInstance,
     Instance,
     MatInstance,
     RATIONALS,
     ProductInstance,
     finrel,
-    z_chain,
 )
 from biprod.kernel import CheckResult
 from biprod.structure import ENUM_CAP
@@ -110,7 +109,10 @@ def test_suite_reports_missing_nullary_structure():
     report = run_suite(SuiteConfig(instance="z-chain", max_size=2, samples=2))
     bad = [c for c in report.checks if not c.passed]
     assert len(bad) == 7
-    assert {c.suite for c in bad} == {"nullary", *NULLARY_DEPENDENT}
+    assert {c.suite for c in bad} == {
+        "nullary", "intertwining", "canonical", "biproduct",
+        "hom-add-laws", "hom-add-native", "bilinearity",
+    }
     assert all(c.failure == "NoNullaryStructure" for c in bad)
     # everything the order can express still verifies
     good_stages = {c.suite for c in report.checks if c.passed}
@@ -118,30 +120,22 @@ def test_suite_reports_missing_nullary_structure():
 
 
 def test_stage_table_is_pinned():
-    assert [s.name for s in STAGES] == [
-        "nullary",
-        "nullary-distributors",
-        "product-witness",
-        "coproduct-witness",
-        "dist-prod",
-        "dist-coprod",
-        "interchange",
-        "t-inverse",
-        "intertwining",
-        "canonical",
-        "biproduct",
-        "hom-add-laws",
-        "hom-add-native",
-        "bilinearity",
+    assert [(s.name, s.arity, s.needs_nullary) for s in STAGES] == [
+        ("nullary", 0, True),
+        ("nullary-distributors", 1, True),
+        ("product-witness", 2, False),
+        ("coproduct-witness", 2, False),
+        ("dist-prod", 3, False),
+        ("dist-coprod", 3, False),
+        ("interchange", 4, False),
+        ("t-inverse", 2, False),
+        ("intertwining", 2, True),
+        ("canonical", 2, True),
+        ("biproduct", 2, True),
+        ("hom-add-laws", 2, True),
+        ("hom-add-native", 2, True),
+        ("bilinearity", 3, True),
     ]
-    assert NULLARY_DEPENDENT == (
-        "intertwining",
-        "canonical",
-        "biproduct",
-        "hom-add-laws",
-        "hom-add-native",
-        "bilinearity",
-    )
 
 
 def _stage_runs(report):
@@ -867,9 +861,9 @@ def test_parse_obj():
         rel.parse_obj("-1")
     with pytest.raises(ParseError):
         rel.parse_obj("abc")
-    ch = z_chain(-5, 5)
+    ch = ChainInstance(-5, 5)
     assert ch.parse_obj("-3").data == -3
-    pi = ProductInstance(finrel(2), z_chain(-2, 2))
+    pi = ProductInstance(finrel(2), ChainInstance(-2, 2))
     packed = pi.parse_obj("1|-2")
     assert packed.data == (pi.left.obj(1), pi.right.obj(-2))
     with pytest.raises(ParseError):

@@ -31,9 +31,10 @@ from biprod.construction import (
     zero_object,
 )
 from biprod.errors import DomainMismatch, NoNullaryStructure, WitnessInvalid
-from biprod.instances import finrel, mat_semiring, resolve, z_chain
-from biprod.kernel import Mor, check_inverse_pair, compose, identity
+from biprod.instances import ChainInstance, finrel, mat_semiring, resolve
+from biprod.kernel import Frozen, Mor, check_inverse_pair, compose, identity
 from biprod.structure import Mat2, from_matrix, plus_map, times_map
+from conftest import assert_built_from_its_fields
 
 REL = finrel(3)
 NAT = mat_semiring("mat-nat", 3)
@@ -72,7 +73,7 @@ def test_zero_map_is_empty_relation():
 
 
 def test_zero_map_needs_nullary_structure():
-    ch = z_chain(-2, 2)
+    ch = ChainInstance(-2, 2)
     with pytest.raises(NoNullaryStructure):
         zero_map(ch.obj(0), ch.obj(1))
 
@@ -189,7 +190,7 @@ def test_grid_is_memoized():
 
 def test_star_grid_is_keyed_by_its_corners():
     # on the chain the tensor is addition, so both quads have corners 0, 1, 1, 2
-    chain = z_chain(-5, 5)
+    chain = ChainInstance(-5, 5)
     first = construction._star_grid(*map(chain.obj, (0, 1, 0, 1)))
     second = construction._star_grid(*map(chain.obj, (1, 2, -1, 0)))
     assert first is second
@@ -432,7 +433,8 @@ def test_structure_cannot_change_under_a_cached_certificate(selector):
 
 def test_records_are_fixed_and_have_no_instance_dict():
     # the witnesses, the grid, the square of components, the command line's
-    # records and a semiring all refuse assignment and deletion
+    # records and a semiring all refuse assignment and deletion; each
+    # record Frozen builds is built from its fields by position or keyword
     a = REL.obj(1)
     grid = construction._grid(a, a, a, a)
     config = cli.SuiteConfig()
@@ -443,6 +445,8 @@ def test_records_are_fixed_and_have_no_instance_dict():
     )
     for rec in records:
         assert not hasattr(rec, "__dict__"), type(rec).__name__
+        if type(rec).__init__ is Frozen.__init__:
+            assert_built_from_its_fields(rec)
         for attr in getattr(rec, "_fields", None) or rec.__slots__:
             with pytest.raises(AttributeError):
                 setattr(rec, attr, None)
@@ -643,7 +647,7 @@ def test_semiadditive_exhaustive_small():
 
 
 def test_semiadditive_propagates_missing_zero():
-    ch = z_chain(-2, 2)
+    ch = ChainInstance(-2, 2)
     sample = [ch.hom(ch.obj(0), ch.obj(1))]
     with pytest.raises(NoNullaryStructure):
         verify_semiadditive(sample)

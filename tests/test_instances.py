@@ -26,7 +26,6 @@ from biprod.instances import (
     finrel,
     mat_semiring,
     resolve,
-    z_chain,
 )
 from biprod.instances.semiring import (
     Semiring,
@@ -457,14 +456,14 @@ def test_mat_format_mor_marks_empty():
 
 
 def test_chain_hom_exists_only_upward():
-    ch = z_chain(-5, 5)
+    ch = ChainInstance(-5, 5)
     assert ch.hom(ch.obj(-1), ch.obj(4)).payload is None
     with pytest.raises(DomainMismatch):
         ch.hom(ch.obj(2), ch.obj(1))
 
 
 def test_chain_min_max_structure():
-    ch = z_chain(-5, 5)
+    ch = ChainInstance(-5, 5)
     a, b = ch.obj(-2), ch.obj(3)
     assert ch.product(a, b).apex.data == -2
     assert ch.coproduct(a, b).apex.data == 3
@@ -472,7 +471,7 @@ def test_chain_min_max_structure():
 
 
 def test_chain_objects_window():
-    ch = z_chain(-5, 5)
+    ch = ChainInstance(-5, 5)
     assert [o.data for o in ch.objects(2)] == [-2, -1, 0, 1, 2]
     assert len(ch.objects()) == 11
     with pytest.raises(DomainMismatch, match="^empty enumeration window$"):
@@ -480,7 +479,7 @@ def test_chain_objects_window():
 
 
 def test_chain_enumerate():
-    ch = z_chain(-5, 5)
+    ch = ChainInstance(-5, 5)
     assert ch.enumerate_homset(ch.obj(0), ch.obj(1)) == (ch.hom(ch.obj(0), ch.obj(1)),)
     assert ch.enumerate_homset(ch.obj(1), ch.obj(0)) == ()
     # a homset of at most one map is built again, not memoized
@@ -489,7 +488,7 @@ def test_chain_enumerate():
 
 
 def test_product_instance_componentwise_compose():
-    pi = ProductInstance(finrel(2), z_chain(-2, 2))
+    pi = ProductInstance(finrel(2), ChainInstance(-2, 2))
     a = pi.pack(pi.left.obj(1), pi.right.obj(0))
     b = pi.pack(pi.left.obj(2), pi.right.obj(1))
     f = pi.pack_mor(
@@ -517,7 +516,7 @@ def test_product_instance_formatting_and_difference():
 
 def test_product_instance_nullary_requires_both():
     with_zero = ProductInstance(finrel(2), mat_semiring("mat-nat", 2))
-    without = ProductInstance(finrel(2), z_chain(-2, 2))
+    without = ProductInstance(finrel(2), ChainInstance(-2, 2))
     assert with_zero.terminal is not None
     assert without.terminal is None
     # each piece of structure exists exactly when both components have it
@@ -750,7 +749,7 @@ def _composable_pairs(pi):
 
 
 def test_product_composes_each_component_pair_once(monkeypatch):
-    pi = ProductInstance(finrel(2), z_chain(-2, 2))
+    pi = ProductInstance(finrel(2), ChainInstance(-2, 2))
     reached = _count_component_composes(pi, monkeypatch)
     f = pi.pack_mor(
         pi.left.mor(pi.left.obj(1), pi.left.obj(2), ((True,), (False,))),
@@ -797,7 +796,7 @@ def test_product_composites_die_with_their_instance():
 
 
 def test_a_composite_that_raises_is_not_memoized():
-    pi = ProductInstance(finrel(2), z_chain(-2, 2))
+    pi = ProductInstance(finrel(2), ChainInstance(-2, 2))
     one = pi.pack(pi.left.obj(1), pi.right.obj(0))
     two = pi.pack(pi.left.obj(2), pi.right.obj(1))
     f = pi.enumerate_homset(one, two)[0]

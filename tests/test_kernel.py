@@ -22,6 +22,7 @@ from biprod.kernel import (
     error_check,
     identity,
 )
+from conftest import assert_built_from_its_fields
 
 REL = finrel(3)
 
@@ -295,6 +296,24 @@ def test_every_import_in_the_package_is_used():
     assert found == []
 
 
+def test_only_semiring_writes_its_own_constructor():
+    # Frozen.__init__ builds every slotted record from its __slots__; a
+    # hand-written __init__ would state the field list a second time.
+    # Semiring keeps its own, because it has defaults.
+    found = []
+    for path in sorted(Path(kernel.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef) or node.name == "Semiring":
+                continue
+            if any(isinstance(base, ast.Name) and base.id == "Frozen" for base in node.bases):
+                found += [
+                    f"{path.name}:{fn.lineno} {node.name}.__init__"
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                ]
+    assert found == []
+
+
 def test_kernel_records_have_no_instance_dict():
     a = REL.obj(2)
     swap = REL.mor(a, a, bmat((0, 1), (1, 0)))
@@ -317,6 +336,9 @@ def test_kernel_records_are_immutable():
             setattr(record, attr, value)
         with pytest.raises(AttributeError):
             delattr(record, attr)
+    # the slotted ones are built from their fields by position or keyword
+    for record in (a, pair):
+        assert_built_from_its_fields(record)
 
 
 def test_inverse_pairs_compare_by_their_maps_alone():

@@ -19,7 +19,6 @@ from biprod.instances import (
     finrel,
     mat_semiring,
     resolve,
-    z_chain,
 )
 from biprod.kernel import InversePair, check_inverse_pair, compose, identity
 from biprod.monoidal import (
@@ -162,7 +161,7 @@ def test_nullary_distributors_certify():
 
 
 def test_chain_has_no_nullary_structure():
-    ch = z_chain(-2, 2)
+    ch = ChainInstance(-2, 2)
     assert not has_nullary(ch)
     with pytest.raises(NoNullaryStructure):
         require_nullary(ch)
@@ -173,7 +172,7 @@ def test_chain_has_no_nullary_structure():
 
 
 def test_chain_rho_certifies():
-    ch = z_chain(-2, 2)
+    ch = ChainInstance(-2, 2)
     r = ch.rho(ch.obj(1))
     assert r.fwd.dom.data == 1
 
@@ -210,16 +209,16 @@ class ShiftedChain(ChainInstance):
 
 
 def test_a_tensor_not_strictly_unital_must_state_its_rho():
-    inst = ShiftedChain(-2, 2, name="shifted-chain")
+    inst = ShiftedChain(-2, 2)
     a, b = inst.obj(1), inst.obj(2)
-    refused = r"^instance shifted-chain: the tensor is not strict at 1; override rho$"
+    refused = r"^instance z-chain: the tensor is not strict at 1; override rho$"
     with pytest.raises(NotImplementedError, match=refused):
         inst.rho(a)
     # Instance's distributors certify, so t_inverse gets as far as rho
     assert dist_prod(a, b, inst.unit).equations.passed
     with pytest.raises(NotImplementedError, match=refused):
         t_inverse(a, b)
-    with pytest.raises(NotImplementedError, match=r"^instance shifted-chain: .*nullary_prod_inv$"):
+    with pytest.raises(NotImplementedError, match=r"^instance z-chain: .*nullary_prod_inv$"):
         inst.nullary_prod_inv(a)
 
 
@@ -231,14 +230,14 @@ class ScaledChain(ChainInstance):
 
 
 def test_a_tensor_not_distributive_on_the_nose_must_state_its_distributors():
-    inst = ScaledChain(-2, 2, name="scaled-chain")
+    inst = ScaledChain(-2, 2)
     neg, one, two = inst.obj(-1), inst.obj(1), inst.obj(2)
     # -1*min(1,2) = -1 but min(-1,-2) = -2; max(1,2)*-1 = -2 but max(-1,-2) = -1
     for method, objs, where in (
         ("prod_inv", (neg, one, two), "-1,1,2"),
         ("coprod_inv", (one, two, neg), "1,2,-1"),
     ):
-        refused = f"^instance scaled-chain: the tensor is not strict at {where}; override {method}$"
+        refused = f"^instance z-chain: the tensor is not strict at {where}; override {method}$"
         with pytest.raises(NotImplementedError, match=refused):
             getattr(inst, method)(*objs)
     # where min and max survive the scaling, the identities are supplied
@@ -252,13 +251,13 @@ def test_absent_structure_is_a_failed_record(monkeypatch, cls, missing):
     # crashing, and a NotImplementedError, for callers that catch that
     assert issubclass(MissingStructure, CategoryError)
     assert issubclass(MissingStructure, NotImplementedError)
-    inst = cls(-2, 2, name="chain")
+    inst = cls(-2, 2)
     monkeypatch.setattr(cli, "resolve", lambda selector, max_size: inst)
     report = cli.run_suite(cli.SuiteConfig(instance="z-chain", max_size=2))
     t_inverse_records = [c for c in report.checks if c.suite == "t-inverse"]
     assert len(t_inverse_records) == 25
     refused = re.compile(
-        r"MissingStructure \(instance chain: the tensor is not strict at -?\d; override rho\)"
+        r"MissingStructure \(instance z-chain: the tensor is not strict at -?\d; override rho\)"
     )
     assert sum(1 for c in t_inverse_records if c.failure and refused.fullmatch(c.failure)) == missing
 
@@ -286,7 +285,7 @@ def test_an_identity_where_the_objects_agree_is_still_certified():
 # each shipped instance class, built small
 SHIPPED = {
     "MatInstance": lambda: finrel(2),
-    "ChainInstance": lambda: z_chain(-2, 2),
+    "ChainInstance": lambda: ChainInstance(-2, 2),
     "ProductInstance": lambda: resolve("product:finrel+z-chain", 2),
 }
 STRICT_DEFAULTS = {
