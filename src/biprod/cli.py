@@ -241,8 +241,6 @@ def run_suite(config: SuiteConfig) -> Report:
     objs = inst.objects(config.max_size)
     quad_objs = inst.objects(config.max_quad)
     run = _Run(inst, random.Random(config.seed), objs, config.samples)
-    # each object is named once per run; quad_objs is within objs
-    name = {x: inst.format_obj(x) for x in objs}
     nullary_ok = has_nullary(inst)
     for stage in STAGES:
         if stage.needs_nullary and not nullary_ok:
@@ -252,7 +250,7 @@ def run_suite(config: SuiteConfig) -> Report:
             continue
         pool = quad_objs if stage.arity >= 3 else objs
         for tup in itertools.product(pool, repeat=stage.arity):
-            names = tuple(name[x] for x in tup)
+            names = tuple(x.name for x in tup)
             _guard(checks, stage.name, names, lambda: stage.check(run, *tup))
     duration = (time.perf_counter() - start) * 1000.0
     return Report(config, tuple(checks), duration)

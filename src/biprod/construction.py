@@ -164,8 +164,8 @@ def y_map(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> InversePair:
         plus_map(dp1.fwd, dp2.fwd),
         compose(dmid_co.bwd, compose(dmid_pr.bwd, times_map(dc1.fwd, dc2.fwd))),
     )
-    names = ",".join(cat.format_obj(x) for x in (a1, a2, b1, b2))
-    return InversePair.certify(fwd, bwd, context=f"y({names})")
+    ctx = f"y({a1.name},{a2.name},{b1.name},{b2.name})"
+    return InversePair.certify(fwd, bwd, context=ctx)
 
 
 # one label per Mat2 entry (j, k); a Mat2 iterates its entries in this order
@@ -210,7 +210,7 @@ def t_inverse(a: Obj, b: Obj) -> InversePair:
     outof = times_map(plus_map(ra.fwd, rb.fwd), plus_map(ra.fwd, rb.fwd))
     conj = compose(outof, compose(y.fwd, into))
     t = t_map(a, b)
-    ctx = f"t_inverse({cat.format_obj(a)},{cat.format_obj(b)})"
+    ctx = f"t_inverse({a.name},{b.name})"
     direct = CheckResult(ctx, (equation("conjugate=direct", conj, t),)).require()
     bwd = compose(
         plus_map(times_map(ra.fwd, ra.fwd), times_map(rb.fwd, rb.fwd)),
@@ -296,13 +296,11 @@ def c_map(a: Obj, b: Obj) -> InversePair:
     coordinates, apply t, project the coordinate side back down.
     Backward: the same path through t_inverse.
     """
-    cat = a.cat
     ti = t_inverse(a, b)
     s, r, i, q = _splitting(a, b)
     fwd = compose(q, compose(ti.fwd, s))
     bwd = compose(r, compose(ti.bwd, i))
-    ctx = f"c({cat.format_obj(a)},{cat.format_obj(b)})"
-    return InversePair.certify(fwd, bwd, context=ctx)
+    return InversePair.certify(fwd, bwd, context=f"c({a.name},{b.name})")
 
 
 def biproduct(a: Obj, b: Obj) -> BiproductWitness:
@@ -319,7 +317,7 @@ def biproduct(a: Obj, b: Obj) -> BiproductWitness:
     pr1 = compose(pab.pi1, c.fwd)
     pr2 = compose(pab.pi2, c.fwd)
     res = CheckResult(
-        f"biproduct({cat.format_obj(a)},{cat.format_obj(b)})",
+        f"biproduct({a.name},{b.name})",
         (
             equation("iso=canonical", c.fwd, canonical_mixed_map(a, b)),
             equation("pr1*in1=id", compose(pr1, cab.in1), identity(a)),
@@ -375,7 +373,7 @@ def _linearity(
         for (x, y), hs in groups.items():
             if (y is not a) if pre else (x is not b):
                 continue
-            at = "->".join(a.cat.format_obj(o) for o in ((x, a, b) if pre else (a, b, y)))
+            at = "->".join(o.name for o in ((x, a, b) if pre else (a, b, y)))
             on_f = [[number(on(h, f)) for f in fs] for h in hs]
             for (i, f), (j, g) in itertools.product(list(enumerate(fs)), repeat=2):
                 s = add(f, g)
@@ -403,7 +401,6 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
     mors = list(sample)
     if not mors:
         return CheckResult("semiadditive", ())
-    cat = mors[0].dom.cat
     numbers: dict[Mor, int] = {}
     table: list[Mor] = []
     sums: dict[tuple[int, int], int] = {}
@@ -425,7 +422,7 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
         groups.setdefault((f.dom, f.cod), []).append(number(f))
     checks: list[EquationCheck] = []
     for (a, b), fs in groups.items():
-        at = f"{cat.format_obj(a)}->{cat.format_obj(b)}"
+        at = f"{a.name}->{b.name}"
         z = number(zero_map(a, b))
         for i, f in enumerate(fs):
             checks.append(equation(f"unit-r[{at}#{i}]", table[add(f, z)], table[f]))

@@ -9,6 +9,9 @@ from .product import ProductInstance
 from .semiring import BOOLEANS, NATURALS, RATIONALS, Semiring
 
 SELECTORS = ("finrel", *MAT_SEMIRINGS, "z-chain", "product:<a>+<b>")
+# deepest product nesting a selector may name; building and running an
+# instance recurses once per level, so this keeps far below the interpreter's limit
+MAX_PRODUCT_DEPTH = 64
 
 
 def resolve(selector: str, max_size: int) -> Instance:
@@ -16,10 +19,16 @@ def resolve(selector: str, max_size: int) -> Instance:
 
     product:<a>+<b> pairs two selectors; nest by putting the inner
     product on the right, as in product:finrel+product:mat-nat+z-chain.
-    A negative max_size is refused here, before any instance is built.
+    A negative max_size, and a selector nesting more than MAX_PRODUCT_DEPTH
+    products, are refused here, before any instance is built.
     """
     if max_size < 0:
         raise InvalidBounds(f"max size must be nonnegative, got {max_size}")
+    depth = selector.count("product:")
+    if depth > MAX_PRODUCT_DEPTH:
+        raise InvalidBounds(
+            f"product selectors nest at most {MAX_PRODUCT_DEPTH} deep, got {depth}"
+        )
     if selector == "finrel":
         return finrel(max_size)
     if selector in MAT_SEMIRINGS:

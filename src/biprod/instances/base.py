@@ -19,7 +19,8 @@ terminal and initial are set.  rho and the four distributor inverses
 are identities wherever the tensor yields one object for both ends
 (_strict), and raise MissingStructure elsewhere, a CategoryError that
 the command line reports as a failed record; monoidal's certificates
-still check them.  parse_obj reads back what format_obj prints.
+still check them.  parse_obj is the inverse of an object's name:
+parse_obj(x.name) is x, and text no object is named is refused.
 enumerate_homset is optional: without it every homset is drawn from
 random_morphism, which is not.  Its default raises MissingStructure, so
 a check that needs a draw fails instead of passing on no equations; an
@@ -48,12 +49,19 @@ from ..structure import CoproductWitness, ProductWitness
 
 
 def read_int(text: str) -> int:
-    """The integer text spells, for instances whose objects are integers."""
+    """The integer whose name text is, for instances whose objects are integers.
+
+    Only the digits an integer prints as are read: no '+', no leading zero,
+    no '_' and no digits of other scripts, though int() takes them all.
+    """
     text = text.strip()
     try:
-        return int(text)
+        n = int(text)
     except ValueError:
         raise ParseError(f"cannot read object {text!r} as an integer") from None
+    if str(n) != text:
+        raise ParseError(f"cannot read object {text!r}; it prints as {n}")
+    return n
 
 
 class Instance(Category):
@@ -79,7 +87,7 @@ class Instance(Category):
         raise NotImplementedError
 
     def parse_obj(self, text: str) -> Obj:
-        """The object format_obj spells as text; ParseError or InvalidBounds if none."""
+        """The object named text; ParseError or InvalidBounds if none."""
         raise NotImplementedError
 
     def _windowed(self, n: int, lo: int, hi: int) -> Obj:
@@ -108,7 +116,7 @@ class Instance(Category):
 
     def rho(self, a: Obj) -> InversePair:
         eye = self._strict("rho", (a,), a, self.tensor_obj(a, self.unit))
-        return InversePair.certify(eye, eye, context=f"rho({self.format_obj(a)})")
+        return InversePair.certify(eye, eye, context=f"rho({a.name})")
 
     def prod_inv(self, a: Obj, b: Obj, c: Obj) -> Mor:
         ab_ac = self.product(self.tensor_obj(a, b), self.tensor_obj(a, c)).apex
@@ -131,7 +139,7 @@ class Instance(Category):
     def _strict(self, method: str, objs: tuple[Obj, ...], x: Obj | None, y: Obj | None) -> Mor:
         """identity(x) when the map's two ends x and y are one object; else refuse."""
         if x is None or x is not y:
-            where = ",".join(self.format_obj(o) for o in objs)
+            where = ",".join(o.name for o in objs)
             raise MissingStructure(
                 f"instance {self.name}: the tensor is not strict at {where}; override {method}"
             )

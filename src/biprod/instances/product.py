@@ -17,12 +17,14 @@ product, coproduct, random_morphism and native_add.  terminal, initial
 and unit are packed too, so nullary structure exists exactly when both
 components have it, which makes mixed products (one component with a
 zero object, one without) useful counterexamples.  rho, coprod_inv and
-the nullary inverses are Instance's identities.  product, coproduct and
-tensor_obj are kernel.per_instance, since the construction asks for the
-same witness or tensor object over and over; so is enumerate_homset,
-which packs each homset once per instance from the components' own (the
-matrix instance memoizes its homsets too, the chain does not) and hands
-it out as a tuple.
+the nullary inverses are Instance's identities.  A packed object is
+named by its components' names joined by |, which spell reads off the
+two component objects, each named once in its own instance.  product,
+coproduct and tensor_obj are kernel.per_instance, since the construction
+asks for the same witness or tensor object over and over; so is
+enumerate_homset, which packs each homset once per instance from the
+components' own (the matrix instance memoizes its homsets too, the chain
+does not) and hands it out as a tuple.
 
 Composition is componentwise, so each component morphism meets every
 morphism of the other side, and the product composes the same component
@@ -144,8 +146,8 @@ class ProductInstance(Instance):
             composites[gr, fr] = right
         return left, right
 
-    def format_obj(self, a: Obj) -> str:
-        return f"{self.left.format_obj(a.data[0])}|{self.right.format_obj(a.data[1])}"
+    def spell(self, data: tuple[Obj, Obj]) -> str:
+        return f"{data[0].name}|{data[1].name}"
 
     def format_mor(self, f: Mor) -> str:
         return (

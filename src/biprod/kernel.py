@@ -8,6 +8,9 @@ Frozen class, whose fields are its __slots__, each set once by Frozen's
 one __init__, by position in __slots__ order or by keyword.
 Objects are Frozen and compare by identity: Category.obj interns them by
 data, so build them only with cat.obj or parse_obj, never Obj(...).
+An object carries its name, which Category.obj asks of the category's
+spell hook once, when it interns the object; an Obj prints as its name,
+and every record, certificate and failure text reads it from there.
 Because objects are interned, the kernel and the structure built on it
 compare endpoints with `is`; Obj keeps object's own eq and hash, so `==`
 on objects means the same thing.  Mor, EquationCheck and CheckResult are
@@ -83,10 +86,10 @@ class Frozen:
 
 
 class Obj(Frozen):
-    __slots__ = ("cat", "data")
+    __slots__ = ("cat", "data", "name")
 
     def __repr__(self) -> str:
-        return self.cat.format_obj(self)
+        return self.name
 
 
 class Mor(NamedTuple):
@@ -117,11 +120,12 @@ class Category:
 
     # presentation hooks
 
-    def format_obj(self, a: Obj) -> str:
-        return repr(a.data)
+    def spell(self, data: Any) -> str:
+        """The name of the object with this data, asked once, when obj interns it."""
+        return repr(data)
 
     def format_mor(self, f: Mor) -> str:
-        return f"{self.format_obj(f.dom)} -> {self.format_obj(f.cod)}: {f.payload!r}"
+        return f"{f.dom} -> {f.cod}: {f.payload!r}"
 
     def first_difference(self, f: Mor, g: Mor) -> str | None:
         """Short human-readable locator for why two parallel morphisms differ."""
@@ -133,7 +137,7 @@ class Category:
         """The object with this data: one Obj per data, interned in the category."""
         a = self._objs.get(data)
         if a is None:
-            a = self._objs[data] = Obj(self, data)
+            a = self._objs[data] = Obj(self, data, self.spell(data))
         return a
 
     def mor(self, dom: Obj, cod: Obj, payload: Any) -> Mor:
@@ -162,8 +166,7 @@ def compose(g: Mor, f: Mor) -> Mor:
         if g.dom.cat is not cat:
             raise DomainMismatch("cannot compose morphisms from different categories")
         raise DomainMismatch(
-            f"cannot compose: first factor ends at {cat.format_obj(f.cod)}, "
-            f"second starts at {cat.format_obj(g.dom)}"
+            f"cannot compose: first factor ends at {f.cod}, second starts at {g.dom}"
         )
     return _new(Mor, (f.dom, g.cod, cat.compose_payload(g, f)))
 
@@ -219,11 +222,7 @@ class CheckResult(NamedTuple):
 
 def equation(label: str, lhs: Mor, rhs: Mor) -> EquationCheck:
     if lhs.dom is not rhs.dom or lhs.cod is not rhs.cod:
-        cat = lhs.dom.cat
-        note = (
-            f"type mismatch: {cat.format_obj(lhs.dom)} -> {cat.format_obj(lhs.cod)}"
-            f" vs {cat.format_obj(rhs.dom)} -> {cat.format_obj(rhs.cod)}"
-        )
+        note = f"type mismatch: {lhs.dom} -> {lhs.cod} vs {rhs.dom} -> {rhs.cod}"
         return _new(EquationCheck, (label, lhs, rhs, False, note))
     if lhs.payload == rhs.payload:
         # equal sides: keep one, so the freshly computed lhs can be freed
@@ -238,12 +237,8 @@ def error_check(label: str, message: str) -> EquationCheck:
 
 
 def check_inverse_pair(fwd: Mor, bwd: Mor, name: str = "inverse pair") -> CheckResult:
-    cat = fwd.dom.cat
     if bwd.dom is not fwd.cod or bwd.cod is not fwd.dom:
-        msg = (
-            f"candidate inverse has type {cat.format_obj(bwd.dom)} -> {cat.format_obj(bwd.cod)},"
-            f" expected {cat.format_obj(fwd.cod)} -> {cat.format_obj(fwd.dom)}"
-        )
+        msg = f"candidate inverse has type {bwd.dom} -> {bwd.cod}, expected {fwd.cod} -> {fwd.dom}"
         return CheckResult(name, (error_check("typing", msg),))
     details = (
         equation("bwd*fwd=id", compose(bwd, fwd), identity(fwd.dom)),

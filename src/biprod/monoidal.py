@@ -37,8 +37,7 @@ def dist_prod(a: Obj, b: Obj, c: Obj) -> InversePair:
     p_out = cat.product(cat.tensor_obj(a, b), cat.tensor_obj(a, c))
     fwd = pair(p_out, tensor(identity(a), pbc.pi1), tensor(identity(a), pbc.pi2))
     bwd = cat.prod_inv(a, b, c)
-    ctx = f"dist_prod({cat.format_obj(a)},{cat.format_obj(b)},{cat.format_obj(c)})"
-    return InversePair.certify(fwd, bwd, context=ctx)
+    return InversePair.certify(fwd, bwd, context=f"dist_prod({a.name},{b.name},{c.name})")
 
 
 @per_instance
@@ -49,8 +48,7 @@ def dist_coprod(a: Obj, b: Obj, c: Obj) -> InversePair:
     c_out = cat.coproduct(cat.tensor_obj(a, c), cat.tensor_obj(b, c))
     fwd = copair(c_out, tensor(cab.in1, identity(c)), tensor(cab.in2, identity(c)))
     bwd = cat.coprod_inv(a, b, c)
-    ctx = f"dist_coprod({cat.format_obj(a)},{cat.format_obj(b)},{cat.format_obj(c)})"
-    return InversePair.certify(fwd, bwd, context=ctx)
+    return InversePair.certify(fwd, bwd, context=f"dist_coprod({a.name},{b.name},{c.name})")
 
 
 def has_nullary(inst) -> bool:
@@ -71,7 +69,7 @@ def nullary_prod(a: Obj) -> InversePair:
     return InversePair.certify(
         cat.bang(cat.tensor_obj(a, cat.terminal)),
         cat.nullary_prod_inv(a),
-        context=f"nullary_prod({cat.format_obj(a)})",
+        context=f"nullary_prod({a.name})",
     )
 
 
@@ -82,5 +80,5 @@ def nullary_coprod(a: Obj) -> InversePair:
     return InversePair.certify(
         cat.cobang(cat.tensor_obj(cat.initial, a)),
         cat.nullary_coprod_inv(a),
-        context=f"nullary_coprod({cat.format_obj(a)})",
+        context=f"nullary_coprod({a.name})",
     )

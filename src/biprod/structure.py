@@ -65,15 +65,11 @@ class CoproductWitness(Frozen):
 
 def pair(p: ProductWitness, f: Mor, g: Mor) -> Mor:
     """Mediating morphism into p.apex, with its defining equations re-checked."""
-    cat = p.apex.cat
     if f.dom is not g.dom:
-        raise DomainMismatch(
-            f"pair components start at {cat.format_obj(f.dom)} and {cat.format_obj(g.dom)}"
-        )
+        raise DomainMismatch(f"pair components start at {f.dom} and {g.dom}")
     if f.cod is not p.left or g.cod is not p.right:
         raise DomainMismatch(
-            f"pair components end at {cat.format_obj(f.cod)}, {cat.format_obj(g.cod)};"
-            f" witness expects {cat.format_obj(p.left)}, {cat.format_obj(p.right)}"
+            f"pair components end at {f.cod}, {g.cod}; witness expects {p.left}, {p.right}"
         )
     m = p.mediate(f, g)
     if m.dom is not f.dom or m.cod is not p.apex:
@@ -90,15 +86,11 @@ def pair(p: ProductWitness, f: Mor, g: Mor) -> Mor:
 
 def copair(c: CoproductWitness, f: Mor, g: Mor) -> Mor:
     """Mediating morphism out of c.apex, with its defining equations re-checked."""
-    cat = c.apex.cat
     if f.cod is not g.cod:
-        raise DomainMismatch(
-            f"copair components end at {cat.format_obj(f.cod)} and {cat.format_obj(g.cod)}"
-        )
+        raise DomainMismatch(f"copair components end at {f.cod} and {g.cod}")
     if f.dom is not c.left or g.dom is not c.right:
         raise DomainMismatch(
-            f"copair components start at {cat.format_obj(f.dom)}, {cat.format_obj(g.dom)};"
-            f" witness expects {cat.format_obj(c.left)}, {cat.format_obj(c.right)}"
+            f"copair components start at {f.dom}, {g.dom}; witness expects {c.left}, {c.right}"
         )
     m = c.mediate(f, g)
     if m.dom is not c.apex or m.cod is not f.cod:
@@ -165,11 +157,7 @@ class Mat2(_Mat2Fields):
 def matrix_of(f: Mor, c: CoproductWitness, p: ProductWitness) -> Mat2:
     """Read off the four components of f: c.apex -> p.apex."""
     if f.dom is not c.apex or f.cod is not p.apex:
-        cat = f.dom.cat
-        raise DomainMismatch(
-            f"morphism {cat.format_obj(f.dom)} -> {cat.format_obj(f.cod)} does not"
-            f" run {cat.format_obj(c.apex)} -> {cat.format_obj(p.apex)}"
-        )
+        raise DomainMismatch(f"morphism {f.dom} -> {f.cod} does not run {c.apex} -> {p.apex}")
     col1, col2 = compose(f, c.in1), compose(f, c.in2)
     return Mat2(
         f11=compose(p.pi1, col1),
@@ -253,7 +241,7 @@ def _verify_universal(
     mediated: dict = {}
     checks = [equation(ident, wit.mediate(*legs), identity(wit.apex))]
     for w in probes:
-        wname = cat.format_obj(w)
+        wname = w.name
         homs, exhaustive = draw(cat, rng, [hom(w, wit.apex)], PROBE_SAMPLES)
         probe = "" if exhaustive else "-probe"
         for i, (h,) in enumerate(homs):

@@ -373,6 +373,28 @@ def test_broken_mediate_witness_records_are_pinned(rotated_mediate_rel2, monkeyp
     assert digest == "068f60f9dd911f602c07d159a48250df28831fcea87bd9bb29b21ffd4934bc87"
 
 
+def test_each_object_is_spelled_once_when_interned(monkeypatch):
+    # an object's name is fixed when Category.obj interns it; no check
+    # spells it again, so the hook runs once per object of each category
+    spelled: dict = {}
+    for cls in (kernel.Category, ProductInstance):
+
+        def counted(self, data, spell=cls.__dict__["spell"]):
+            spelled.setdefault(self, []).append(data)
+            return spell(self, data)
+
+        monkeypatch.setattr(cls, "spell", counted)
+    for selector, size, quad, counts in (
+        ("z-chain", 8, 3, [17]),
+        ("product:finrel+z-chain", 1, 1, [4, 5, 20]),
+    ):
+        spelled.clear()
+        run_suite(SuiteConfig(instance=selector, max_size=size, max_quad=quad))
+        assert sorted(map(len, spelled.values())) == counts
+        for cat, datas in spelled.items():
+            assert datas == list(cat._objs)
+
+
 def test_largest_product_report_is_pinned():
     # `verify --instance product:finrel+z-chain --max-size 2 --max-quad 1
     # --report json`, byte for byte as captured before homsets were
@@ -781,6 +803,13 @@ def test_show_failure_modes(capsys):
     assert "object 5 is outside z-chain's objects -3..3" in err
     assert "object 2 is outside finrel's objects 0..1" in err
     assert "max size must be at most 16, got 17" in err
+    # an object no object prints as, and a selector nested past the bound
+    assert main(["show", "zero(1_0,2)", "--max-size", "16"]) == 2
+    deep = "product:finrel+" * 1500 + "finrel"
+    assert main(["show", "t(1,1)", "--instance", deep]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read object '1_0'; it prints as 10" in err
+    assert "product selectors nest at most 64 deep, got 1500" in err
 
 
 def _exit_code(argv):
@@ -868,3 +897,11 @@ def test_parse_obj():
     assert packed.data == (pi.left.obj(1), pi.right.obj(-2))
     with pytest.raises(ParseError):
         pi.parse_obj("3")
+    # int() takes these, but no object prints as them
+    for text in ("+1", "01", "1_0", "\u0663", "-0"):
+        with pytest.raises(ParseError, match="it prints as"):
+            rel.parse_obj(text)
+    with pytest.raises(ParseError, match="it prints as"):
+        ch.parse_obj("+2")
+    with pytest.raises(ParseError, match="it prints as"):
+        pi.parse_obj("1|-02")

@@ -236,7 +236,7 @@ def test_grid_failures_keep_their_record_text(rotated_mediate_rel2):
                 records = []
                 cli._guard(records, stage.name, (), lambda: stage.check(None, *tup))
                 if not records[0].passed:
-                    failed[stage.name, "".join(map(inst.format_obj, tup))] = records[0].failure
+                    failed[stage.name, "".join(x.name for x in tup)] = records[0].failure
     first_entry = "pair: pi1*m=f (entry (1,1): 0 vs 1)"
     quads = ("0122 0211 1022 1111 1122 1211 1222 2011 2111 2122 2211").split()
     pairs = ("02", "11", "12", "20", "21", "22")

@@ -510,7 +510,7 @@ def test_product_instance_formatting_and_difference():
         pi.left.mor(pi.left.obj(1), pi.left.obj(1), ((True,),)),
         pi.right.mor(pi.right.obj(1), pi.right.obj(1), ((False,),)),
     )
-    assert pi.format_obj(one) == "1|1"
+    assert one.name == "1|1"
     assert pi.first_difference(f, g).startswith("right ")
 
 
@@ -687,7 +687,7 @@ def test_homsets_are_enumerated_once_per_instance(selector):
     other = resolve(selector, 2)
     a = b = inst.objects()[-1]
     mine = inst.enumerate_homset(a, b)
-    theirs = other.enumerate_homset(*(other.parse_obj(inst.format_obj(x)) for x in (a, b)))
+    theirs = other.enumerate_homset(*(other.parse_obj(x.name) for x in (a, b)))
     assert len(mine) == 16
     assert theirs is not mine
     assert [repr(f) for f in theirs] == [repr(f) for f in mine]

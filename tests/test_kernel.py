@@ -163,6 +163,10 @@ def test_packed_objects_are_interned():
     assert inst.pack(one, zero) is inst.pack(one, zero)
     assert inst.pack(one, zero) is inst.obj((inst.left.obj(1), inst.right.obj(0)))
     assert inst.parse_obj("1|0") is inst.pack(one, zero)
+    # an object's name reads back as the object, nested products included
+    nested = resolve("product:finrel+product:mat-nat+z-chain", 1)
+    for x in nested.objects():
+        assert nested.parse_obj(x.name) is x
 
 
 @pytest.mark.parametrize("selector", ["finrel", "z-chain", "product:finrel+mat-nat"])
@@ -293,6 +297,45 @@ def test_every_import_in_the_package_is_used():
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in read:
                     found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def _own_scope(fn: ast.AST):
+    """The nodes of fn's body, not descending into nested functions or classes."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_local_in_the_package_is_read():
+    # the same rule for locals: a name a function assigns (a loop target
+    # included) must be read somewhere in it, nested functions included;
+    # a name declared global or nonlocal belongs to another scope
+    found = []
+    for path in sorted(Path(kernel.__file__).parent.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(_own_scope(fn))
+            read = {
+                node.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for node in own:
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    read.update(node.names)
+            found += [
+                f"{path.name}:{node.lineno} {fn.name} {node.id}"
+                for node in own
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Store)
+                and node.id not in read
+                and node.id != "_"
+            ]
     assert found == []
 
 
