@@ -27,9 +27,12 @@ _grid keep their results in the memo of the instance they were built in
 (kernel.per_instance), as do monoidal's certified distributors dist_prod
 and dist_coprod and the instances' product and coproduct witnesses, so
 each result lives exactly as long as its instance.  _grid assembles the
-interleaving map of four corner objects, with both from_matrix orders
-and all their re-checks, once per instance; star_map and t_map read it,
-and every quadruple of star_map with the same tensor corners shares it.
+interleaving map of four corner objects, with both from_matrix orders,
+once per instance; each of their pairs and copairs is re-checked the
+first time the instance sees its value (structure.assemble), and every
+round trip InversePair.certify checks is kept by value the same way.
+star_map and t_map read the grid, and every quadruple of star_map with
+the same tensor corners shares it.
 Sums are memoized only within one verify_semiadditive call; hom_add
 itself recomputes every sum.  That call numbers each morphism it sees by
 value, so each is hashed once, and keys its sums by pairs of numbers;

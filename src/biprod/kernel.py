@@ -29,7 +29,11 @@ calls.  An InversePair keeps its certificate as equations, which take no
 part in its equality.  per_instance memoizes a function of an instance
 in that instance's memo, a dict that Category.__init__ makes beside its
 object and identity tables; its first argument is the instance, an
-object of it or a morphism of it.
+object of it or a morphism of it.  InversePair.certify keeps each passing
+round-trip check in the same memo, keyed by (fwd, bwd), so an iso is
+checked once per instance however many contexts certify it; each
+certificate still carries its own context's name, and a failing check
+is kept nowhere, so it raises at every use.
 
 Memoized certificates keep many of these records alive, so they are kept
 small: no record here has a per-record __dict__, Category.obj interns
@@ -108,7 +112,7 @@ class Category:
         self.name = name
         self._objs: dict = {}  # data -> its one Obj; see obj
         self._ids: dict = {}  # Obj -> its one identity; see identity
-        self.memo: dict = {}  # (fn, args) -> fn(*args); see per_instance
+        self.memo: dict = {}  # (fn, args) -> fn(*args); see per_instance, InversePair.certify
 
     # payload hooks
 
@@ -266,8 +270,20 @@ class InversePair(Frozen):
 
     @classmethod
     def certify(cls, fwd: Mor, bwd: Mor, context: str) -> "InversePair":
-        result = check_inverse_pair(fwd, bwd, name=context)
-        return cls(fwd, bwd, result.require())
+        """The iso (fwd, bwd), its certificate named by context.
+
+        A passing check of both round trips is kept in the memo of fwd's
+        instance under (check_inverse_pair, (fwd, bwd)), so each distinct
+        pair is checked once per instance and a repeat shares its details.
+        A failing check is kept nowhere: it raises, named by context, at
+        every use.
+        """
+        memo = fwd.dom.cat.memo
+        key = (check_inverse_pair, (fwd, bwd))
+        details = memo.get(key)
+        if details is None:
+            details = memo[key] = check_inverse_pair(fwd, bwd, name=context).require().details
+        return cls(fwd, bwd, CheckResult(context, details))
 
 
 CacheInfo = NamedTuple("CacheInfo", [("hits", int), ("misses", int)])

@@ -15,14 +15,17 @@ None).  Every shipped tensor is strict, so rho and the inverses are
 Instance's identities, except matcat's prod_inv, a permutation.
 dist_prod and dist_coprod certify both round trips once per instance and
 keep the certified iso in the instance's memo (kernel.per_instance), so
-y_map reuses one certificate per object triple.  A wrong witness stores
-nothing and fails loudly at every use.
+y_map reuses one certificate per object triple.  Their canonical maps are
+assembled through structure.assemble, so a pair or copair that two
+triples share is re-checked once, and InversePair.certify checks each
+distinct (fwd, bwd) once per instance.  A wrong witness stores nothing
+and fails loudly at every use.
 """
 from __future__ import annotations
 
 from .errors import NoNullaryStructure
 from .kernel import InversePair, Mor, Obj, identity, per_instance
-from .structure import copair, pair
+from .structure import assemble
 
 
 def tensor(f: Mor, g: Mor) -> Mor:
@@ -35,7 +38,7 @@ def dist_prod(a: Obj, b: Obj, c: Obj) -> InversePair:
     cat = a.cat
     pbc = cat.product(b, c)
     p_out = cat.product(cat.tensor_obj(a, b), cat.tensor_obj(a, c))
-    fwd = pair(p_out, tensor(identity(a), pbc.pi1), tensor(identity(a), pbc.pi2))
+    fwd = assemble(tensor(identity(a), pbc.pi1), tensor(identity(a), pbc.pi2), p_out)
     bwd = cat.prod_inv(a, b, c)
     return InversePair.certify(fwd, bwd, context=f"dist_prod({a.name},{b.name},{c.name})")
 
@@ -46,7 +49,7 @@ def dist_coprod(a: Obj, b: Obj, c: Obj) -> InversePair:
     cat = a.cat
     cab = cat.coproduct(a, b)
     c_out = cat.coproduct(cat.tensor_obj(a, c), cat.tensor_obj(b, c))
-    fwd = copair(c_out, tensor(cab.in1, identity(c)), tensor(cab.in2, identity(c)))
+    fwd = assemble(tensor(cab.in1, identity(c)), tensor(cab.in2, identity(c)), c_out)
     bwd = cat.coprod_inv(a, b, c)
     return InversePair.certify(fwd, bwd, context=f"dist_coprod({a.name},{b.name},{c.name})")
 

@@ -2,8 +2,9 @@
 
 Witnesses carry the chosen structure for a pair of objects: the apex with
 its projections or injections plus a mediate callable.  pair and copair
-wrap mediate and re-check the defining equations every time, so a broken
-witness surfaces at the call site instead of corrupting later algebra.
+wrap mediate and re-check the defining equations on every direct call, so
+a broken witness surfaces at the call site instead of corrupting later
+algebra.
 
 A morphism from a binary coproduct into a binary product is determined by
 its four components; Mat2 holds such a square of components.  from_matrix
@@ -14,7 +15,11 @@ times_map and plus_map are kernel.per_instance, keyed by their morphism
 pair in the memo of the morphisms' instance: their pair or copair
 re-check runs once per distinct pair per instance, as dist_prod's
 certificate does, and a call that raises stores nothing, so a broken
-witness fails at every use.  A direct pair or copair call re-checks
+witness fails at every use.  assemble is the same policy for the six
+assemblies of from_matrix and the canonical maps of monoidal's
+distributors: one per_instance memo keyed by (f, g, witness), so each
+distinct value is re-checked the first time it is seen.  A direct pair
+or copair call, hom_add and the construction's splitting maps re-check
 every time.
 
 draw is the one sampling policy every check takes its morphisms from:
@@ -106,6 +111,16 @@ def copair(c: CoproductWitness, f: Mor, g: Mor) -> Mor:
 
 
 @per_instance
+def assemble(f: Mor, g: Mor, wit: ProductWitness | CoproductWitness) -> Mor:
+    """pair(wit, f, g) or copair(wit, f, g), by wit's kind, checked once per value per instance.
+
+    The morphisms come first, so per_instance finds their instance; the
+    witness takes part in the key by identity, as the instance memoizes it.
+    """
+    return (copair if isinstance(wit, CoproductWitness) else pair)(wit, f, g)
+
+
+@per_instance
 def times_map(f: Mor, g: Mor) -> Mor:
     """The product of two morphisms, acting componentwise."""
     cat = f.dom.cat
@@ -179,8 +194,8 @@ def from_matrix(m: Mat2, c: CoproductWitness | None = None, p: ProductWitness | 
         c = cat.coproduct(m.f11.dom, m.f12.dom)
     if p is None:
         p = cat.product(m.f11.cod, m.f21.cod)
-    by_cols = copair(c, pair(p, m.f11, m.f21), pair(p, m.f12, m.f22))
-    by_rows = pair(p, copair(c, m.f11, m.f12), copair(c, m.f21, m.f22))
+    by_cols = assemble(assemble(m.f11, m.f21, p), assemble(m.f12, m.f22, p), c)
+    by_rows = assemble(assemble(m.f11, m.f12, c), assemble(m.f21, m.f22, c), p)
     CheckResult("from_matrix", (equation("cols=rows", by_cols, by_rows),)).require()
     return by_cols
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from biprod import cli, construction, kernel
+from biprod import cli, construction, kernel, structure
 from biprod.cli import (
     STAGES,
     CheckRecord,
@@ -393,6 +393,34 @@ def test_each_object_is_spelled_once_when_interned(monkeypatch):
         assert sorted(map(len, spelled.values())) == counts
         for cat, datas in spelled.items():
             assert datas == list(cat._objs)
+
+
+def test_each_structural_value_is_certified_once_per_instance(monkeypatch):
+    # from_matrix and the distributors assemble through one memo, and
+    # InversePair.certify keeps each passing round trip in the instance's
+    # memo: over one suite run no (witness, f, g) of theirs reaches pair or
+    # copair twice, and no (fwd, bwd) is checked twice in one instance.
+    # times_map and plus_map memoize by their own two morphisms, and the
+    # construction's direct calls (hom_add, _splitting) are not counted
+    assembled = []
+    for name in ("pair", "copair"):
+
+        def counted(wit, f, g, real=getattr(structure, name)):
+            if sys._getframe(1).f_code.co_name not in ("times_map", "plus_map"):
+                assembled.append((wit, f, g))
+            return real(wit, f, g)
+
+        monkeypatch.setattr(structure, name, counted)
+    checked = []
+
+    def counted_check(fwd, bwd, name="inverse pair", real=kernel.check_inverse_pair):
+        checked.append((fwd.dom.cat, fwd, bwd))
+        return real(fwd, bwd, name)
+
+    monkeypatch.setattr(kernel, "check_inverse_pair", counted_check)
+    run_suite(SuiteConfig(instance="product:finrel+z-chain", max_size=1, max_quad=1))
+    assert assembled and len(assembled) == len(set(assembled))
+    assert checked and len(checked) == len(set(checked))
 
 
 def test_largest_product_report_is_pinned():

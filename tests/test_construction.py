@@ -224,6 +224,9 @@ def test_failed_grid_is_not_memoized(rotated_mediate_rel2):
         texts.append(str(err.value))
     assert texts == ["pair: pi1*m=f (entry (1,1): 0 vs 1)"] * 2
     assert not [key for key in inst.memo if key[0].__name__ == "_grid"]
+    # from_matrix's first assembly goes through the rotated product(2,2) and
+    # fails, so no assembly is kept and the second from_matrix checks it again
+    assert not [key for key in inst.memo if key[0].__name__ == "assemble"]
 
 
 def test_grid_failures_keep_their_record_text(rotated_mediate_rel2):
@@ -318,6 +321,7 @@ def test_sums_are_memoized_per_call_only(monkeypatch):
         assert memoized <= {
             "zero_object", "zero_map", "t_inverse", "c_map", "_diagonal", "product", "coproduct",
             "dist_prod", "dist_coprod", "_grid", "times_map", "plus_map", "enumerate_homset",
+            "assemble", "check_inverse_pair",
         }
 
 

@@ -391,6 +391,9 @@ def test_inverse_pairs_compare_by_their_maps_alone():
     one = InversePair.certify(swap, swap, context="one")
     other = InversePair.certify(swap, swap, context="other")
     assert one.equations != other.equations
+    # each is named by its own context; the round trips are checked once
+    assert (one.equations.name, other.equations.name) == ("one", "other")
+    assert other.equations.details is one.equations.details
     assert one == other and hash(one) == hash(other)
     assert not one != other
     assert InversePair.certify(identity(a), identity(a), context="one") != one
@@ -471,6 +474,14 @@ def test_inverse_pair_certify_failure_carries_result():
     assert err.value.result.name == "demo"
     assert str(err.value) == f"demo: {err.value.result.failures()[0]}"
     assert str(err.value).startswith("demo: bwd*fwd=id (entry (")
+    # a failing check is kept nowhere: every use raises under its own context
+    failure = str(err.value).removeprefix("demo: ")
+    for context in ("one", "other"):
+        with pytest.raises(WitnessInvalid) as err:
+            InversePair.certify(collapse, collapse, context=context)
+        assert str(err.value) == f"{context}: {failure}"
+        assert err.value.result.name == context
+    assert not [key for key in REL.memo if key[1] == (collapse, collapse)]
 
 
 def test_check_inverse_pair_flags_bad_typing():

@@ -151,7 +151,8 @@ def test_broken_distributor_fails_at_every_use(rotated_rel2):
         CheckRecord("dist-prod", ("1", "1", "2"), "dist_prod(1,1,2): " + failure),
         CheckRecord("interchange", ("1", "1", "2", "2"), "dist_prod(1,2,2): " + failure),
     ] * 2
-    assert "dist_prod" not in {key[0].__name__ for key in broken.memo}
+    memoized = {key[0].__name__ for key in broken.memo}
+    assert "dist_prod" not in memoized and "check_inverse_pair" not in memoized
 
 
 def test_nullary_distributors_certify():
