@@ -34,10 +34,10 @@ round trip InversePair.certify checks is kept by value the same way.
 star_map and t_map read the grid, and every quadruple of star_map with
 the same tensor corners shares it.
 Sums are memoized only within one verify_semiadditive call; hom_add
-itself recomputes every sum.  That call numbers each morphism it sees by
-value, so each is hashed once, and keys its sums by pairs of numbers;
-the bilinearity laws key their composites by pairs of numbers too, so
-each distinct composite is computed once per call.
+itself recomputes every sum.  That call keys its sums by pairs of
+morphisms, which are interned and hash by identity, and the bilinearity
+laws key their composites the same way, so each distinct sum and
+composite is computed once per call.
 
 Builders certify with CheckResult.require() and raise WitnessInvalid on
 the first failed equation; the verify_* functions return their own
@@ -350,26 +350,20 @@ def hom_add(f: Mor, g: Mor) -> Mor:
 
 
 def _linearity(
-    groups: dict,
-    pre: bool,
-    table: list[Mor],
-    number: Callable[[Mor], int],
-    add: Callable[[int, int], int],
+    groups: dict, pre: bool, add: Callable[[Mor, Mor], Mor]
 ) -> Iterator[EquationCheck]:
     """h after a sum (before it, if pre) equals the sum of the composites with h.
 
-    groups and add work on numbers, table maps a number to its morphism.
     Each composite of h with a morphism is computed once per call, keyed
-    by their pair of numbers as the sums are, and shared by every equation
-    it takes part in: on_f[k][i] numbers h_k with the summand f_i.
+    by the pair of morphisms as the sums are, and shared by every equation
+    it takes part in: on_f[k][i] is h_k with the summand f_i.
     """
-    composites: dict[tuple[int, int], Mor] = {}
+    composites: dict[tuple[Mor, Mor], Mor] = {}
 
-    def on(h: int, m: int) -> Mor:
+    def on(h: Mor, m: Mor) -> Mor:
         c = composites.get((h, m))
         if c is None:
-            g, f = (table[m], table[h]) if pre else (table[h], table[m])
-            c = composites[h, m] = compose(g, f)
+            c = composites[h, m] = compose(m, h) if pre else compose(h, m)
         return c
 
     for (a, b), fs in groups.items():
@@ -377,12 +371,12 @@ def _linearity(
             if (y is not a) if pre else (x is not b):
                 continue
             at = "->".join(o.name for o in ((x, a, b) if pre else (a, b, y)))
-            on_f = [[number(on(h, f)) for f in fs] for h in hs]
+            on_f = [[on(h, f) for f in fs] for h in hs]
             for (i, f), (j, g) in itertools.product(list(enumerate(fs)), repeat=2):
                 s = add(f, g)
                 for k, h in enumerate(hs):
                     label = f"{'pre' if pre else 'post'}-linear[{at}#{i},{j};{k}]"
-                    yield equation(label, on(h, s), table[add(on_f[k][i], on_f[k][j])])
+                    yield equation(label, on(h, s), add(on_f[k][i], on_f[k][j]))
 
 
 def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
@@ -393,48 +387,36 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
     Associativity runs over ordered triples within each homset;
     bilinearity runs over pairs of homsets that share an endpoint.
 
-    The laws repeat the same sums, so each is computed once per call.  The
-    call numbers every morphism it sees by value (the samples, the zero
-    maps, the sums and the composites the bilinearity laws add), so each is
-    hashed once, and keys the sums and the bilinearity composites by pairs
-    of numbers.  Equal morphisms share a number and the first of them
-    stands for all; the numbering, the sums and the composites are dropped
-    when the call returns.
+    The laws repeat the same sums, so each is computed once per call,
+    keyed by its pair of morphisms, as the bilinearity composites are;
+    both are dropped when the call returns.
     """
     mors = list(sample)
     if not mors:
         return CheckResult("semiadditive", ())
-    numbers: dict[Mor, int] = {}
-    table: list[Mor] = []
-    sums: dict[tuple[int, int], int] = {}
+    sums: dict[tuple[Mor, Mor], Mor] = {}
 
-    def number(f: Mor) -> int:
-        n = numbers.setdefault(f, len(table))
-        if n == len(table):
-            table.append(f)
-        return n
-
-    def add(i: int, j: int) -> int:
-        s = sums.get((i, j))
+    def add(f: Mor, g: Mor) -> Mor:
+        s = sums.get((f, g))
         if s is None:
-            s = sums[i, j] = number(hom_add(table[i], table[j]))
+            s = sums[f, g] = hom_add(f, g)
         return s
 
-    groups: dict[tuple[Obj, Obj], list[int]] = {}
+    groups: dict[tuple[Obj, Obj], list[Mor]] = {}
     for f in mors:
-        groups.setdefault((f.dom, f.cod), []).append(number(f))
+        groups.setdefault((f.dom, f.cod), []).append(f)
     checks: list[EquationCheck] = []
     for (a, b), fs in groups.items():
         at = f"{a.name}->{b.name}"
-        z = number(zero_map(a, b))
+        z = zero_map(a, b)
         for i, f in enumerate(fs):
-            checks.append(equation(f"unit-r[{at}#{i}]", table[add(f, z)], table[f]))
-            checks.append(equation(f"unit-l[{at}#{i}]", table[add(z, f)], table[f]))
+            checks.append(equation(f"unit-r[{at}#{i}]", add(f, z), f))
+            checks.append(equation(f"unit-l[{at}#{i}]", add(z, f), f))
         for (i, f), (j, g) in itertools.combinations(enumerate(fs), 2):
-            checks.append(equation(f"comm[{at}#{i},{j}]", table[add(f, g)], table[add(g, f)]))
+            checks.append(equation(f"comm[{at}#{i},{j}]", add(f, g), add(g, f)))
         for (i, f), (j, g), (k, h) in itertools.product(enumerate(fs), repeat=3):
             lhs, rhs = add(add(f, g), h), add(f, add(g, h))
-            checks.append(equation(f"assoc[{at}#{i},{j},{k}]", table[lhs], table[rhs]))
+            checks.append(equation(f"assoc[{at}#{i},{j},{k}]", lhs, rhs))
     for pre in (False, True):
-        checks.extend(_linearity(groups, pre, table, number, add))
+        checks.extend(_linearity(groups, pre, add))
     return CheckResult("semiadditive", tuple(checks))

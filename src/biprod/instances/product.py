@@ -24,20 +24,8 @@ coproduct and tensor_obj are kernel.per_instance, since the construction
 asks for the same witness or tensor object over and over; so is
 enumerate_homset, which packs each homset once per instance from the
 components' own (the matrix instance memoizes its homsets too, the chain
-does not) and hands it out as a tuple.
-
-Composition is componentwise, so each component morphism meets every
-morphism of the other side, and the product composes the same component
-pair over and over.  compose_payload therefore keeps each component
-composite in the instance's own dict _composites, keyed by the pair
-(g_i, f_i) of component morphisms, one entry per side, and looks up both
-sides in its own frame, with no helper call per side: the composite is a
-pure function of its factors, and a compose that raises stores nothing.
-Keying by component pair, not by product pair, keeps the dict small.  It
-holds at most COMPOSITE_CAP entries and is cleared when full, so
-composites of sampled morphisms that never recur are not kept for the
-instance's lifetime.  It is not inst.memo, whose keys are all
-kernel.per_instance keys.
+does not) and hands it out as a tuple.  Composition is componentwise, and
+each component's own composite memo (kernel.compose) keeps its side.
 """
 from __future__ import annotations
 
@@ -47,9 +35,6 @@ from ..errors import ParseError
 from ..kernel import Mor, Obj, compose, identity, per_instance
 from ..structure import ENUM_CAP, ProductWitness
 from .base import Instance
-
-# the most component composites compose_payload keeps at once
-COMPOSITE_CAP = 4096
 
 
 def _lift(name: str):
@@ -74,7 +59,6 @@ class ProductInstance(Instance):
         self.right = right
         for attr in ("terminal", "initial", "unit"):
             setattr(self, attr, self._pack(getattr(left, attr), getattr(right, attr)))
-        self._composites: dict = {}  # (g_i, f_i) -> compose(g_i, f_i)
 
     bang = _lift("bang")
     cobang = _lift("cobang")
@@ -130,21 +114,8 @@ class ProductInstance(Instance):
         return (identity(a.data[0]), identity(a.data[1]))
 
     def compose_payload(self, g: Mor, f: Mor):
-        composites = self._composites
         (gl, gr), (fl, fr) = g.payload, f.payload
-        left = composites.get((gl, fl))
-        if left is None:
-            left = compose(gl, fl)
-            if len(composites) >= COMPOSITE_CAP:
-                composites.clear()
-            composites[gl, fl] = left
-        right = composites.get((gr, fr))
-        if right is None:
-            right = compose(gr, fr)
-            if len(composites) >= COMPOSITE_CAP:
-                composites.clear()
-            composites[gr, fr] = right
-        return left, right
+        return compose(gl, fl), compose(gr, fr)
 
     def spell(self, data: tuple[Obj, Obj]) -> str:
         return f"{data[0].name}|{data[1].name}"

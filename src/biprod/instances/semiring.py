@@ -7,6 +7,10 @@ is the empty tuple and an r x 0 matrix is r empty rows.
 
 The rationals are normalised (num, den) pairs of ints, den > 0 and gcd 1,
 so tuple equality is value equality and payloads hash and compare in C.
+Their arithmetic returns the semiring's own zero and one objects for 0
+and 1: a morphism is interned with the first payload of its value, so a
+zero or one made by arithmetic would otherwise stand in for the
+structural ones and turn the identity shortcuts below into arithmetic.
 
 matmul is row-sparse (Gustavson, ACM TOMS 4(3), 1978): the structural
 matrices the construction multiplies are nearly all zeros, so it multiplies
@@ -102,16 +106,21 @@ NATURALS = Semiring(
 
 def _rational(num: int, den: int) -> tuple[int, int]:
     """num/den, den > 0, as the normalised pair: gcd 1 and a positive denominator."""
+    if num == 0:
+        return _RAT_ZERO
+    if num == den:
+        return _RAT_ONE
     g = gcd(num, den)
     return num // g, den // g
 
 
 _RAT_ZERO = (0, 1)
+_RAT_ONE = (1, 1)
 
 RATIONALS = Semiring(
     name="rat",
     zero=_RAT_ZERO,
-    one=(1, 1),
+    one=_RAT_ONE,
     add=lambda x, y: _rational(x[0] * y[1] + y[0] * x[1], x[1] * y[1]),
     mul=lambda x, y: _rational(x[0] * y[0], x[1] * y[1]),
     sample=lambda rng: _rational(rng.randint(-5, 5), rng.randint(1, 5)),

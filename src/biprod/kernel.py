@@ -3,9 +3,10 @@
 A Category subclass supplies payload-level behaviour (how identities look,
 how payloads compose, how to print things).  Every record is immutable
 and has no per-record __dict__.  A record compared by value is a named
-tuple; one compared by identity, or by only some of its fields, is a
-Frozen class, whose fields are its __slots__, each set once by Frozen's
-one __init__, by position in __slots__ order or by keyword.
+tuple, and so is Mor, which is interned and compared by identity (see
+below); any other record compared by identity, or by only some of its
+fields, is a Frozen class, whose fields are its __slots__, each set once
+by Frozen's one __init__, by position in __slots__ order or by keyword.
 Objects are Frozen and compare by identity: Category.obj interns them by
 data, so build them only with cat.obj or parse_obj, never Obj(...).
 An object carries its name, which Category.obj asks of the category's
@@ -13,13 +14,22 @@ spell hook once, when it interns the object; an Obj prints as its name,
 and every record, certificate and failure text reads it from there.
 Because objects are interned, the kernel and the structure built on it
 compare endpoints with `is`; Obj keeps object's own eq and hash, so `==`
-on objects means the same thing.  Mor, EquationCheck and CheckResult are
-named tuples, compared and hashed by their fields.  So two morphisms are
-equal exactly when their domain, codomain, and payload are equal; a Mor
-also equals the plain tuple of its fields, and no caller compares one
-with a payload.  The hot builders (Category.mor, identity, compose,
-equation) make their records with tuple.__new__ directly, which gives the
-same record as the named tuple's constructor without its extra call.
+on objects means the same thing.  Morphisms are interned too (hash-consed:
+Filliatre and Conchon, "Type-safe modular hash-consing", 2006):
+Category.mor, identity and compose all return the category's one Mor for
+(dom, cod, payload), which Category._interned, the one builder of a Mor,
+keeps in the category's table _mors.  So a Mor, a named tuple, takes
+object's eq and hash: two morphisms are equal exactly when they are the
+same object, every key holding one hashes in O(1), and equation compares
+its sides with `is`.  That is sound, since identity implies equality: a
+morphism built outside the table can only fail an equation, never pass
+one.  Payloads are interned by `==` and hash, so 0 and 0.0 give one
+morphism, with the payload interned first.  A Mor compared with a plain
+tuple still compares by value, through tuple's reflected `==`.
+EquationCheck and CheckResult are named tuples compared by their fields.
+The hot builders (_interned, equation) make their records with
+tuple.__new__ directly, which gives the same record as the named tuple's
+constructor without its extra call.
 Verification code never asserts; it returns CheckResult values that list
 every equation tried.  A failed equation becomes an error one way only:
 CheckResult.require(), which raises WitnessInvalid on the first failed
@@ -33,14 +43,20 @@ object of it or a morphism of it.  InversePair.certify keeps each passing
 round-trip check in the same memo, keyed by (fwd, bwd), so an iso is
 checked once per instance however many contexts certify it; each
 certificate still carries its own context's name, and a failing check
-is kept nowhere, so it raises at every use.
+is kept nowhere, so it raises at every use.  compose keeps each
+composite in the category's composite memo _composites, keyed by the
+identities (g, f) and looked up before the ends are checked: the
+composite is a pure function of its factors, and a compose that raises
+stores nothing.  It holds at most COMPOSITE_CAP entries and is cleared
+when full, so composites of sampled morphisms that never recur are not
+kept for the instance's lifetime.  The morphism table, the composite
+memo and memo are the instance's own, so each lives and dies with it.
 
 Memoized certificates keep many of these records alive, so they are kept
 small: no record here has a per-record __dict__, Category.obj interns
-objects (equal data gives the category's one Obj), identity interns one
-identity per object (so identity_payload runs once per object), and a
-passing equation keeps its right side as both sides, freeing the
-computed left side it equals.
+objects (equal data gives the category's one Obj), the table interns
+morphisms (equal values give one Mor, and identity_payload runs once per
+object), and a passing equation holds its one morphism as both sides.
 """
 from __future__ import annotations
 
@@ -51,6 +67,9 @@ from .errors import CategoryError, DomainMismatch, WitnessInvalid
 
 # builds a named-tuple record from a tuple of its fields in one step
 _new = tuple.__new__
+
+# the most composites a category's composite memo keeps at once; see compose
+COMPOSITE_CAP = 4096
 
 
 class Frozen:
@@ -101,6 +120,11 @@ class Mor(NamedTuple):
     cod: Obj
     payload: Any
 
+    # interned by Category._interned, so object's own eq and hash decide
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return self.dom.cat.format_mor(self)
 
@@ -112,6 +136,8 @@ class Category:
         self.name = name
         self._objs: dict = {}  # data -> its one Obj; see obj
         self._ids: dict = {}  # Obj -> its one identity; see identity
+        self._mors: dict = {}  # (dom, cod, payload) -> its one Mor; see _interned
+        self._composites: dict = {}  # (g, f) -> compose(g, f), at most COMPOSITE_CAP
         self.memo: dict = {}  # (fn, args) -> fn(*args); see per_instance, InversePair.certify
 
     # payload hooks
@@ -145,9 +171,16 @@ class Category:
         return a
 
     def mor(self, dom: Obj, cod: Obj, payload: Any) -> Mor:
+        """The morphism dom -> cod with this payload: one Mor per value, interned."""
         if dom.cat is not self or cod.cat is not self:
             raise DomainMismatch("morphism endpoints belong to a different category")
-        return _new(Mor, (dom, cod, payload))
+        return self._interned(dom, cod, payload)
+
+    def _interned(self, dom: Obj, cod: Obj, payload: Any) -> Mor:
+        """The category's one Mor for (dom, cod, payload); the only builder of a Mor."""
+        key = (dom, cod, payload)
+        # setdefault hashes the key once, hit or miss
+        return self._mors.setdefault(key, _new(Mor, key))
 
 
 def identity(a: Obj) -> Mor:
@@ -155,24 +188,36 @@ def identity(a: Obj) -> Mor:
     ids = a.cat._ids
     one = ids.get(a)
     if one is None:
-        one = ids[a] = _new(Mor, (a, a, a.cat.identity_payload(a)))
+        cat = a.cat
+        one = ids[a] = cat._interned(a, a, cat.identity_payload(a))
     return one
 
 
 def compose(g: Mor, f: Mor) -> Mor:
     """g after f.  Raises DomainMismatch unless f.cod is g.dom.
 
-    Two categories never share an object, so matching ends also mean one
-    category; the cross-category test runs only on a mismatch.
+    Looks (g, f) up in the category's composite memo first; a composite
+    is kept only once the ends have matched, so a key that is there has
+    matched already.  Two categories never share an object, so matching
+    ends also mean one category; the cross-category test runs only on a
+    mismatch.  A compose that raises stores nothing.
     """
     cat = f.dom.cat
-    if f.cod is not g.dom:
-        if g.dom.cat is not cat:
-            raise DomainMismatch("cannot compose morphisms from different categories")
-        raise DomainMismatch(
-            f"cannot compose: first factor ends at {f.cod}, second starts at {g.dom}"
-        )
-    return _new(Mor, (f.dom, g.cod, cat.compose_payload(g, f)))
+    composites = cat._composites
+    key = (g, f)
+    h = composites.get(key)
+    if h is None:
+        if f.cod is not g.dom:
+            if g.dom.cat is not cat:
+                raise DomainMismatch("cannot compose morphisms from different categories")
+            raise DomainMismatch(
+                f"cannot compose: first factor ends at {f.cod}, second starts at {g.dom}"
+            )
+        h = cat._interned(f.dom, g.cod, cat.compose_payload(g, f))
+        if len(composites) >= COMPOSITE_CAP:
+            composites.clear()
+        composites[key] = h
+    return h
 
 
 class EquationCheck(NamedTuple):
@@ -228,8 +273,7 @@ def equation(label: str, lhs: Mor, rhs: Mor) -> EquationCheck:
     if lhs.dom is not rhs.dom or lhs.cod is not rhs.cod:
         note = f"type mismatch: {lhs.dom} -> {lhs.cod} vs {rhs.dom} -> {rhs.cod}"
         return _new(EquationCheck, (label, lhs, rhs, False, note))
-    if lhs.payload == rhs.payload:
-        # equal sides: keep one, so the freshly computed lhs can be freed
+    if lhs is rhs:
         return _new(EquationCheck, (label, rhs, rhs, True, ""))
     note = lhs.dom.cat.first_difference(lhs, rhs) or "payloads differ"
     return _new(EquationCheck, (label, lhs, rhs, False, note))

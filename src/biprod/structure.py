@@ -11,16 +11,16 @@ its four components; Mat2 holds such a square of components.  from_matrix
 reassembles in both orders (copair of pairs, pair of copairs) and insists
 the two agree.
 
-times_map and plus_map are kernel.per_instance, keyed by their morphism
-pair in the memo of the morphisms' instance: their pair or copair
-re-check runs once per distinct pair per instance, as dist_prod's
-certificate does, and a call that raises stores nothing, so a broken
-witness fails at every use.  assemble is the same policy for the six
-assemblies of from_matrix and the canonical maps of monoidal's
-distributors: one per_instance memo keyed by (f, g, witness), so each
-distinct value is re-checked the first time it is seen.  A direct pair
-or copair call, hom_add and the construction's splitting maps re-check
-every time.
+assemble is the one policy for re-checking a structural pair or copair
+once: one per_instance memo keyed by (f, g, witness), so each distinct
+value is re-checked the first time its instance sees it, and a call that
+raises stores nothing, so a broken witness fails at every use.  The six
+assemblies of from_matrix, the canonical maps of monoidal's distributors
+and the maps times_map and plus_map all go through it, so a value any of
+them assembled is not checked again by another.  times_map and plus_map
+are also kernel.per_instance, keyed by their morphism pair.  A direct
+pair or copair call, hom_add and the construction's splitting maps
+re-check every time.
 
 draw is the one sampling policy every check takes its morphisms from:
 every tuple across some homsets when there are at most ENUM_CAP, else
@@ -126,7 +126,7 @@ def times_map(f: Mor, g: Mor) -> Mor:
     cat = f.dom.cat
     pd = cat.product(f.dom, g.dom)
     pc = cat.product(f.cod, g.cod)
-    return pair(pc, compose(f, pd.pi1), compose(g, pd.pi2))
+    return assemble(compose(f, pd.pi1), compose(g, pd.pi2), pc)
 
 
 @per_instance
@@ -135,7 +135,7 @@ def plus_map(f: Mor, g: Mor) -> Mor:
     cat = f.dom.cat
     cd = cat.coproduct(f.dom, g.dom)
     cc = cat.coproduct(f.cod, g.cod)
-    return copair(cd, compose(cc.in1, f), compose(cc.in2, g))
+    return assemble(compose(cc.in1, f), compose(cc.in2, g), cd)
 
 
 class _Mat2Fields(NamedTuple):

@@ -32,7 +32,7 @@ from biprod.construction import (
 )
 from biprod.errors import DomainMismatch, NoNullaryStructure, WitnessInvalid
 from biprod.instances import ChainInstance, finrel, mat_semiring, resolve
-from biprod.kernel import Frozen, Mor, check_inverse_pair, compose, identity
+from biprod.kernel import Frozen, check_inverse_pair, compose, identity
 from biprod.structure import Mat2, from_matrix, plus_map, times_map
 from conftest import assert_built_from_its_fields
 
@@ -325,10 +325,11 @@ def test_sums_are_memoized_per_call_only(monkeypatch):
         }
 
 
-def test_semiadditive_hashes_each_numbered_morphism_once(monkeypatch):
-    # the laws key their sums and composites by number, so a morphism is
-    # hashed only when it is numbered: each sample, the zero map, each sum
-    # hom_add returns and each composite the bilinearity laws add
+def test_semiadditive_adds_each_distinct_pair_once(monkeypatch):
+    # the laws key their sums by the pair of morphisms, and equal morphisms
+    # are one interned Mor: hom_add runs once per distinct ordered pair in a
+    # call, a sample that repeats or copies its morphisms adds no pair, and
+    # the next call adds each pair again, since sums are kept per call only
     rat = mat_semiring("mat-rat", 2)
     two = rat.obj(2)
     rng = random.Random(5)
@@ -337,20 +338,16 @@ def test_semiadditive_hashes_each_numbered_morphism_once(monkeypatch):
     sums = []
 
     def counting_hom_add(f, g):
-        sums.append(None)
+        sums.append((f, g))
         return hom_add(f, g)
 
-    hashes = []
-
-    def counting_hash(f):
-        hashes.append(None)
-        return tuple.__hash__(f)
-
     monkeypatch.setattr(construction, "hom_add", counting_hom_add)
-    monkeypatch.setattr(Mor, "__hash__", counting_hash)
     assert verify_semiadditive(sample).passed
-    # one homset: 3 samples, its zero map, and 3 x 3 composites each way
-    assert len(hashes) == len(sample) + 1 + len(sums) + 2 * len(sample) ** 2
+    once = list(sums)
+    assert once and len(once) == len(set(once))
+    sums.clear()
+    assert verify_semiadditive(sample + sample + [_fresh_copy(f) for f in sample]).passed
+    assert len(sums) == len(set(sums)) and set(sums) == set(once)
 
 
 def test_semiadditive_composes_each_distinct_pair_once(monkeypatch):

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import biprod.instances.product as product_module
-from biprod import cli
-from biprod.construction import hom_add
+from biprod import cli, kernel
+from biprod.construction import hom_add, verify_semiadditive
 from biprod.errors import DomainMismatch, InvalidBounds, UnknownInstance, WitnessInvalid
 from biprod.instances import (
     BOOLEANS,
@@ -105,6 +104,18 @@ def as_pair(x: Fraction) -> tuple[int, int]:
 
 
 FRACTIONS = st.fractions(-50, 50, max_denominator=50)
+
+
+def test_rational_arithmetic_returns_the_semirings_zero_and_one():
+    # an interned payload keeps the entries it was first built with, so an
+    # arithmetic 0 or 1 must be the very object matmul's shortcuts test for
+    zero, one = RATIONALS.zero, RATIONALS.one
+    assert RATIONALS.add((1, 2), (-1, 2)) is zero
+    assert RATIONALS.mul((0, 1), (3, 4)) is zero
+    assert RATIONALS.add((1, 2), (1, 2)) is one
+    assert RATIONALS.mul((2, 3), (3, 2)) is one
+    rows = matmul(RATIONALS, (((1, 2), (1, 2)),), (((1, 1),), ((1, 1),)), inner=2, cols=1)
+    assert rows[0][0] is one
 
 
 @settings(max_examples=200, deadline=None)
@@ -772,7 +783,7 @@ def test_product_composite_memo_is_capped(monkeypatch):
     pairs = _composable_pairs(uncapped)
     want = [compose(g, f) for g, f in pairs]
     assert len(uncapped._composites) > 4
-    monkeypatch.setattr(product_module, "COMPOSITE_CAP", 4)
+    monkeypatch.setattr(kernel, "COMPOSITE_CAP", 4)
     capped = resolve("product:finrel+z-chain", 1)
     got, sizes = [], []
     for g, f in _composable_pairs(capped):
@@ -793,6 +804,37 @@ def test_product_composites_die_with_their_instance():
     del pi, g, f
     gc.collect()
     assert ref() is None
+
+
+def test_morphism_table_and_composites_die_with_their_instance():
+    # every key and value of both dicts holds a morphism whose ends name the
+    # instance, so the instance could not be collected while either dict
+    # were reachable from outside it
+    rat = mat_semiring("mat-rat", 2)
+    rng = random.Random(7)
+    one, two = rat.obj(1), rat.obj(2)
+    homsets = ((one, two), (two, two))
+    sample = [rat.random_morphism(rng, a, b) for a, b in homsets for _ in range(2)]
+    assert verify_semiadditive(sample).passed
+    assert rat._mors and rat._composites
+    assert all(key[0].cat is rat for key in rat._mors)
+    assert all(f.dom.cat is rat for key in rat._composites for f in key)
+    ref = weakref.ref(rat)
+    del rat, sample, homsets, one, two
+    gc.collect()
+    assert ref() is None
+
+
+def test_payloads_equal_across_types_give_one_morphism():
+    # interning keys by value, and 0 == 0.0 with one hash: the first payload
+    # interned stands for both, and prints as itself
+    cases = ((((0,),), ((0.0,),), "1->1 [0]"), (((0.0,),), ((0,),), "1->1 [0.0]"))
+    for first, second, shown in cases:
+        inst = MatInstance(MIN_PLUS, 1, name="mat-min-plus")
+        a = inst.obj(1)
+        f = inst.mor(a, a, first)
+        assert inst.mor(a, a, second) is f
+        assert f.payload is first and repr(f) == shown
 
 
 def test_a_composite_that_raises_is_not_memoized():

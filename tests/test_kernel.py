@@ -15,6 +15,7 @@ from biprod.instances import finrel, mat_semiring, resolve
 from biprod.kernel import (
     CheckResult,
     InversePair,
+    Mor,
     Obj,
     check_inverse_pair,
     compose,
@@ -221,6 +222,64 @@ def test_objects_are_built_only_by_category_obj():
     assert allowed_calls == 1
 
 
+def test_morphisms_are_built_only_by_the_interning_builder():
+    # identity equality is sound only while every Mor comes from the interning
+    # Category._interned, so no other code in the package builds one: no
+    # Mor(...) or Mor._make, no tuple.__new__ of Mor (kernel's _new), and no
+    # _replace of a morphism's fields
+    found, allowed = [], 0
+    for path in sorted(Path(kernel.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside_builder = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "Category"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_interned"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            owner = getattr(getattr(func, "value", None), "id", None)
+            builds = (
+                name == "Mor"
+                or (name == "_make" and owner == "Mor")
+                or (
+                    name in ("_new", "__new__")
+                    and any(isinstance(arg, ast.Name) and arg.id == "Mor" for arg in node.args[:1])
+                )
+                or (name == "_replace" and {kw.arg for kw in node.keywords} & set(Mor._fields))
+            )
+            if not builds:
+                continue
+            if id(node) in inside_builder:
+                allowed += 1
+            else:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert allowed == 1
+
+
+def test_composite_memo_keeps_only_what_composed():
+    # compose looks (g, f) up before it checks the ends, so a pair that
+    # raised must never be there: a mismatch stores nothing, every time
+    inst = finrel(2)
+    one, two = inst.obj(1), inst.obj(2)
+    f = inst.mor(one, two, bmat((1,), (0,)))
+    g = inst.mor(two, one, bmat((1, 1),))
+    h = compose(g, f)
+    assert compose(g, f) is h and inst._composites == {(g, f): h}
+    for _ in range(2):
+        with pytest.raises(DomainMismatch, match="^cannot compose: first factor ends at 2"):
+            compose(f, f)
+        with pytest.raises(DomainMismatch, match="different categories"):
+            compose(identity(REL.obj(2)), f)
+    assert inst._composites == {(g, f): h}
+
+
 def _catches_category_error(handler: ast.ExceptHandler) -> bool:
     """Whether an except clause would catch a CategoryError: bare, a base or a subclass."""
     if handler.type is None:
@@ -399,14 +458,21 @@ def test_inverse_pairs_compare_by_their_maps_alone():
     assert InversePair.certify(identity(a), identity(a), context="one") != one
 
 
-def test_morphisms_compare_and_hash_by_fields():
+def test_equal_fields_give_one_morphism_per_instance():
+    # Category.mor interns: equal fields give the category's one Mor, which
+    # compares and hashes by identity, as an Obj does
+    assert Mor.__eq__ is object.__eq__
+    assert Mor.__hash__ is object.__hash__
     a, b = REL.obj(2), REL.obj(1)
     f = REL.mor(a, a, bmat((0, 1), (1, 0)))
-    g = REL.mor(a, a, bmat((0, 1), (1, 0)))
-    assert f is not g
-    assert f == g and hash(f) == hash(g)
-    # a different domain alone makes them unequal
+    g = REL.mor(a, a, tuple(tuple(row) for row in ([False, True], [True, False])))
+    assert f is g
+    # a different domain alone gives another morphism
     assert REL.mor(b, a, f.payload) != f
+    # two instances never share one, whatever its payload
+    other = finrel(3)
+    h = other.mor(other.obj(2), other.obj(2), f.payload)
+    assert h is not f and h != f and h.payload == f.payload
 
 
 def test_from_error_relabels_and_keeps_the_rest():
@@ -511,10 +577,11 @@ def test_built_records_match_their_named_tuple_constructors():
     for f in built:
         made = kernel.Mor(f.dom, f.cod, f.payload)
         assert type(f) is kernel.Mor
-        assert f == made and hash(f) == hash(made)
+        assert f._fields == made._fields == ("dom", "cod", "payload")
         assert repr(f) == repr(made) == "2->2 [1 0; 0 1]"
-        assert f._replace(payload=swap.payload) == made._replace(payload=swap.payload) == swap
-        assert tuple(f) == (f.dom, f.cod, f.payload)
+        assert tuple(f) == tuple(made) == (f.dom, f.cod, f.payload)
+        # a Mor built directly is not interned, so it equals nothing the category built
+        assert made not in built and made not in REL._mors.values()
     other = REL.mor(a, a, bmat((1, 0), (1, 1)))
     narrow = REL.mor(a, b, bmat((1, 0),))
     checks = (equation("ok", swap, swap), equation("bad", swap, other), equation("typed", swap, narrow))
