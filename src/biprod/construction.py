@@ -35,9 +35,10 @@ star_map and t_map read the grid, and every quadruple of star_map with
 the same tensor corners shares it.
 Sums are memoized only within one verify_semiadditive call; hom_add
 itself recomputes every sum.  That call keys its sums by pairs of
-morphisms, which are interned and hash by identity, and the bilinearity
-laws key their composites the same way, so each distinct sum and
-composite is computed once per call.
+morphisms, which are interned and hash by identity, so each distinct sum
+is computed once per call.  The bilinearity laws' composites need no
+table of their own: compose keeps every composite in the instance's
+memo by the same pair of identities (kernel.compose).
 
 Builders certify with CheckResult.require() and raise WitnessInvalid on
 the first failed equation; the verify_* functions return their own
@@ -354,17 +355,13 @@ def _linearity(
 ) -> Iterator[EquationCheck]:
     """h after a sum (before it, if pre) equals the sum of the composites with h.
 
-    Each composite of h with a morphism is computed once per call, keyed
-    by the pair of morphisms as the sums are, and shared by every equation
-    it takes part in: on_f[k][i] is h_k with the summand f_i.
+    Each composite goes through compose, whose memo keeps it per instance
+    by the pair of morphisms; on_f[k][i] is h_k with the summand f_i, built
+    once per pair of homsets.
     """
-    composites: dict[tuple[Mor, Mor], Mor] = {}
 
     def on(h: Mor, m: Mor) -> Mor:
-        c = composites.get((h, m))
-        if c is None:
-            c = composites[h, m] = compose(m, h) if pre else compose(h, m)
-        return c
+        return compose(m, h) if pre else compose(h, m)
 
     for (a, b), fs in groups.items():
         for (x, y), hs in groups.items():
@@ -388,8 +385,8 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
     bilinearity runs over pairs of homsets that share an endpoint.
 
     The laws repeat the same sums, so each is computed once per call,
-    keyed by its pair of morphisms, as the bilinearity composites are;
-    both are dropped when the call returns.
+    keyed by its pair of morphisms, and dropped when the call returns;
+    the bilinearity composites are kept by compose's own memo.
     """
     mors = list(sample)
     if not mors:

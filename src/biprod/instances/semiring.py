@@ -40,9 +40,8 @@ carrier's own type.
 """
 from __future__ import annotations
 
-import random
 from math import gcd
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 from ..kernel import Frozen
 
@@ -53,32 +52,17 @@ class Semiring(Frozen):
     matmul and kronecker apply its laws 0 + v = v, 1 * v = v and
     0 * v = 0 to the zero and one objects themselves, and skip an entry
     when nonzero(entry) is False, which must hold exactly when the entry
-    equals zero.  nonzero defaults to comparing with zero in Python; a
-    carrier whose only falsy value is its zero (bool, int) may pass the
-    faster bool, and one of other built-in values (the rationals' int
-    pairs) may pass zero.__ne__, which compares in C.  zero need not be
-    falsy: in the tropical semiring zero is inf and one is 0.  carrier is
-    the finite tuple of all elements, or None when there are infinitely
-    many.
+    equals zero.  A carrier whose only falsy value is its zero (bool,
+    int) may pass the fast bool, one of other built-in values (the
+    rationals' int pairs) may pass zero.__ne__, which compares in C, and
+    any other passes lambda v: v != zero.  zero need not be falsy: in
+    the tropical semiring zero is inf and one is 0.  carrier is the
+    finite tuple of all elements, or None when there are infinitely
+    many; render spells an element.  Every field is stated: Frozen's
+    one constructor has no defaults.
     """
 
     __slots__ = ("name", "zero", "one", "add", "mul", "sample", "carrier", "render", "nonzero")
-
-    def __init__(
-        self,
-        name: str,
-        zero: Any,
-        one: Any,
-        add: Callable[[Any, Any], Any],
-        mul: Callable[[Any, Any], Any],
-        sample: Callable[[random.Random], Any],
-        carrier: tuple | None = None,
-        render: Callable[[Any], str] = str,
-        nonzero: Callable[[Any], bool] | None = None,
-    ) -> None:
-        if nonzero is None:
-            nonzero = lambda v: v != zero
-        super().__init__(name, zero, one, add, mul, sample, carrier, render, nonzero)
 
 
 BOOLEANS = Semiring(
@@ -100,6 +84,8 @@ NATURALS = Semiring(
     add=lambda x, y: x + y,
     mul=lambda x, y: x * y,
     sample=lambda rng: rng.randint(0, 5),
+    carrier=None,
+    render=str,
     nonzero=bool,
 )
 
@@ -124,6 +110,7 @@ RATIONALS = Semiring(
     add=lambda x, y: _rational(x[0] * y[1] + y[0] * x[1], x[1] * y[1]),
     mul=lambda x, y: _rational(x[0] * y[0], x[1] * y[1]),
     sample=lambda rng: _rational(rng.randint(-5, 5), rng.randint(1, 5)),
+    carrier=None,
     render=lambda v: str(v[0]) if v[1] == 1 else f"{v[0]}/{v[1]}",
     nonzero=_RAT_ZERO.__ne__,
 )

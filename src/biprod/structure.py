@@ -251,7 +251,9 @@ def _verify_universal(
     # the uniqueness loop keeps each morphism's legs and each pair's
     # mediate; the existence loop reads them back, so when both loops
     # enumerate, it computes none of them again.  A morphism's ends keep
-    # probes apart, so one memo serves the whole call.
+    # probes apart, so one memo serves the whole call.  legs_of stays though
+    # compose memoizes each leg: reading the legs back through compose made
+    # the suite-chain workload 2.6-2.9% slower (CPython 3.11, Xeon).
     legs_of: dict = {}
     mediated: dict = {}
     checks = [equation(ident, wit.mediate(*legs), identity(wit.apex))]

@@ -641,6 +641,25 @@ def test_warm_memo_changes_no_report(monkeypatch, selector, max_size, max_quad):
     assert render_json(run_suite(config)) == cold
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        SuiteConfig(instance="finrel", max_size=2, report="json"),
+        SuiteConfig(instance="mat-rat", max_size=2, max_quad=1, seed=1, report="json"),
+        SuiteConfig(instance="product:finrel+z-chain", max_size=1, max_quad=1, report="json"),
+    ],
+    ids=lambda config: config.instance,
+)
+def test_cleared_composite_memo_changes_no_report(monkeypatch, config):
+    # the bilinearity laws and every other caller read their composites
+    # back through compose's memo, which is cleared whenever it is full; at
+    # a cap of one it is cleared on nearly every compose, and no report
+    # byte may depend on what it still holds
+    default = render_json(run_suite(config))
+    monkeypatch.setattr(kernel, "COMPOSITE_CAP", 1)
+    assert render_json(run_suite(config)) == default
+
+
 def test_text_report_lines():
     report = run_suite(SuiteConfig(instance="z-chain", max_size=1, samples=2))
     text = render_text(report)

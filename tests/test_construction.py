@@ -31,7 +31,7 @@ from biprod.construction import (
     zero_object,
 )
 from biprod.errors import DomainMismatch, NoNullaryStructure, WitnessInvalid
-from biprod.instances import ChainInstance, finrel, mat_semiring, resolve
+from biprod.instances import ChainInstance, MatInstance, finrel, mat_semiring, resolve
 from biprod.kernel import Frozen, check_inverse_pair, compose, identity
 from biprod.structure import Mat2, from_matrix, plus_map, times_map
 from conftest import assert_built_from_its_fields
@@ -351,28 +351,32 @@ def test_semiadditive_adds_each_distinct_pair_once(monkeypatch):
 
 
 def test_semiadditive_composes_each_distinct_pair_once(monkeypatch):
-    # the bilinearity laws key their composites by the numbers of the two
-    # morphisms: a sample that repeats its morphisms checks more equations
-    # but composes nothing more, and the sums it repeats add no compose
-    rat = mat_semiring("mat-rat", 2)
-    one, two = rat.obj(1), rat.obj(2)
-    rng = random.Random(11)
-    sample = [rat.random_morphism(rng, a, b) for a, b in ((one, two), (two, two), (two, one))]
-    assert verify_semiadditive(sample).passed  # build the instance's memos first
+    # the sums are keyed by their pair of morphisms and the bilinearity
+    # composites by compose's memo: on two fresh instances, a sample that
+    # repeats its morphisms checks more equations but multiplies no more
+    # matrices
     composed = []
+    payload = MatInstance.compose_payload
 
-    def counting_compose(g, f):
+    def counting_payload(cat, g, f):
         composed.append(None)
-        return compose(g, f)
+        return payload(cat, g, f)
 
-    monkeypatch.setattr(construction, "compose", counting_compose)
-    once = verify_semiadditive(sample)
-    per_call = len(composed)
-    composed.clear()
-    twice = verify_semiadditive(sample + sample)
+    monkeypatch.setattr(MatInstance, "compose_payload", counting_payload)
+    results, counts = [], []
+    for repeat in (1, 2):
+        rat = mat_semiring("mat-rat", 2)
+        one, two = rat.obj(1), rat.obj(2)
+        rng = random.Random(11)
+        sample = [rat.random_morphism(rng, a, b) for a, b in ((one, two), (two, two), (two, one))]
+        composed.clear()
+        results.append(verify_semiadditive(sample * repeat))
+        counts.append(len(composed))
+    once, twice = results
     assert once.passed and twice.passed
     assert len(twice.details) > len(once.details)
-    assert len(composed) == per_call
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
 
 
 def test_no_functools_cache_in_the_package():

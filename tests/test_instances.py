@@ -147,6 +147,9 @@ MIN_PLUS = Semiring(
     add=min,
     mul=lambda x, y: x + y,
     sample=lambda rng: rng.choice((math.inf, 0, 1, 2, 3)),
+    carrier=None,
+    render=str,
+    nonzero=lambda v: v != math.inf,
 )
 
 # Mostly zeros and ones, as in the structural matrices the construction
