@@ -16,7 +16,8 @@ NoNullaryStructure record instead of running.
 show prints a single constructed morphism, refusing objects outside the
 instance's universe.  Exit codes: 0 when every executed check passed, 1
 when any failed (or a construction the user asked to see does not
-exist), 2 for unusable arguments.
+exist, or the reader closed stdout before the output was written), 2 for
+unusable arguments.
 
 The JSON report is byte-identical across runs with the same arguments:
 the measured duration goes to stderr, and the duration_ms field in the
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import re
 import sys
@@ -375,20 +377,29 @@ def _build_parser() -> argparse.ArgumentParser:
 PARSER = _build_parser()
 
 
+def _run_verify(args) -> int:
+    given = (name for name in SuiteConfig._fields if hasattr(args, name))
+    config = SuiteConfig(**{name: getattr(args, name) for name in given})
+    report = run_suite(config)
+    if config.report == "json":
+        sys.stdout.write(render_json(report))
+        print(f"completed in {report.duration_ms:.0f} ms", file=sys.stderr)
+    else:
+        sys.stdout.write(render_text(report))
+    return 0 if report.failed == 0 else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        if args.command == "verify":
-            given = (name for name in SuiteConfig._fields if hasattr(args, name))
-            config = SuiteConfig(**{name: getattr(args, name) for name in given})
-            report = run_suite(config)
-            if config.report == "json":
-                sys.stdout.write(render_json(report))
-                print(f"completed in {report.duration_ms:.0f} ms", file=sys.stderr)
-            else:
-                sys.stdout.write(render_text(report))
-            return 0 if report.failed == 0 else 1
-        return _run_show(args)
+        status = (_run_verify if args.command == "verify" else _run_show)(args)
+        # flushed inside the try, so a reader that closed early is caught below
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout goes to os.devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UnknownInstance, InvalidBounds, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -126,7 +126,7 @@ def _grid(x11: Obj, x12: Obj, x21: Obj, x22: Obj) -> _Grid:
         compose(c2.in1, p1.pi2),
         compose(c2.in2, p2.pi2),
     )
-    return _Grid(c_dom, p_cod, corners, from_matrix(corners, c_dom, p_cod))
+    return _Grid(c_dom, p_cod, corners, from_matrix(corners))
 
 
 def _star_grid(a1: Obj, a2: Obj, b1: Obj, b2: Obj) -> _Grid:

@@ -8,7 +8,7 @@ from .matcat import MAT_SEMIRINGS, MatInstance, finrel, mat_semiring
 from .product import ProductInstance
 from .semiring import BOOLEANS, NATURALS, RATIONALS, Semiring
 
-SELECTORS = ("finrel", *MAT_SEMIRINGS, "z-chain", "product:<a>+<b>")
+SELECTORS = (*MAT_SEMIRINGS, "z-chain", "product:<a>+<b>")
 # deepest product nesting a selector may name; building and running an
 # instance recurses once per level, so this keeps far below the interpreter's limit
 MAX_PRODUCT_DEPTH = 64
@@ -29,8 +29,6 @@ def resolve(selector: str, max_size: int) -> Instance:
         raise InvalidBounds(
             f"product selectors nest at most {MAX_PRODUCT_DEPTH} deep, got {depth}"
         )
-    if selector == "finrel":
-        return finrel(max_size)
     if selector in MAT_SEMIRINGS:
         return mat_semiring(selector, max_size)
     if selector == "z-chain":

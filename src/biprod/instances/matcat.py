@@ -6,8 +6,9 @@ sum, and the tensor is the Kronecker product with unit dimension 1.
 Kronecker order lists (a+b)@c's basis as (a@c)+(b@c) does, so prod_inv,
 an index shuffle, is the one distributor stated here.
 
-finrel is the boolean case: a matrix over the or/and semiring is exactly
-a relation between finite sets, composed relationally.
+finrel is the boolean case, a row of MAT_SEMIRINGS beside mat-bool: a
+matrix over the or/and semiring is exactly a relation between finite
+sets, composed relationally.
 
 product, coproduct and enumerate_homset are kernel.per_instance: each
 witness and homset is built once per instance and kept in inst.memo for
@@ -123,18 +124,8 @@ class MatInstance(Instance):
         return self.obj(a.data * b.data)
 
     def tensor_mor(self, f: Mor, g: Mor) -> Mor:
-        payload = kronecker(
-            self.sr,
-            f.payload,
-            g.payload,
-            f.cod.data,
-            f.dom.data,
-            g.cod.data,
-            g.dom.data,
-        )
-        return self.mor(
-            self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod), payload
-        )
+        dom, cod = self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod)
+        return self.mor(dom, cod, kronecker(self.sr, f.payload, g.payload))
 
     # the left distributor: an index shuffle, handed out as its inverse permutation
 
@@ -179,12 +170,8 @@ class MatInstance(Instance):
         return self.mor(f.dom, f.cod, matrix_add(self.sr, f.payload, g.payload))
 
 
-def finrel(max_size: int) -> MatInstance:
-    """Finite sets and relations, realised as boolean matrices."""
-    return MatInstance(BOOLEANS, max_size, name="finrel")
-
-
 MAT_SEMIRINGS = {
+    "finrel": BOOLEANS,
     "mat-bool": BOOLEANS,
     "mat-nat": NATURALS,
     "mat-rat": RATIONALS,
@@ -193,3 +180,8 @@ MAT_SEMIRINGS = {
 
 def mat_semiring(name: str, max_dim: int) -> MatInstance:
     return MatInstance(MAT_SEMIRINGS[name], max_dim, name=name)
+
+
+def finrel(max_size: int) -> MatInstance:
+    """Finite sets and relations, realised as boolean matrices."""
+    return mat_semiring("finrel", max_size)

@@ -31,12 +31,12 @@ entries equal zero but for at most one, and that one *is* sr.one, row r
 of the product is the row of b that the one picks, or a row of sr.zero,
 with no arithmetic at all.  Otherwise it runs the general loop, where an
 entry that *is* sr.zero is skipped, and one that *is* sr.one kept,
-without calling sr.nonzero; a factor that *is* sr.one gives the other
-factor without sr.mul; a sum that still *is* sr.zero takes its first term
-without sr.add.  Every other entry, even one equal to zero or one, goes
-through nonzero, mul and add.  As identity implies equality, the results
-are the dense product's, in value and in type, for entries of the
-carrier's own type.
+without comparing it with sr.zero; a factor that *is* sr.one gives the
+other factor without sr.mul; a sum that still *is* sr.zero takes its
+first term without sr.add.  Every other entry, even one equal to zero or
+one, is compared with zero by != and goes through mul and add.  As
+identity implies equality, the results are the dense product's, in value
+and in type, for entries of the carrier's own type.
 """
 from __future__ import annotations
 
@@ -50,23 +50,18 @@ class Semiring(Frozen):
     """A commutative semiring (add, mul, zero, one) on Python values.
 
     matmul and kronecker apply its laws 0 + v = v, 1 * v = v and
-    0 * v = 0 to the zero and one objects themselves, and skip an entry
-    when nonzero(entry) is False, which must hold exactly when the entry
-    equals zero.  A carrier whose only falsy value is its zero (bool,
-    int) may pass the fast bool, one of other built-in values (the
-    rationals' int pairs) may pass zero.__ne__, which compares in C, and
-    any other passes lambda v: v != zero.  zero need not be falsy: in
-    the tropical semiring zero is inf and one is 0.  carrier is the
-    finite tuple of all elements, or None when there are infinitely
-    many; render spells an element.  Every field is stated: Frozen's
-    one constructor has no defaults.
+    0 * v = 0 to the zero and one objects themselves, and matmul skips
+    an entry when entry != zero is False, never by Python truthiness:
+    zero need not be falsy, and in the tropical semiring zero is inf and
+    one is 0.  carrier is the finite tuple of all elements, or None when
+    there are infinitely many; render spells an element.  Every field is
+    stated: Frozen's one constructor has no defaults.
     """
 
-    __slots__ = ("name", "zero", "one", "add", "mul", "sample", "carrier", "render", "nonzero")
+    __slots__ = ("zero", "one", "add", "mul", "sample", "carrier", "render")
 
 
 BOOLEANS = Semiring(
-    name="bool",
     zero=False,
     one=True,
     add=lambda x, y: x or y,
@@ -74,11 +69,9 @@ BOOLEANS = Semiring(
     sample=lambda rng: rng.random() < 0.5,
     carrier=(False, True),
     render=lambda v: "1" if v else "0",
-    nonzero=bool,
 )
 
 NATURALS = Semiring(
-    name="nat",
     zero=0,
     one=1,
     add=lambda x, y: x + y,
@@ -86,7 +79,6 @@ NATURALS = Semiring(
     sample=lambda rng: rng.randint(0, 5),
     carrier=None,
     render=str,
-    nonzero=bool,
 )
 
 
@@ -104,7 +96,6 @@ _RAT_ZERO = (0, 1)
 _RAT_ONE = (1, 1)
 
 RATIONALS = Semiring(
-    name="rat",
     zero=_RAT_ZERO,
     one=_RAT_ONE,
     add=lambda x, y: _rational(x[0] * y[1] + y[0] * x[1], x[1] * y[1]),
@@ -112,7 +103,6 @@ RATIONALS = Semiring(
     sample=lambda rng: _rational(rng.randint(-5, 5), rng.randint(1, 5)),
     carrier=None,
     render=lambda v: str(v[0]) if v[1] == 1 else f"{v[0]}/{v[1]}",
-    nonzero=_RAT_ZERO.__ne__,
 )
 
 
@@ -134,7 +124,7 @@ def identity_matrix(sr: Semiring, n: int) -> tuple:
 
 def matmul(sr: Semiring, a: tuple, b: tuple, inner: int, cols: int) -> tuple:
     """a @ b where a is len(a) x inner and b is inner x cols."""
-    add, mul, zero, one, nonzero = sr.add, sr.mul, sr.zero, sr.one, sr.nonzero
+    add, mul, zero, one = sr.add, sr.mul, sr.zero, sr.one
     # a selection first: count(zero) counts the entries the general loop
     # skips, those equal to zero, and only sr.one itself may pick a row of
     # b, as an equal one (min-plus's 0.0) would change the product's types
@@ -150,14 +140,14 @@ def matmul(sr: Semiring, a: tuple, b: tuple, inner: int, cols: int) -> tuple:
             break
     else:
         return tuple(out)
-    # plain loops: a comprehension closing over zero, one and nonzero would
-    # turn them into cell variables, which costs more than it saves on the
-    # tiny products most calls make (before Python 3.12 inlines comprehensions)
+    # plain loops: a comprehension closing over zero and one would turn
+    # them into cell variables, which costs more than it saves on the tiny
+    # products most calls make (before Python 3.12 inlines comprehensions)
     b_nonzero = []
     for row in b:
         entries = []
         for j, y in enumerate(row):
-            if y is one or y is not zero and nonzero(y):
+            if y is one or y is not zero and y != zero:
                 entries.append((j, y))
         b_nonzero.append(entries)
     out = []
@@ -168,7 +158,7 @@ def matmul(sr: Semiring, a: tuple, b: tuple, inner: int, cols: int) -> tuple:
                 for j, y in entries:
                     sum_ = acc[j]
                     acc[j] = y if sum_ is zero else add(sum_, y)
-            elif x is not zero and nonzero(x):
+            elif x is not zero and x != zero:
                 for j, y in entries:
                     term = x if y is one else mul(x, y)
                     sum_ = acc[j]
@@ -191,16 +181,8 @@ def vstack(a: tuple, b: tuple) -> tuple:
     return tuple(a) + tuple(b)
 
 
-def kronecker(
-    sr: Semiring,
-    a: tuple,
-    b: tuple,
-    a_rows: int,
-    a_cols: int,
-    b_rows: int,
-    b_cols: int,
-) -> tuple:
-    """Tensor of matrices: row (i,k) maps to i*b_rows+k, column (j,l) to j*b_cols+l."""
+def kronecker(sr: Semiring, a: tuple, b: tuple) -> tuple:
+    """Tensor of matrices, b being r x c: row (i,k) is row i*r+k, column (j,l) is column j*c+l."""
     mul, zero, one = sr.mul, sr.zero, sr.one
 
     def times(x, y):
@@ -208,8 +190,4 @@ def kronecker(
             return zero
         return y if x is one else x if y is one else mul(x, y)
 
-    return tuple(
-        tuple(times(a[i][j], b[k][l]) for j in range(a_cols) for l in range(b_cols))
-        for i in range(a_rows)
-        for k in range(b_rows)
-    )
+    return tuple(tuple(times(x, y) for x in ra for y in rb) for ra in a for rb in b)

@@ -182,18 +182,18 @@ def matrix_of(f: Mor, c: CoproductWitness, p: ProductWitness) -> Mat2:
     )
 
 
-def from_matrix(m: Mat2, c: CoproductWitness | None = None, p: ProductWitness | None = None) -> Mor:
+def from_matrix(m: Mat2) -> Mor:
     """Assemble the morphism with the given components, both ways, and compare.
 
-    The copair-of-pairs and pair-of-copairs assemblies are each forced by
-    the witness equations; if they disagree the witnesses are inconsistent
-    and we refuse to pick one.
+    The domain is the instance's coproduct of the columns' domains and the
+    codomain its product of the rows' codomains.  The copair-of-pairs and
+    pair-of-copairs assemblies are each forced by those witnesses'
+    equations; if they disagree the witnesses are inconsistent and we
+    refuse to pick one.
     """
     cat = m.f11.dom.cat
-    if c is None:
-        c = cat.coproduct(m.f11.dom, m.f12.dom)
-    if p is None:
-        p = cat.product(m.f11.cod, m.f21.cod)
+    c = cat.coproduct(m.f11.dom, m.f12.dom)
+    p = cat.product(m.f11.cod, m.f21.cod)
     by_cols = assemble(assemble(m.f11, m.f21, p), assemble(m.f12, m.f22, p), c)
     by_rows = assemble(assemble(m.f11, m.f12, c), assemble(m.f21, m.f22, c), p)
     CheckResult("from_matrix", (equation("cols=rows", by_cols, by_rows),)).require()

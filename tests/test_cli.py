@@ -778,6 +778,21 @@ def test_json_report_is_the_same_across_hash_seeds():
     assert json.loads(runs[0][1])["summary"]["failed"] == 7
 
 
+def test_output_to_a_closed_pipe_exits_1_with_no_traceback():
+    # star(16,16,16,16) prints about 4 MB, far more than a pipe buffer holds,
+    # so a write meets the closed pipe while the show is still printing
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "biprod", "show", "star(16,16,16,16)", "--max-size", "16"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with subprocess.Popen(
+        argv, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=300) == 1
+        assert proc.stderr.read() == b""
+
+
 # (instance, max size, expression) -> sha256 of stdout, captured before the
 # row-sparse matmul and identity-compared objects
 PINNED_SHOWS = {

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import functools
 import gc
 import itertools
@@ -7,6 +8,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -64,13 +66,13 @@ def test_stacking():
 
 
 def test_kronecker_frozen():
-    assert kronecker(NATURALS, ((2,),), ((3,),), 1, 1, 1, 1) == ((6,),)
+    assert kronecker(NATURALS, ((2,),), ((3,),)) == ((6,),)
     two = identity_matrix(NATURALS, 2)
-    assert kronecker(NATURALS, two, ((5,),), 2, 2, 1, 1) == ((5, 0), (0, 5))
+    assert kronecker(NATURALS, two, ((5,),)) == ((5, 0), (0, 5))
 
 
 def test_kronecker_empty_factor():
-    assert kronecker(NATURALS, (), ((1,),), 0, 0, 1, 1) == ()
+    assert kronecker(NATURALS, (), ((1,),)) == ()
 
 
 def test_zero_one_matrix():
@@ -129,7 +131,6 @@ def test_rationals_agree_with_fractions(x, y, scale, seed):
         assert RATIONALS.mul(a, b) == as_pair(x * y)
         assert RATIONALS.add(b, a) == as_pair(x + y)
     assert RATIONALS.render(px) == str(x)
-    assert RATIONALS.nonzero(px) is (x != 0)
     # the sampler draws as Fraction(randint(-5, 5), randint(1, 5)) did, so
     # every seeded report is unchanged
     rng, old = random.Random(seed), random.Random(seed)
@@ -141,7 +142,6 @@ def test_rationals_agree_with_fractions(x, y, scale, seed):
 # is truthy and its one, 0, is falsy, so only the semiring can say which
 # entries are zero.
 MIN_PLUS = Semiring(
-    name="min-plus",
     zero=math.inf,
     one=0,
     add=min,
@@ -149,7 +149,6 @@ MIN_PLUS = Semiring(
     sample=lambda rng: rng.choice((math.inf, 0, 1, 2, 3)),
     carrier=None,
     render=str,
-    nonzero=lambda v: v != math.inf,
 )
 
 # Mostly zeros and ones, as in the structural matrices the construction
@@ -193,15 +192,7 @@ NAIVE_DOTS = {
 
 
 def test_semirings_decide_what_is_zero():
-    for sr in (BOOLEANS, NATURALS):
-        assert sr.nonzero is bool
-    # the rationals compare with their zero in C, with no Python frame
-    assert RATIONALS.nonzero == RATIONALS.zero.__ne__
-    # the default compares with zero, not with Python truthiness
     assert (MIN_PLUS.carrier, MIN_PLUS.render) == (None, str)
-    assert MIN_PLUS.nonzero(math.inf) is False
-    assert MIN_PLUS.nonzero(float("inf")) is False
-    assert MIN_PLUS.nonzero(0) is True
     # every identity entry is the semiring's own one or zero object, so
     # matmul's and kronecker's shortcuts recognise it
     for sr in (BOOLEANS, NATURALS, RATIONALS, MIN_PLUS):
@@ -214,6 +205,22 @@ def test_semirings_decide_what_is_zero():
     f = ((3, math.inf), (0, 1), (math.inf, 2))
     assert matmul(MIN_PLUS, identity_matrix(MIN_PLUS, 3), f, inner=3, cols=2) == f
     assert matmul(MIN_PLUS, f, identity_matrix(MIN_PLUS, 2), inner=2, cols=2) == f
+
+
+def test_every_semiring_field_is_read():
+    # a field no code reads is a value every semiring states for nothing:
+    # each must be read as sr.<field> or <...>.sr.<field> in src/biprod
+    read = set()
+    for path in Path(kernel.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id == "sr" or (
+                isinstance(owner, ast.Attribute) and owner.attr == "sr"
+            ):
+                read.add(node.attr)
+    assert read == set(Semiring.__slots__)
 
 
 def assert_zero_one(sr, payload, want):
@@ -343,9 +350,12 @@ def test_matmul_with_a_selecting_left_factor_equals_the_naive_product(kind, data
 
 
 def assert_kronecker_is_naive(sr, naive, a, b, shape):
-    """kronecker(sr, a, b, *shape) equals its definition, entry by entry and in type."""
+    """kronecker(sr, a, b) equals its definition on a and b of the given shape.
+
+    Entry by entry and in type: shape is (a_rows, a_cols, b_rows, b_cols).
+    """
     a_rows, a_cols, b_rows, b_cols = shape
-    got = kronecker(sr, a, b, *shape)
+    got = kronecker(sr, a, b)
     # entry ((i,k),(j,l)) is a[i][j] * b[k][l], the one-term dot product
     want = tuple(
         tuple(

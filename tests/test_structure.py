@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from biprod import structure
 from biprod.errors import DomainMismatch, WitnessInvalid
-from biprod.instances import finrel, mat_semiring
+from biprod.instances import BOOLEANS, MatInstance, finrel, mat_semiring
 from biprod.kernel import identity
 from biprod.structure import (
     CoproductWitness,
@@ -210,44 +210,52 @@ def square_setting(draw, max_dim=2):
 @given(square_setting())
 def test_matrix_round_trip(setting):
     cw, pw, f = setting
-    m = matrix_of(f, cw, pw)
-    assert from_matrix(m, cw, pw) == f
-    # witnesses rebuilt from the entry types give the same answer
-    assert from_matrix(m) == f
+    assert from_matrix(matrix_of(f, cw, pw)) == f
 
 
-def _fake_product():
+def _fake_product(inst=REL):
     """Passes the mediate re-check but is not a product: a junk coordinate."""
-    one = REL.obj(1)
-    apex = REL.obj(3)
-    pi1 = REL.mor(apex, one, bmat((1, 0, 0),))
-    pi2 = REL.mor(apex, one, bmat((0, 1, 0),))
+    one = inst.obj(1)
+    apex = inst.obj(3)
+    pi1 = inst.mor(apex, one, bmat((1, 0, 0),))
+    pi2 = inst.mor(apex, one, bmat((0, 1, 0),))
 
     def mediate(f, g):
         junk = tuple(True for _ in range(f.dom.data))
-        return REL.mor(f.dom, apex, f.payload + g.payload + (junk,))
+        return inst.mor(f.dom, apex, f.payload + g.payload + (junk,))
 
     return ProductWitness(one, one, apex, pi1, pi2, mediate)
 
 
-def _fake_coproduct():
-    one = REL.obj(1)
-    apex = REL.obj(3)
-    in1 = REL.mor(one, apex, bmat((1,), (0,), (0,)))
-    in2 = REL.mor(one, apex, bmat((0,), (1,), (0,)))
+def _fake_coproduct(inst=REL):
+    one = inst.obj(1)
+    apex = inst.obj(3)
+    in1 = inst.mor(one, apex, bmat((1,), (0,), (0,)))
+    in2 = inst.mor(one, apex, bmat((0,), (1,), (0,)))
 
     def mediate(f, g):
         rows = tuple(rf + rg + (False,) for rf, rg in zip(f.payload, g.payload))
-        return REL.mor(apex, f.cod, rows)
+        return inst.mor(apex, f.cod, rows)
 
     return CoproductWitness(one, one, apex, in1, in2, mediate)
 
 
+class JunkCoordinate(MatInstance):
+    """finrel whose product and coproduct of 1 and 1 carry a junk coordinate."""
+
+    def product(self, a, b):
+        return _fake_product(self) if a.data == b.data == 1 else super().product(a, b)
+
+    def coproduct(self, a, b):
+        return _fake_coproduct(self) if a.data == b.data == 1 else super().coproduct(a, b)
+
+
 def test_from_matrix_detects_assembly_disagreement():
-    one = REL.obj(1)
+    inst = JunkCoordinate(BOOLEANS, 3, name="finrel")
+    one = inst.obj(1)
     m = Mat2(identity(one), identity(one), identity(one), identity(one))
     with pytest.raises(WitnessInvalid, match="^from_matrix: cols=rows"):
-        from_matrix(m, _fake_coproduct(), _fake_product())
+        from_matrix(m)
 
 
 def test_verify_product_witness_exhaustive():
