@@ -21,7 +21,12 @@ unusable arguments.
 
 The JSON report is byte-identical across runs with the same arguments:
 the measured duration goes to stderr, and the duration_ms field in the
-payload stays null.
+payload stays null.  render_json prints exactly what
+json.dumps(payload, indent=2) would, but in one pass over the records:
+json.dumps formats only the config head and the summary tail, and each
+record's strings go through json's own C string encoder.  The stderr
+line "completed in N ms" (report.duration_ms) is the time of run_suite
+alone; rendering the report is not in it.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ import random
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from .construction import (
@@ -259,21 +265,34 @@ def run_suite(config: SuiteConfig) -> Report:
 
 
 def render_json(report: Report) -> str:
-    payload = {
-        "config": report.config._asdict(),
-        "checks": [
-            {
-                "suite": c.suite,
-                "objects": list(c.objects),
-                "passed": c.passed,
-                **({"failure": c.failure} if c.failure is not None else {}),
-            }
-            for c in report.checks
-        ],
-        "summary": {"passed": report.passed, "failed": report.failed},
-        "duration_ms": None,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The report exactly as json.dumps(payload, indent=2) + "\\n" prints it.
+
+    json.dumps writes only the config head and the summary tail.  Each
+    record goes straight into the layout json.dumps gives it at nesting
+    level 2, its strings through the C encoder json.dumps itself uses, and
+    the parts are joined once: no dict is built per record, and the pure
+    Python encoder that an indenting json.dumps takes never runs.
+    """
+    head = json.dumps({"config": report.config._asdict()}, indent=2)
+    tail = json.dumps(
+        {"summary": {"passed": report.passed, "failed": report.failed}, "duration_ms": None},
+        indent=2,
+    )
+    parts = [head[:-2], ',\n  "checks": [']
+    sep = "\n    "
+    for c in report.checks:
+        objects = ",\n        ".join(map(encode_basestring_ascii, c.objects))
+        objects = f"[\n        {objects}\n      ]" if c.objects else "[]"
+        passed = "true" if c.failure is None else (
+            f'false,\n      "failure": {encode_basestring_ascii(c.failure)}'
+        )
+        parts.append(
+            f'{sep}{{\n      "suite": {encode_basestring_ascii(c.suite)},'
+            f'\n      "objects": {objects},\n      "passed": {passed}\n    }}'
+        )
+        sep = ",\n    "
+    parts += ["\n  ]," if report.checks else "],", tail[1:], "\n"]
+    return "".join(parts)
 
 
 def render_text(report: Report) -> str:

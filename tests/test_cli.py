@@ -9,14 +9,18 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biprod import cli, construction, kernel, structure
 from biprod.cli import (
     STAGES,
     CheckRecord,
+    Report,
     SuiteConfig,
     _failure_text,
     _guard,
@@ -623,6 +627,88 @@ def test_json_report_is_reproducible():
     assert payload["config"]["max_quad"] == 1
     assert payload["summary"]["failed"] == 0
     assert all(c["passed"] for c in payload["checks"])
+
+
+def _dumped_payload(report):
+    """The report as render_json printed it by building one dict per record."""
+    payload = {
+        "config": report.config._asdict(),
+        "checks": [
+            {
+                "suite": c.suite,
+                "objects": list(c.objects),
+                "passed": c.passed,
+                **({"failure": c.failure} if c.failure is not None else {}),
+            }
+            for c in report.checks
+        ],
+        "summary": {"passed": report.passed, "failed": report.failed},
+        "duration_ms": None,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# every character json escapes in its own way, plus any other
+TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€\u2028\ud800\U0001f600\U0010ffff'),
+        st.characters(),
+    )
+)
+RECORDS = st.builds(
+    CheckRecord, TEXT, st.lists(TEXT, max_size=4).map(tuple), st.none() | TEXT
+)
+CONFIGS = st.builds(
+    SuiteConfig,
+    instance=TEXT,
+    max_size=st.integers(4, cli.MAX_SIZE),
+    max_quad=st.none() | st.integers(1, 4),
+    samples=st.integers(1, ENUM_CAP),
+    seed=st.integers(-(2**70), 2**70),
+    report=st.sampled_from(("text", "json")),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=CONFIGS, checks=st.lists(RECORDS, max_size=6).map(tuple))
+def test_json_report_is_what_json_dumps_prints(config, checks):
+    report = Report(config, checks, 1.5)
+    assert render_json(report) == _dumped_payload(report)
+
+
+# the Baseline configs of ROADMAP.md; the seventh, product:finrel+z-chain
+# 2/1, is pinned by sha256 in test_largest_product_report_is_pinned
+BASELINE = [
+    SuiteConfig(instance="finrel", max_size=2),
+    SuiteConfig(instance="finrel", max_size=3),
+    SuiteConfig(instance="mat-nat", max_size=4, max_quad=2),
+    SuiteConfig(instance="mat-rat", max_size=3),
+    SuiteConfig(instance="z-chain", max_size=2),
+    SuiteConfig(instance="product:finrel+mat-nat", max_size=2, max_quad=1),
+]
+
+
+@pytest.mark.parametrize(
+    "config", BASELINE, ids=lambda c: f"{c.instance}-{c.max_size}-{c.max_quad}"
+)
+def test_baseline_json_reports_are_what_json_dumps_prints(config):
+    report = run_suite(config._replace(report="json"))
+    assert render_json(report) == _dumped_payload(report)
+
+
+def test_json_report_allocates_little_beside_its_text():
+    # an indenting json.dumps holds about nine times the text's length at
+    # its peak (a dict per record, then ~100k chunks to join); one join of
+    # one part per record stays within three
+    report = run_suite(SuiteConfig(instance="z-chain", max_size=8, max_quad=3, report="json"))
+    tracemalloc.start()
+    try:
+        text = render_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.checks) == 3961
+    assert peak <= 3 * len(text)
 
 
 @pytest.mark.parametrize(
