@@ -14,7 +14,10 @@ initial objects, each stage that needs them reports one
 NoNullaryStructure record instead of running.
 
 show prints a single constructed morphism, refusing objects outside the
-instance's universe.  Exit codes: 0 when every executed check passed, 1
+instance's universe.  It reads the table SHOWS as verify reads STAGES:
+each row gives an expression's head, its objects (and so its arity) and
+its builder, and the parser, the usage text and the one print path all
+come from it.  Exit codes: 0 when every executed check passed, 1
 when any failed (or a construction the user asked to see does not
 exist, or the reader closed stdout before the output was written), 2 for
 unusable arguments.
@@ -58,7 +61,7 @@ from .construction import (
 )
 from .errors import CategoryError, InvalidBounds, ParseError, UnknownInstance
 from .instances import Instance, resolve
-from .kernel import CheckResult, InversePair, equation
+from .kernel import CheckResult, InversePair, Mor, equation
 from .monoidal import dist_coprod, dist_prod, has_nullary, nullary_coprod, nullary_prod
 from .structure import (
     ENUM_CAP, Mat2, draw, matrix_of, verify_coproduct_witness, verify_product_witness
@@ -313,31 +316,46 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-_EXPR = re.compile(r"^\s*(star|zero|t|c|e'|e)\s*\(([^()]*)\)\s*$")
-_ARITY = {"star": 4, "zero": 2, "t": 2, "c": 2, "e": 2, "e'": 2}
+def _grid_parts(g) -> tuple[Mor, Mat2]:
+    return g.map, g.corners
+
+
+def _c_parts(a, b) -> tuple[Mor, Mat2]:
+    c = c_map(a, b).fwd
+    return c, matrix_of(c, a.cat.coproduct(a, b), a.cat.product(a, b))
+
+
+# The show expressions, in usage order.  Each maps its head to a pair: its
+# objects as the usage text spells them (one more than commas), and a
+# builder from those objects to the map and the Mat2 of its components, or
+# to the map and None where show prints no entries.  Builders look their
+# callees up by name when they run, as the STAGES checks do.
+SHOWS = {
+    "star": ("a1,a2,b1,b2", lambda *quad: _grid_parts(_star_grid(*quad))),
+    "t": ("a,b", lambda a, b: _grid_parts(_grid(a, a, b, b))),
+    "c": ("a,b", _c_parts),
+    "e": ("a,b", lambda a, b: (idempotents(a, b)[0], None)),
+    "e'": ("a,b", lambda a, b: (idempotents(a, b)[1], None)),
+    "zero": ("a,b", lambda a, b: (zero_map(a, b), None)),
+}
+_HEAD = re.compile(r"^\s*([^\s()]+)\s*\(([^()]*)\)\s*$")
+_FORMS = [f"{head}({objects})" for head, (objects, _) in SHOWS.items()]
+_USAGE = f"expected {', '.join(_FORMS[:-1])} or {_FORMS[-1]}"
 
 
 def _parse_expression(text: str) -> tuple[str, list[str]]:
-    m = _EXPR.match(text)
-    if not m:
-        raise ParseError(
-            f"cannot parse {text!r}; expected star(a1,a2,b1,b2), t(a,b), "
-            "c(a,b), e(a,b), e'(a,b) or zero(a,b)"
-        )
+    m = _HEAD.match(text)
+    if not m or m.group(1) not in SHOWS:
+        raise ParseError(f"cannot parse {text!r}; {_USAGE}")
     head = m.group(1)
     inner = m.group(2).strip()
     parts = [s.strip() for s in inner.split(",")] if inner else []
     if any(not p for p in parts):
         raise ParseError("empty object in argument list")
-    if len(parts) != _ARITY[head]:
-        raise ParseError(f"{head} takes {_ARITY[head]} objects, got {len(parts)}")
+    arity = SHOWS[head][0].count(",") + 1
+    if len(parts) != arity:
+        raise ParseError(f"{head} takes {arity} objects, got {len(parts)}")
     return head, parts
-
-
-def _print_with_entries(inst, m, components: Mat2) -> None:
-    print(inst.format_mor(m))
-    for j, k, entry in components.entries():
-        print(f"  [{j},{k}] {inst.format_mor(entry)}")
 
 
 def _run_show(args) -> int:
@@ -345,19 +363,10 @@ def _run_show(args) -> int:
         raise InvalidBounds(f"max size must be at most {MAX_SIZE}, got {args.max_size}")
     inst = resolve(args.instance, args.max_size)
     head, parts = _parse_expression(args.expression)
-    objs = [inst.parse_obj(t) for t in parts]
-    if head == "zero":
-        print(inst.format_mor(zero_map(*objs)))
-    elif head in ("e", "e'"):
-        e, e_prime = idempotents(*objs)
-        print(inst.format_mor(e if head == "e" else e_prime))
-    elif head in ("star", "t"):
-        g = _star_grid(*objs) if head == "star" else _grid(objs[0], objs[0], objs[1], objs[1])
-        _print_with_entries(inst, g.map, g.corners)
-    else:
-        a, b = objs
-        c = c_map(a, b).fwd
-        _print_with_entries(inst, c, matrix_of(c, inst.coproduct(a, b), inst.product(a, b)))
+    m, components = SHOWS[head][1](*[inst.parse_obj(t) for t in parts])
+    print(inst.format_mor(m))
+    for j, k, entry in components.entries() if components else ():
+        print(f"  [{j},{k}] {inst.format_mor(entry)}")
     return 0
 
 

@@ -388,9 +388,6 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
     keyed by its pair of morphisms, and dropped when the call returns;
     the bilinearity composites are kept by compose's own memo.
     """
-    mors = list(sample)
-    if not mors:
-        return CheckResult("semiadditive", ())
     sums: dict[tuple[Mor, Mor], Mor] = {}
 
     def add(f: Mor, g: Mor) -> Mor:
@@ -400,7 +397,7 @@ def verify_semiadditive(sample: Iterable[Mor]) -> CheckResult:
         return s
 
     groups: dict[tuple[Obj, Obj], list[Mor]] = {}
-    for f in mors:
+    for f in sample:
         groups.setdefault((f.dom, f.cod), []).append(f)
     checks: list[EquationCheck] = []
     for (a, b), fs in groups.items():

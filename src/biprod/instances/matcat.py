@@ -148,17 +148,13 @@ class MatInstance(Instance):
     def enumerate_homset(self, a: Obj, b: Obj) -> tuple[Mor, ...] | None:
         if self.sr.carrier is None:
             return None
-        cells = a.data * b.data
-        if len(self.sr.carrier) ** cells > ENUM_CAP:
+        if len(self.sr.carrier) ** (a.data * b.data) > ENUM_CAP:
             return None
-        out = []
-        for values in itertools.product(self.sr.carrier, repeat=cells):
-            payload = tuple(
-                tuple(values[i * a.data + j] for j in range(a.data))
-                for i in range(b.data)
-            )
-            out.append(self.mor(a, b, payload))
-        return tuple(out)
+        # b-tuples of a-tuple rows: the order, and the entry objects, of one
+        # product over all a*b cells read row by row, which the reports'
+        # labels and seeded samples depend on
+        rows = itertools.product(self.sr.carrier, repeat=a.data)
+        return tuple(self.mor(a, b, p) for p in itertools.product(rows, repeat=b.data))
 
     def random_morphism(self, rng: random.Random, a: Obj, b: Obj) -> Mor:
         payload = tuple(

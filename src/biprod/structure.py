@@ -9,7 +9,9 @@ algebra.
 A morphism from a binary coproduct into a binary product is determined by
 its four components; Mat2 holds such a square of components.  from_matrix
 reassembles in both orders (copair of pairs, pair of copairs) and insists
-the two agree.
+the two agree; it alone types a square, refusing one whose columns or
+rows do not line up with the DomainMismatch of the first pair or copair
+that cannot be assembled.
 
 assemble is the one policy for re-checking a structural pair or copair
 once: one per_instance memo keyed by (f, g, witness), so each distinct
@@ -138,29 +140,20 @@ def plus_map(f: Mor, g: Mor) -> Mor:
     return assemble(compose(cc.in1, f), compose(cc.in2, g), cd)
 
 
-class _Mat2Fields(NamedTuple):
+class Mat2(NamedTuple):
+    """Components of a morphism from a binary coproduct into a binary product.
+
+    Entry (j, k) goes from the k-th summand to the j-th factor, so the
+    first index picks the row and the second the column.  A Mat2 is not
+    checked when built: from_matrix refuses a square whose columns do not
+    share a domain or whose rows do not share a codomain, through the
+    DomainMismatch of the pair or copair that cannot be assembled.
+    """
+
     f11: Mor
     f12: Mor
     f21: Mor
     f22: Mor
-
-
-class Mat2(_Mat2Fields):
-    """Components of a morphism from a binary coproduct into a binary product.
-
-    Entry (j, k) goes from the k-th summand to the j-th factor, so the
-    first index picks the row and the second the column.  Building one
-    checks that each column shares a domain and each row a codomain.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, f11: Mor, f12: Mor, f21: Mor, f22: Mor) -> "Mat2":
-        if f11.dom is not f21.dom or f12.dom is not f22.dom:
-            raise DomainMismatch("matrix columns must share a domain")
-        if f11.cod is not f12.cod or f21.cod is not f22.cod:
-            raise DomainMismatch("matrix rows must share a codomain")
-        return super().__new__(cls, f11, f12, f21, f22)
 
     def entries(self) -> Iterable[tuple[int, int, Mor]]:
         yield 1, 1, self.f11

@@ -3,6 +3,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import biprod
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -18,3 +20,10 @@ def test_test_extra_pins_what_ci_installs():
     extra = sorted(re.findall(r'"([^"]+)"', extra_line.group(1)))
     assert ci == extra
     assert ci and all("==" in requirement for requirement in ci)
+
+
+def test_pyproject_version_is_the_package_version():
+    # read by regular expression, as tomllib is missing on CI's Python 3.10 leg
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    line = re.search(r'^version = "([^"]+)"$', pyproject, re.M)
+    assert line and line.group(1) == biprod.__version__

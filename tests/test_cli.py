@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from biprod import cli, construction, kernel, structure
 from biprod.cli import (
+    SHOWS,
     STAGES,
     CheckRecord,
     Report,
@@ -1028,6 +1029,29 @@ def test_parse_expression():
         _parse_expression("star(1,1)")
     with pytest.raises(ParseError):
         _parse_expression("t(1,2) extra")
+
+
+SHOW_ARITIES = {"star": 4, "t": 2, "c": 2, "e": 2, "e'": 2, "zero": 2}
+SHOW_USAGE = "expected star(a1,a2,b1,b2), t(a,b), c(a,b), e(a,b), e'(a,b) or zero(a,b)"
+
+
+@pytest.mark.parametrize("head, arity", SHOW_ARITIES.items())
+def test_show_heads_take_their_arity(head, arity):
+    assert list(SHOWS) == list(SHOW_ARITIES)
+    assert _parse_expression(f"{head}({','.join('1' * arity)})") == (head, ["1"] * arity)
+    for got in (0, arity - 1, arity + 1):
+        message = f"{head} takes {arity} objects, got {got}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            _parse_expression(f"{head}({','.join('1' * got)})")
+
+
+@pytest.mark.parametrize("head", ["frob", "tt", "e''", "T"])
+def test_show_unknown_heads_print_the_usage(capsys, head):
+    text = f"{head}(1,2)"
+    assert main(["show", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse {text!r}; {SHOW_USAGE}\n"
 
 
 def test_parse_obj():

@@ -437,6 +437,44 @@ def test_mat_identity_and_compose_on_empty_dims():
     assert compose(g, f).payload == ((False, False), (False, False))
 
 
+# Z/3, the integers mod 3: a finite carrier other than the booleans
+MOD3 = Semiring(
+    zero=0,
+    one=1,
+    add=lambda x, y: (x + y) % 3,
+    mul=lambda x, y: x * y % 3,
+    sample=lambda rng: rng.randrange(3),
+    carrier=(0, 1, 2),
+    render=str,
+)
+
+
+def naive_homset_payloads(sr, a, b):
+    """Every b x a payload as one product over all a*b cells, cut into rows by index."""
+    return [
+        tuple(tuple(values[i * a + j] for j in range(a)) for i in range(b))
+        for values in itertools.product(sr.carrier, repeat=a * b)
+    ]
+
+
+@pytest.mark.parametrize("sr, top", [(BOOLEANS, 4), (MOD3, 5)])
+def test_mat_enumerate_homset_lists_the_naive_order(sr, top):
+    # the order fixes every #i label and every seeded sample the reports take
+    inst = MatInstance(sr, top, name="enum")
+    for a, b in itertools.product(range(top + 1), repeat=2):
+        if len(sr.carrier) ** (a * b) > ENUM_CAP:
+            continue
+        homs = inst.enumerate_homset(inst.obj(a), inst.obj(b))
+        want = naive_homset_payloads(sr, a, b)
+        assert len(homs) == len(want)
+        for h, payload in zip(homs, want):
+            assert h.dom is inst.obj(a) and h.cod is inst.obj(b)
+            assert len(h.payload) == len(payload)
+            for row, want_row in zip(h.payload, payload):
+                assert len(row) == len(want_row)
+                assert all(x is y for x, y in zip(row, want_row))
+
+
 def test_mat_enumerate_homset_counts():
     rel = finrel(4)
     assert len(rel.enumerate_homset(rel.obj(2), rel.obj(2))) == 16

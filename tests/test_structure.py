@@ -165,17 +165,20 @@ def test_broken_witness_times_map_is_never_memoized(rotated_mediate_rel2):
     assert not [key for key in inst.memo if key[0].__name__ == "times_map"]
 
 
-def test_mat2_validates_typing():
+def test_from_matrix_refuses_an_ill_typed_square():
     one = REL.obj(1)
     two = REL.obj(2)
     i1 = identity(one)
+    # the first column's entries start at different objects
     wrong = REL.mor(two, one, bmat((1, 0),))
-    with pytest.raises(DomainMismatch, match="^matrix columns must share a domain$"):
-        Mat2(i1, i1, wrong, i1)
+    with pytest.raises(DomainMismatch, match="^pair components start at 1 and 2$"):
+        from_matrix(Mat2(i1, i1, wrong, i1))
     # the columns agree, the second row does not
     tall = REL.mor(one, two, bmat((1,), (0,)))
-    with pytest.raises(DomainMismatch, match="^matrix rows must share a codomain$"):
-        Mat2(i1, i1, tall, i1)
+    with pytest.raises(
+        DomainMismatch, match="^pair components end at 1, 1; witness expects 1, 2$"
+    ):
+        from_matrix(Mat2(i1, i1, tall, i1))
 
 
 def test_matrix_of_reads_components():
